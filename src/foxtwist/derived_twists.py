@@ -8,8 +8,25 @@ pass produces the n generator values and everything else follows by the
 Leibniz rule.  Twists are exponentials exp(sigma(k log^2(alpha), -)),
 defined when alpha pairs to zero with itself homologically.
 
-Degree bookkeeping: sigma can drop filtration degree by two, so a result
-wanted at cap M is computed from inputs at cap M + 2 and truncated.
+Twists never run the general composite.  For group-like a and b the
+derived form has the closed form
+
+    sigma(k log^2(a), b) = 2k * b * (log a)^rho(a, b),
+
+so the value on x_j costs one pairing evaluation rho(alpha, x_j) and one
+conjugation sum of log alpha.  Group-likeness is the whole hypothesis:
+iota(alpha) and iota(x_j) are group-like by construction, so ``twist``
+skips the check that the public ``sigma_log_squared`` makes.
+
+Degree bookkeeping: sigma can drop filtration degree by two, so a general
+derived form wanted at cap M is computed from inputs at cap M + 2 and
+truncated.  A twist from a pairing at cap P is exact at cap P - 2 and is
+built there throughout.  Pairing evaluation loses one degree per operand,
+so rho(alpha, x_j) is evaluated on operands at P - 1 and lands at P - 2;
+log alpha and the generator values are formed at P - 2.  The values have
+no constant term, so the derivation never lowers degree and truncation
+commutes with it: exp runs at P - 2 as well, and nothing is truncated at
+the end.
 """
 
 from __future__ import annotations
@@ -156,28 +173,30 @@ def derived_form_truncated(pairing: FoxPairing, u: TruncatedSeries,
     return apply_derivation([x.truncate(cap) for x in values], v.truncate(cap))
 
 
+def _sigma_log_squared_closed_form(k: Fraction, log_a: TruncatedSeries,
+                                   b: TruncatedSeries, rho_ab: TruncatedSeries) -> TruncatedSeries:
+    """2k * b * (log a)^rho(a,b), with every operand at one cap.
+
+    Equals sigma(k log^2(a), b) only when a and b are group-like; callers
+    either check that or know it by construction.
+    """
+    return (b * conjugation_sum_series(log_a, rho_ab)).scale(2 * k)
+
+
 def sigma_log_squared(k, a: TruncatedSeries, b: TruncatedSeries, rho_ab) -> TruncatedSeries:
     """sigma(k log^2(a), b) = 2k * b * (log a)^rho(a,b) for group-like a, b.
 
-    rho_ab may be a group-algebra element (conjugation word by word) or a
-    truncated series (coproduct route); this supports pairings known only
-    at the pair (a, b).
+    rho_ab may be a group-algebra element (embedded at the cap of a) or a
+    truncated series at that cap or above; this supports pairings known
+    only at the pair (a, b).
     """
     if not is_group_like(a) or not is_group_like(b):
         raise DomainError("sigma_log_squared needs group-like arguments")
-    k = as_fraction(k)
-    log_a = a.log()
     if isinstance(rho_ab, GroupAlgebraElement):
-        conjugated = TruncatedSeries.zero(a.rank, a.cap)
-        for word, coeff in rho_ab.words():
-            left = embed(GroupAlgebraElement.from_word(word.inverse()), a.cap)
-            right = embed(GroupAlgebraElement.from_word(word), a.cap)
-            conjugated = conjugated + (left * log_a * right).scale(coeff)
-    elif isinstance(rho_ab, TruncatedSeries):
-        conjugated = conjugation_sum_series(log_a, rho_ab.truncate(a.cap))
-    else:
+        rho_ab = embed(rho_ab, a.cap)
+    elif not isinstance(rho_ab, TruncatedSeries):
         raise TypeError("rho_ab must be exact or truncated")
-    return (b * conjugated).scale(2 * k)
+    return _sigma_log_squared_closed_form(as_fraction(k), a.log(), b, rho_ab.truncate(a.cap))
 
 
 def exp_derivation(values: list):
@@ -278,11 +297,17 @@ class TwistAutomorphism:
                                  [self.apply(im) for im in other.images])
 
     def power(self, m: int) -> "TwistAutomorphism":
+        """m-fold composite by repeated squaring; negative m inverts first."""
         if m < 0:
             return self.inverse().power(-m)
         result = TwistAutomorphism.identity(self.rank, self.cap)
-        for _ in range(m):
-            result = self.compose(result)
+        base = self
+        while m:
+            if m & 1:
+                result = base.compose(result)
+            m >>= 1
+            if m:
+                base = base.compose(base)
         return result
 
     def inverse(self) -> "TwistAutomorphism":
@@ -374,8 +399,11 @@ def twist(pairing: FoxPairing, k, alpha: GroupWord) -> TwistAutomorphism:
 
     Requires the homological self-pairing of alpha to vanish; otherwise
     the exponent is not weakly nilpotent and no automorphism exists at
-    any cap.  The result carries the pairing cap minus two, the degrees
-    the derived-form pipeline determines completely, so every stored
+    any cap.  The generator values come from the closed form
+    2k * x_j * (log alpha)^rho(alpha, x_j), valid because iota(alpha) is
+    group-like.  With P the pairing cap, rho(alpha, x_j) is evaluated on
+    operands at P - 1, and the values, exp and the result all carry cap
+    P - 2, the degrees the pairing determines completely, so every stored
     coefficient of the images is exact.
     """
     if pairing.representation != TRUNCATED:
@@ -388,11 +416,14 @@ def twist(pairing: FoxPairing, k, alpha: GroupWord) -> TwistAutomorphism:
     if self_pairing != 0:
         raise IsotropyError("curve pairs with itself to %s, not 0" % self_pairing)
     k = as_fraction(k)
-    cap = pairing.cap
-    log_alpha = embed(GroupAlgebraElement.from_word(alpha), cap).log()
-    exponent = (log_alpha * log_alpha).scale(k)
-    values = derived_generator_values(pairing, exponent)
+    n, cap = pairing.rank, pairing.cap - 2
+    iota_alpha = embed(GroupAlgebraElement.from_word(alpha), cap + 1)
+    log_alpha = iota_alpha.truncate(cap).log()
+    values = []
+    for j in range(n):
+        x_j = 1 + TruncatedSeries.variable(n, cap + 1, j + 1)
+        rho = pairing.evaluate(iota_alpha, x_j)
+        values.append(_sigma_log_squared_closed_form(k, log_alpha, x_j.truncate(cap), rho))
     mapper = exp_derivation(values)
-    images = [mapper(1 + TruncatedSeries.variable(pairing.rank, cap, i + 1))
-              for i in range(pairing.rank)]
-    return TwistAutomorphism(pairing.rank, cap, images).truncate(cap - 2)
+    return TwistAutomorphism(n, cap, [mapper(1 + TruncatedSeries.variable(n, cap, i + 1))
+                                      for i in range(n)])

@@ -128,7 +128,8 @@ class FoxPairing:
         )
 
     def __hash__(self):
-        return hash((self.rank, self.representation, self.matrix))
+        entries = tuple(frozenset(e.terms.items()) for row in self.matrix for e in row)
+        return hash((self.rank, self.representation, self.cap, entries))
 
     def _check_compatible(self, other: "FoxPairing"):
         if self.rank != other.rank or self.representation != other.representation:
@@ -227,10 +228,6 @@ class FoxPairing:
         for all generator pairs, at the entry cap.
         """
         return (self + self.transpose()).inner_witness()
-
-    def equivalent_to(self, other: "FoxPairing"):
-        """Whether self - other is inner; returns (flag, witness)."""
-        return (self - other).inner_witness()
 
     def inner_witness(self):
         """Solve self = inner(e) for e at the cap; (False, None) if none.

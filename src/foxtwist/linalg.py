@@ -12,18 +12,6 @@ from fractions import Fraction
 from .errors import NotInvertible
 
 
-def identity_matrix(n: int) -> list:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: list, b: list) -> list:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
 def mat_vec(a: list, v: list) -> list:
     return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
 

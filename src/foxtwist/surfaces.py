@@ -24,8 +24,6 @@ from .group_algebra import GroupAlgebraElement, as_fraction
 from .truncated_completion import TruncatedSeries, commutator, embed
 from .words import GroupWord, parse_word
 
-CLASSICAL_PRESETS = ("nonseparating-a1", "separating-genus1-part")
-
 _PAIRING_CACHE = {}
 
 
@@ -182,9 +180,6 @@ def first_difference(got: TruncatedSeries, want: TruncatedSeries):
 def _series_check(name, got, want):
     witness = first_difference(got, want)
     return {"name": name, "pass": witness is None, "witness": witness}
-
-
-FIGURE_EIGHT_NAMES = ("alpha", "beta")
 
 
 def figure_eight_scenario(k, cap: int = 5) -> dict:

@@ -27,8 +27,6 @@ from .surfaces import (
 from .truncated_completion import TruncatedTensor, embed, tensor_outer
 from .words import GroupWord
 
-TensorSeries = TruncatedSeries
-
 # s(z) = 1/(e^{-z} - 1) + 1/z, coefficients of z^0 .. z^5.  Caps up to 8
 # only ever consume the first few; the recurrence s(z)(e^{-z} - 1) =
 # 1 + (e^{-z} - 1)/z pins them and is asserted in the test suite.
@@ -56,7 +54,7 @@ def basis_names(genus: int) -> list:
     return out
 
 
-def basis_vector(genus: int, index: int, cap: int) -> TensorSeries:
+def basis_vector(genus: int, index: int, cap: int) -> TruncatedSeries:
     return TruncatedSeries.variable(2 * genus, cap, index)
 
 
@@ -65,7 +63,7 @@ def intersection_number(genus: int, h: int, k: int) -> Fraction:
     return intersection_form(genus)[h - 1][k - 1]
 
 
-def omega(genus: int, cap: int) -> TensorSeries:
+def omega(genus: int, cap: int) -> TruncatedSeries:
     """The degree-2 dual of the intersection form: sum of b_i a_i - a_i b_i."""
     if cap < 3:
         raise ValueError("omega needs cap at least 3")
@@ -91,7 +89,7 @@ def _primitive_splits(monomial):
     return tuple(out)
 
 
-def tensor_coproduct(series: TensorSeries) -> TruncatedTensor:
+def tensor_coproduct(series: TruncatedSeries) -> TruncatedTensor:
     """Coproduct with every basis letter primitive."""
     terms = {}
     for monomial, coeff in series.terms.items():
@@ -104,7 +102,7 @@ def tensor_coproduct(series: TensorSeries) -> TruncatedTensor:
     return TruncatedTensor(series.rank, series.cap, terms)
 
 
-def is_tensor_primitive(series: TensorSeries) -> bool:
+def is_tensor_primitive(series: TruncatedSeries) -> bool:
     if series.constant_term():
         return False
     one = TruncatedSeries.one(series.rank, series.cap)
@@ -112,13 +110,13 @@ def is_tensor_primitive(series: TensorSeries) -> bool:
     return tensor_coproduct(series) == expected
 
 
-def is_tensor_group_like(series: TensorSeries) -> bool:
+def is_tensor_group_like(series: TruncatedSeries) -> bool:
     if series.constant_term() != 1:
         return False
     return tensor_coproduct(series) == tensor_outer(series, series)
 
 
-def cyclicize(series: TensorSeries) -> TensorSeries:
+def cyclicize(series: TruncatedSeries) -> TruncatedSeries:
     """Sum of all cyclic rotations; defined on homogeneous input of degree >= 1."""
     degrees = {len(m) for m in series.terms}
     if not degrees:
@@ -140,7 +138,7 @@ def cyclicize(series: TensorSeries) -> TensorSeries:
     return TruncatedSeries._raw(series.rank, series.cap, terms)
 
 
-def contraction(u: TensorSeries, v: TensorSeries) -> TensorSeries:
+def contraction(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
     """Contract the last letter of u with the first letter of v.
 
     (h_1 ... h_m) ~> (k_1 ... k_n) = (h_m . k_1) h_1 ... h_{m-1} k_2 ... k_n.
@@ -170,7 +168,7 @@ def contraction(u: TensorSeries, v: TensorSeries) -> TensorSeries:
     return TruncatedSeries._raw(u.rank, cap, terms)
 
 
-def derivation_pairing(u: TensorSeries, v: TensorSeries) -> TensorSeries:
+def derivation_pairing(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
     """The pairing <u, v> whose left slot acts by symplectic derivations.
 
     A degree-1 left argument h acts as the derivation sending a basis
@@ -221,7 +219,7 @@ def derivation_pairing(u: TensorSeries, v: TensorSeries) -> TensorSeries:
     return TruncatedSeries._raw(u.rank, cap, terms)
 
 
-def s_of_omega(genus: int, cap: int) -> TensorSeries:
+def s_of_omega(genus: int, cap: int) -> TruncatedSeries:
     """The series s(omega) with s(z) = 1/(e^{-z} - 1) + 1/z."""
     w = omega(genus, cap)
     total = TruncatedSeries.scalar(2 * genus, cap, S_COEFFICIENTS[0])
@@ -235,7 +233,7 @@ def s_of_omega(genus: int, cap: int) -> TensorSeries:
     return total
 
 
-def tensorial_rho(u: TensorSeries, v: TensorSeries) -> TensorSeries:
+def tensorial_rho(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
     """(u - eps u) ~> (v - eps v) + (u - eps u) s(omega) (v - eps v)."""
     if u.rank != v.rank:
         raise ValueError("rank mismatch")
@@ -273,7 +271,7 @@ class SymplecticExpansion:
     def rank(self):
         return 2 * self.genus
 
-    def apply_word(self, word: GroupWord) -> TensorSeries:
+    def apply_word(self, word: GroupWord) -> TruncatedSeries:
         total = TruncatedSeries.one(self.rank, self.cap)
         for letter in word.letters:
             image = self.images[abs(letter) - 1]
@@ -288,7 +286,7 @@ class SymplecticExpansion:
             self._prefix_cache[monomial] = cached
         return cached
 
-    def apply_hat(self, series: TruncatedSeries) -> TensorSeries:
+    def apply_hat(self, series: TruncatedSeries) -> TruncatedSeries:
         """Extend the expansion to truncated group-algebra series.
 
         Substitutes X_i -> theta(x_i) - 1 multiplicatively; the result is
@@ -302,7 +300,7 @@ class SymplecticExpansion:
             total = total + self._monomial_image(monomial).truncate(cap).scale(coeff)
         return total
 
-    def boundary_image(self) -> TensorSeries:
+    def boundary_image(self) -> TruncatedSeries:
         return self.apply_word(SurfaceSpec(self.genus, self.cap).boundary_word())
 
     def is_group_like(self) -> bool:
@@ -312,7 +310,7 @@ class SymplecticExpansion:
         return self.boundary_image() == (-omega(self.genus, self.cap)).exp()
 
 
-def lie_bracket_of_word(rank, cap, letters) -> TensorSeries:
+def lie_bracket_of_word(rank, cap, letters) -> TruncatedSeries:
     """Right-nested commutator [h_1, [h_2, [..., h_d]...]] of basis letters."""
     series = TruncatedSeries.variable(rank, cap, letters[-1])
     for letter in reversed(letters[:-1]):

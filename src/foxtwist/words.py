@@ -113,6 +113,11 @@ class GroupWord:
         return f"GroupWord({self.rank}, {format_word(self)!r})"
 
 
+# Longest word parse_word expands, counted before free reduction; a
+# power such as x1^100000000 would otherwise allocate every letter.
+MAX_WORD_LENGTH = 10_000
+
+
 def default_names(rank: int) -> list:
     return [f"x{i}" for i in range(1, rank + 1)]
 
@@ -120,8 +125,9 @@ def default_names(rank: int) -> list:
 def parse_word(text: str, rank: int, names=None) -> GroupWord:
     """Parse whitespace-separated tokens ``name`` or ``name^k`` (k an integer).
 
-    The empty string is the identity.  Unknown names and malformed
-    powers raise ValueError.
+    The empty string is the identity.  Unknown names, malformed powers
+    and words longer than MAX_WORD_LENGTH letters (before free
+    reduction) raise ValueError.
     """
     if names is None:
         names = default_names(rank)
@@ -141,6 +147,8 @@ def parse_word(text: str, rank: int, names=None) -> GroupWord:
             power = 1
         if base not in mapping:
             raise ValueError(f"unknown generator name {base!r}")
+        if len(letters) + abs(power) > MAX_WORD_LENGTH:
+            raise ValueError(f"word longer than {MAX_WORD_LENGTH} letters")
         idx = mapping[base]
         letters.extend([idx if power > 0 else -idx] * abs(power))
     return GroupWord(rank, tuple(letters))

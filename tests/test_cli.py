@@ -8,6 +8,7 @@ from foxtwist import formats
 from foxtwist.cli import main
 from foxtwist.derived_twists import twist
 from foxtwist.surfaces import SurfaceSpec, surface_pairing
+from foxtwist.words import MAX_WORD_LENGTH
 
 
 def run(capsys, *argv):
@@ -121,6 +122,7 @@ def test_exit_2_on_bad_inputs(capsys):
         ("pairing", "--surface", "genus:1", "--nabla", "x.json"),
         ("twist", "--surface", "genus:1"),
         ("twist", "--surface", "genus:1", "--curve", "q9"),
+        ("twist", "--surface", "genus:1", "--curve", f"a^{MAX_WORD_LENGTH + 1}"),
         ("twist", "--surface", "genus:1", "--curve", "a", "--k", "one"),
         ("twist", "--surface", "genus:1", "--curve", "a", "--k", "1/0"),
         ("verify", "--suite", "no-such-suite"),

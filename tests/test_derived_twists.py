@@ -17,9 +17,10 @@ from foxtwist.derived_twists import (
     twist,
 )
 from foxtwist.errors import DomainError, IsotropyError, NilpotencyCapExceeded, NotInvertible
-from foxtwist.fox_pairings import FoxPairing
+from foxtwist.fox_pairings import FoxPairing, NablaElement, pairing_of_nabla
 from foxtwist.group_algebra import GroupAlgebraElement, conjugation_sum
 from foxtwist.series import TruncatedSeries
+from foxtwist.surfaces import SurfaceSpec, surface_pairing
 from foxtwist.truncated_completion import embed
 from foxtwist.words import GroupWord
 
@@ -228,6 +229,16 @@ def test_compose_power_and_inverse():
     assert t.power(-1) == t.inverse()
 
 
+def test_power_by_squaring_matches_repeated_composition():
+    x1 = TruncatedSeries.variable(2, 5, 1)
+    x2 = TruncatedSeries.variable(2, 5, 2)
+    t = TwistAutomorphism(2, 5, [1 + x1 + x2 * x1, 1 + x2 + x2 * x2 * x1])
+    repeated = TwistAutomorphism.identity(2, 5)
+    for _ in range(9):
+        repeated = t.compose(repeated)
+    assert t.power(9) == repeated
+
+
 def test_compose_order_is_self_after_other():
     x1 = TruncatedSeries.variable(2, 4, 1)
     x2 = TruncatedSeries.variable(2, 4, 2)
@@ -288,3 +299,53 @@ def test_twist_needs_enough_cap():
     eta = FoxPairing.inner(GroupAlgebraElement.one(2)).embedded(2)
     with pytest.raises(ValueError):
         twist(eta, 1, GroupWord(2, (1, -2)))
+
+
+def twist_by_composite(pairing, k, alpha):
+    """The general route twist() replaced: the coproduct composite on
+    k log^2 alpha, exp at the pairing cap, then the cut to cap - 2."""
+    n, cap = pairing.rank, pairing.cap
+    log_alpha = embed(GroupAlgebraElement.from_word(alpha), cap).log()
+    values = derived_generator_values(pairing, (log_alpha * log_alpha).scale(k))
+    mapper = exp_derivation(values)
+    images = [mapper(1 + TruncatedSeries.variable(n, cap, i + 1)) for i in range(n)]
+    return TwistAutomorphism(n, cap, images).truncate(cap - 2)
+
+
+@pytest.mark.parametrize("genus, curve, k", [
+    (1, "a b a b^-1", Fraction(1, 3)),
+    (2, "a1 b2 a2^-1 b1", Fraction(-2, 5)),
+    (3, "a1 b2 a3 b1^-1", Fraction(1, 2)),
+    (2, "a1", Fraction(3, 7)),
+    (2, "a1 b1 a1^-1 b1^-1", 2),
+])
+def test_twist_matches_the_composite_route(genus, curve, k):
+    spec = SurfaceSpec(genus, 3)
+    pairing = surface_pairing(spec)
+    assert pairing.cap == 5
+    alpha = spec.parse_curve(curve)
+    assert twist(pairing, k, alpha) == twist_by_composite(pairing, k, alpha)
+
+
+def test_twist_matches_the_composite_route_at_small_caps():
+    spec = SurfaceSpec(1, 3)
+    alpha = spec.parse_curve("a b^-1 a^-1 b")
+    k = Fraction(5, 6)
+    for cap in (3, 4, 5):
+        pairing = surface_pairing(spec).truncate(cap)
+        assert twist(pairing, k, alpha) == twist_by_composite(pairing, k, alpha)
+
+
+def test_twist_matches_the_composite_route_on_a_nabla_pairing():
+    # Skew degree-two part, so every curve is isotropic; extra terms in
+    # degrees 3 and 4 make the pairing generic.
+    nabla = TruncatedSeries(2, 7, {
+        (1, 2): 1, (2, 1): -1, (1, 1, 2): Fraction(1, 2),
+        (2, 1, 2): -3, (1, 2, 2, 1): Fraction(2, 5),
+    })
+    pairing = pairing_of_nabla(NablaElement(nabla))
+    assert pairing.cap == 5
+    k = Fraction(-1, 3)
+    for letters in ((1, 2, -1), (1, 1, 2, -1, -2), (2,)):
+        alpha = GroupWord(2, letters)
+        assert twist(pairing, k, alpha) == twist_by_composite(pairing, k, alpha)

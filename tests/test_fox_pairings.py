@@ -9,6 +9,7 @@ from foxtwist.errors import NotNondegenerate
 from foxtwist.fox_pairings import FoxPairing, NablaElement, nabla_of_pairing, pairing_of_nabla
 from foxtwist.group_algebra import GroupAlgebraElement
 from foxtwist.series import TruncatedSeries
+from foxtwist.surfaces import SurfaceSpec, surface_pairing
 from foxtwist.truncated_completion import embed
 from foxtwist.words import GroupWord
 
@@ -180,3 +181,15 @@ def test_nondegeneracy_of_pairings():
     regular = FoxPairing([[word_elem(), word_elem(1)],
                           [word_elem(2).scale(-1), word_elem()]])
     assert regular.is_nondegenerate()
+
+
+def test_equal_pairings_hash_equally():
+    truncated = surface_pairing(SurfaceSpec(1, 3))
+    copy = FoxPairing([[TruncatedSeries(e.rank, e.cap, dict(e.terms)) for e in row]
+                       for row in truncated.matrix])
+    assert copy == truncated and copy is not truncated
+    assert hash(copy) == hash(truncated)
+    assert len({truncated, copy, truncated.truncate(3)}) == 2
+    rng = random.Random(91)
+    exact = random_exact_pairing(rng)
+    assert hash(FoxPairing([list(row) for row in exact.matrix])) == hash(exact)

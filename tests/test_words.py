@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from foxtwist.words import GroupWord, default_names, format_word, parse_word
+from foxtwist.words import MAX_WORD_LENGTH, GroupWord, default_names, format_word, parse_word
 
 
 def w(*letters):
@@ -79,3 +79,11 @@ def test_parse_rejects_unknown_names_and_bad_powers():
 def test_parse_with_alias_table():
     table = {"a": 1, "b": 2}
     assert parse_word("a b^-1", 2, table).letters == (1, -2)
+
+
+def test_parse_bounds_the_expanded_length():
+    assert len(parse_word(f"x1^{MAX_WORD_LENGTH}", 2)) == MAX_WORD_LENGTH
+    over = MAX_WORD_LENGTH + 1
+    for text in (f"x1^{over}", f"x2^-{over}", f"x1^{MAX_WORD_LENGTH} x2"):
+        with pytest.raises(ValueError):
+            parse_word(text, 2)
