@@ -23,6 +23,10 @@ from .verify import SUITE_NAMES, report_passed, run_suite
 from .words import parse_word
 
 
+# Working degrees the CLI accepts, from --degree or implied by a file.
+DEGREES = range(2, 9)
+
+
 class InputError(Exception):
     """Bad configuration or unparsable input; exits with code 2."""
 
@@ -57,18 +61,26 @@ def _load_pairing_source(args):
         spec = SurfaceSpec(_parse_surface(args.surface), args.degree)
         return surface_pairing(spec), spec.parse_curve
     if getattr(args, "pairing", None):
-        pairing = formats.pairing_from_dict(_read(args.pairing))
+        pairing = formats.pairing_from_dict(_read(args.pairing, 0))
         return pairing, lambda text: parse_word(text, pairing.rank)
-    series = formats.series_from_dict(_read(args.nabla))
+    series = formats.series_from_dict(_read(args.nabla, 4))
     pairing = pairing_of_nabla(NablaElement(series))
     return pairing, lambda text: parse_word(text, pairing.rank)
 
 
-def _read(path):
+def _read(path, offset):
+    """Read a pairing (offset 0) or nabla (offset 4) file and reject it
+    when the working degree it implies, degree_cap - offset, is outside
+    DEGREES.  A missing or non-integer degree_cap is left to the loader."""
     try:
-        return formats.read_json(path)
+        doc = formats.read_json(path)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    cap = doc.get("degree_cap") if isinstance(doc, dict) else None
+    if isinstance(cap, int) and cap - offset not in DEGREES:
+        raise InputError(f"{path}: degree_cap {cap} implies degree {cap - offset}, "
+                         f"outside {DEGREES.start}..{DEGREES.stop - 1}")
+    return doc
 
 
 def _render_series(series) -> str:
@@ -214,8 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if not 2 <= args.degree <= 8:
-        parser.exit(2, "degree must be in 2..8\n")
+    if args.degree not in DEGREES:
+        parser.exit(2, f"degree must be in {DEGREES.start}..{DEGREES.stop - 1}\n")
     handlers = {"pairing": cmd_pairing, "twist": cmd_twist, "verify": cmd_verify}
     try:
         return handlers[args.command](args)

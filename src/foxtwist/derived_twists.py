@@ -37,7 +37,7 @@ from . import linalg
 from .errors import DomainError, IsotropyError, NilpotencyCapExceeded
 from .fox_pairings import TRUNCATED, FoxPairing
 from .group_algebra import GroupAlgebraElement, as_fraction, conjugation_sum
-from .series import TruncatedSeries
+from .series import Substitution, TruncatedSeries, accumulate, nonzero
 from .truncated_completion import (
     _antipode_coproduct_monomial,
     _coproduct_monomial,
@@ -61,7 +61,7 @@ def derived_form_exact(pairing: FoxPairing, a: GroupAlgebraElement,
         raise ValueError("derived_form_exact needs an exact pairing")
     if left:
         return derived_form_exact(pairing.transpose(), b, a)
-    total = GroupAlgebraElement.zero(pairing.rank)
+    total = {}
     for wa, ca in a.words():
         ea = GroupAlgebraElement.from_word(wa)
         for wb, cb in b.words():
@@ -69,8 +69,8 @@ def derived_form_exact(pairing: FoxPairing, a: GroupAlgebraElement,
             value = pairing.evaluate(ea, eb)
             if value.is_zero():
                 continue
-            total = total + (eb * conjugation_sum(ea, value)).scale(ca * cb)
-    return total
+            accumulate(total, (eb * conjugation_sum(ea, value)).terms.items(), ca * cb)
+    return GroupAlgebraElement(pairing.rank, total)
 
 
 def derived_generator_values(pairing: FoxPairing, u: TruncatedSeries) -> list:
@@ -106,24 +106,21 @@ def derived_generator_values(pairing: FoxPairing, u: TruncatedSeries) -> list:
                 if len(s1) + len(s2) >= room:
                     continue
                 key = s1 + m1 + s2
-                c = bucket.get(key, 0) + weight * cs
-                if c:
-                    bucket[key] = c
-                else:
-                    bucket.pop(key, None)
-    kernels = [TruncatedSeries._raw(n, cap, terms) for terms in g_terms]
+                bucket[key] = bucket.get(key, 0) + weight * cs
+    kernels = [TruncatedSeries._raw(n, cap, nonzero(terms)) for terms in g_terms]
 
     values = []
     for j in range(n):
-        acc = TruncatedSeries.zero(n, cap)
+        acc = {}
         for r in range(n):
             if kernels[r].is_zero():
                 continue
             entry = pairing.entry(r + 1, j + 1).truncate(cap)
             if entry.is_zero():
                 continue
-            acc = acc + sandwich(antipode_coproduct(entry), kernels[r])
-        values.append((1 + TruncatedSeries.variable(n, cap, j + 1)) * acc)
+            accumulate(acc, sandwich(antipode_coproduct(entry), kernels[r]).terms.items())
+        values.append((1 + TruncatedSeries.variable(n, cap, j + 1))
+                      * TruncatedSeries._raw(n, cap, nonzero(acc)))
     return values
 
 
@@ -155,12 +152,8 @@ def apply_derivation(values: list, series: TruncatedSeries) -> TruncatedSeries:
             for degree in range(min(room, cap)):
                 for dm, dc in buckets[degree]:
                     key = head + dm + tail
-                    c = out.get(key, 0) + coeff * dc
-                    if c:
-                        out[key] = c
-                    else:
-                        out.pop(key, None)
-    return TruncatedSeries._raw(n, cap, out)
+                    out[key] = out.get(key, 0) + coeff * dc
+    return TruncatedSeries._raw(n, cap, nonzero(out))
 
 
 def derived_form_truncated(pairing: FoxPairing, u: TruncatedSeries,
@@ -231,7 +224,7 @@ def exp_derivation(values: list):
 class TwistAutomorphism:
     """A filtered algebra automorphism stored by its generator images."""
 
-    __slots__ = ("rank", "cap", "images", "_prefix_cache", "_inverse_images")
+    __slots__ = ("rank", "cap", "images", "_substitution", "_inverse_images")
 
     def __init__(self, rank: int, cap: int, images):
         images = tuple(images)
@@ -245,7 +238,7 @@ class TwistAutomorphism:
         self.rank = rank
         self.cap = cap
         self.images = images
-        self._prefix_cache = {(): TruncatedSeries.one(rank, cap)}
+        self._substitution = Substitution(images)
         self._inverse_images = {}
 
     @classmethod
@@ -253,25 +246,9 @@ class TwistAutomorphism:
         return cls(rank, cap,
                    [1 + TruncatedSeries.variable(rank, cap, i + 1) for i in range(rank)])
 
-    def _monomial_image(self, monomial) -> TruncatedSeries:
-        cached = self._prefix_cache.get(monomial)
-        if cached is None:
-            head = self._monomial_image(monomial[:-1])
-            cached = head * (self.images[monomial[-1] - 1] - 1)
-            self._prefix_cache[monomial] = cached
-        return cached
-
     def apply(self, series: TruncatedSeries) -> TruncatedSeries:
         """Substitute generator images multiplicatively."""
-        if series.rank != self.rank:
-            raise ValueError("rank mismatch")
-        cap = min(series.cap, self.cap)
-        out = TruncatedSeries.zero(self.rank, cap)
-        for monomial, coeff in series.terms.items():
-            if len(monomial) >= cap:
-                continue
-            out = out + self._monomial_image(monomial).truncate(cap).scale(coeff)
-        return out
+        return self._substitution(series)
 
     def apply_word(self, word: GroupWord) -> TruncatedSeries:
         """Image of the embedded group word; negative letters go through

@@ -14,14 +14,14 @@ from __future__ import annotations
 from . import linalg
 from .errors import NotNondegenerate
 from .group_algebra import GroupAlgebraElement, fox_derivative_left, fox_derivative_right
-from .series import TruncatedSeries, series_matrix_inverse
+from .series import TruncatedSeries, accumulate, nonzero, series_matrix_inverse
 from .truncated_completion import (
+    _strip_first,
+    _strip_last,
     antipode,
     embed,
     fox_left_series,
     fox_right_series,
-    strip_first,
-    strip_last,
 )
 from .words import GroupWord
 
@@ -62,11 +62,6 @@ class FoxPairing:
     @classmethod
     def zero(cls, rank: int) -> "FoxPairing":
         z = GroupAlgebraElement.zero(rank)
-        return cls([[z] * rank for _ in range(rank)])
-
-    @classmethod
-    def zero_truncated(cls, rank: int, cap: int) -> "FoxPairing":
-        z = TruncatedSeries.zero(rank, cap)
         return cls([[z] * rank for _ in range(rank)])
 
     @classmethod
@@ -156,7 +151,7 @@ class FoxPairing:
         if self.representation == EXACT:
             if not isinstance(a, GroupAlgebraElement) or not isinstance(b, GroupAlgebraElement):
                 raise TypeError("exact pairing evaluates group-algebra elements")
-            total = GroupAlgebraElement.zero(self.rank)
+            total = {}
             lefts = [fox_derivative_left(a, i + 1) for i in range(self.rank)]
             rights = [fox_derivative_right(b, j + 1) for j in range(self.rank)]
             for i in range(self.rank):
@@ -165,14 +160,14 @@ class FoxPairing:
                 for j in range(self.rank):
                     if rights[j].is_zero():
                         continue
-                    total = total + lefts[i] * self.matrix[i][j] * rights[j]
-            return total
+                    accumulate(total, (lefts[i] * self.matrix[i][j] * rights[j]).terms.items())
+            return GroupAlgebraElement(self.rank, total)
         if not isinstance(a, TruncatedSeries) or not isinstance(b, TruncatedSeries):
             raise TypeError("truncated pairing evaluates truncated series")
         cap = min(a.cap - 1, b.cap - 1, self.cap)
         if cap < 1:
             raise ValueError("operand caps too small to evaluate a pairing")
-        total = TruncatedSeries.zero(self.rank, cap)
+        total = {}
         lefts = [fox_left_series(a, i + 1).truncate(cap) for i in range(self.rank)]
         rights = [fox_right_series(b, j + 1).truncate(cap) for j in range(self.rank)]
         for i in range(self.rank):
@@ -181,8 +176,9 @@ class FoxPairing:
             for j in range(self.rank):
                 if rights[j].is_zero():
                     continue
-                total = total + lefts[i] * self.matrix[i][j].truncate(cap) * rights[j]
-        return total
+                product = lefts[i] * self.matrix[i][j].truncate(cap) * rights[j]
+                accumulate(total, product.terms.items())
+        return TruncatedSeries._raw(self.rank, cap, nonzero(total))
 
     def t_pairing_value(self, a: GroupWord, b: GroupWord):
         """Value of the companion pairing that is a derivation in both
@@ -239,7 +235,7 @@ class FoxPairing:
         if self.representation != TRUNCATED:
             raise ValueError("inner-witness extraction works on truncated pairings")
         n, cap = self.rank, self.cap
-        candidate = strip_last(strip_first(self.matrix[0][0], 1), 1)
+        candidate = _strip_last(_strip_first(self.matrix[0][0], 1), 1)
         x = [TruncatedSeries.variable(n, cap, i + 1) for i in range(n)]
         for i in range(n):
             for j in range(n):
@@ -305,11 +301,11 @@ def nabla_of_pairing(pairing: FoxPairing) -> NablaElement:
     n, cap = pairing.rank, pairing.cap
     c = series_matrix_inverse([list(row) for row in pairing.matrix])
     x = [TruncatedSeries.variable(n, cap, i + 1) for i in range(n)]
-    total = TruncatedSeries.zero(n, cap)
+    total = {}
     for r in range(n):
         for s in range(n):
-            total = total + x[r] * c[r][s] * x[s]
-    return NablaElement(total)
+            accumulate(total, (x[r] * c[r][s] * x[s]).terms.items())
+    return NablaElement(TruncatedSeries._raw(n, cap, nonzero(total)))
 
 
 def pairing_of_nabla(nabla: NablaElement) -> FoxPairing:

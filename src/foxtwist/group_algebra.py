@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .series import accumulate, nonzero
 from .words import GroupWord, _free_reduce
 
 
@@ -47,13 +48,9 @@ class GroupAlgebraElement:
             for x in mono:
                 if x == 0 or abs(x) > rank:
                     raise ValueError(f"letter {x} out of range for rank {rank}")
-            new = clean.get(mono, 0) + coeff
-            if new:
-                clean[mono] = new
-            else:
-                clean.pop(mono, None)
+            clean[mono] = clean.get(mono, 0) + coeff
         self.rank = rank
-        self.terms = clean
+        self.terms = nonzero(clean)
 
     # -- constructors ------------------------------------------------------
 
@@ -105,14 +102,7 @@ class GroupAlgebraElement:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         self._check_rank(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = out.get(mono, 0) + coeff
-            if new:
-                out[mono] = new
-            else:
-                out.pop(mono, None)
-        return GroupAlgebraElement(self.rank, out)
+        return GroupAlgebraElement(self.rank, accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -139,15 +129,10 @@ class GroupAlgebraElement:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         self._check_rank(other)
+        # The constructor reduces the concatenations and merges what meets.
         out = {}
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = _free_reduce(ma + mb)
-                new = out.get(mono, 0) + ca * cb
-                if new:
-                    out[mono] = new
-                else:
-                    out.pop(mono, None)
+            accumulate(out, ((ma + mb, cb) for mb, cb in other.terms.items()), ca)
         return GroupAlgebraElement(self.rank, out)
 
     def __rmul__(self, other):
@@ -180,18 +165,8 @@ def fox_derivative_left(a: GroupAlgebraElement, i: int) -> GroupAlgebraElement:
     """Left Fox derivative: d(ab) = d(a) aug(b) + a d(b), d_i(x_j) = delta_ij."""
     out = {}
     for mono, coeff in a.terms.items():
-        for p, x in enumerate(mono):
-            if x == i:
-                key, c = mono[:p], coeff
-            elif x == -i:
-                key, c = mono[: p + 1], -coeff
-            else:
-                continue
-            new = out.get(key, 0) + c
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
+        accumulate(out, ((mono[:p], coeff) if x == i else (mono[:p + 1], -coeff)
+                         for p, x in enumerate(mono) if abs(x) == i))
     return GroupAlgebraElement(a.rank, out)
 
 
@@ -199,18 +174,8 @@ def fox_derivative_right(a: GroupAlgebraElement, i: int) -> GroupAlgebraElement:
     """Right Fox derivative: d(ab) = d(a) b + aug(a) d(b)."""
     out = {}
     for mono, coeff in a.terms.items():
-        for p, x in enumerate(mono):
-            if x == i:
-                key, c = mono[p + 1 :], coeff
-            elif x == -i:
-                key, c = mono[p:], -coeff
-            else:
-                continue
-            new = out.get(key, 0) + c
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
+        accumulate(out, ((mono[p + 1:], coeff) if x == i else (mono[p:], -coeff)
+                         for p, x in enumerate(mono) if abs(x) == i))
     return GroupAlgebraElement(a.rank, out)
 
 
@@ -225,25 +190,15 @@ def fox_derivative(side: str, i: int, a: GroupAlgebraElement) -> GroupAlgebraEle
 def conjugation_sum(v: GroupAlgebraElement, u: GroupAlgebraElement) -> GroupAlgebraElement:
     """v^u = sum_x k_x x^-1 v x, where u = sum_x k_x x.  Linear in both."""
     v._check_rank(u)
-    out = GroupAlgebraElement.zero(v.rank)
+    out = {}
     for mono, coeff in u.terms.items():
         inv = tuple(-x for x in reversed(mono))
-        conj = {}
-        for mv, cv in v.terms.items():
-            key = _free_reduce(inv + mv + mono)
-            conj[key] = conj.get(key, 0) + cv * coeff
-        out = out + GroupAlgebraElement(v.rank, conj)
-    return out
+        accumulate(out, ((inv + mv + mono, cv) for mv, cv in v.terms.items()), coeff)
+    return GroupAlgebraElement(v.rank, out)
 
 
 def cyclic_projection(a: GroupAlgebraElement) -> GroupAlgebraElement:
     """Replace every word by the canonical representative of its conjugacy class."""
-    out = {}
-    for mono, coeff in a.terms.items():
-        key = GroupWord(a.rank, mono).cyclic_normal_form().letters
-        new = out.get(key, 0) + coeff
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
-    return GroupAlgebraElement(a.rank, out)
+    return GroupAlgebraElement(a.rank, accumulate({}, (
+        (GroupWord(a.rank, mono).cyclic_normal_form().letters, coeff)
+        for mono, coeff in a.terms.items())))

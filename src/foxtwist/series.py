@@ -7,6 +7,15 @@ first discarded degree.  Monomials are tuples of generator indices
 
 These series model truncated completions of group algebras where
 X_i = x_i - 1; the embedding itself lives in ``completion``.
+
+Every sparse object in the package (group-algebra elements, series,
+tensors) is a dict from keys to coefficients, and every loop that builds
+one follows a single accumulation rule: add ``scale * c`` into the dict
+in place with ``accumulate`` (or, in the innermost product loops, one
+inline ``out[key] = get(key, 0) + c`` line), let zeros stand, and drop
+them once at the end with ``nonzero``.  The two product kernels
+``_mul_terms`` and ``sandwich`` accumulate ints over a common
+denominator and return to Fractions only in that last step.
 """
 
 from __future__ import annotations
@@ -36,6 +45,27 @@ def _int_split(terms):
     for c in terms.values():
         den = den * c.denominator // math.gcd(den, c.denominator)
     return {m: int(c * den) for m, c in terms.items()}, den
+
+
+def accumulate(out, items, scale=1):
+    """Add scale * c into out[key] for every (key, c) of items, in place.
+
+    Works on Fraction and int coefficients alike.  Zero sums stay in
+    ``out`` until the closing ``nonzero``.
+    """
+    if scale != 1:
+        items = ((key, scale * c) for key, c in items)
+    get = out.get
+    for key, c in items:
+        # A new key takes c as it is: adding it to 0 costs a Fraction op.
+        old = get(key)
+        out[key] = c if old is None else old + c
+    return out
+
+
+def nonzero(terms):
+    """The terms whose coefficient is not zero, as a new dict."""
+    return {key: c for key, c in terms.items() if c}
 
 
 def _mul_terms(aterms, bterms, cap):
@@ -79,14 +109,10 @@ class TruncatedSeries:
                 continue
             if any(not isinstance(i, int) or not 1 <= i <= rank for i in monomial):
                 raise ValueError(f"monomial {monomial} has letters outside 1..{rank}")
-            coeff = _as_fraction(coeff)
-            if coeff:
-                clean[monomial] = clean.get(monomial, Fraction(0)) + coeff
-                if not clean[monomial]:
-                    del clean[monomial]
+            clean[monomial] = clean.get(monomial, 0) + _as_fraction(coeff)
         self.rank = rank
         self.cap = cap
-        self.terms = clean
+        self.terms = nonzero(clean)
 
     @classmethod
     def _raw(cls, rank, cap, terms):
@@ -164,14 +190,8 @@ class TruncatedSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return TruncatedSeries._raw(self.rank, self.cap, out)
+        out = accumulate(dict(self.terms), other.terms.items())
+        return TruncatedSeries._raw(self.rank, self.cap, nonzero(out))
 
     __radd__ = __add__
 
@@ -287,6 +307,49 @@ class TruncatedSeries:
             mono = "*".join(factors)
             bits.append(mono if c == 1 else f"{c}*{mono}")
         return f"<series {' + '.join(bits)} (cap {self.cap})>"
+
+
+class Substitution:
+    """The algebra map X_i -> images[i] - 1 on truncated series.
+
+    The images share one rank and cap.  A monomial's image is the image
+    of its longest proper prefix times the image of its last letter; both
+    are cached, so a dense series costs one product per new monomial.
+    """
+
+    __slots__ = ("rank", "cap", "_images", "_prefix_cache")
+
+    def __init__(self, images):
+        self.rank = images[0].rank
+        self.cap = images[0].cap
+        self._images = images
+        self._prefix_cache = {(): TruncatedSeries.one(self.rank, self.cap)}
+
+    def monomial_image(self, monomial):
+        cached = self._prefix_cache.get(monomial)
+        if cached is None:
+            if len(monomial) == 1:
+                cached = self._images[monomial[0] - 1] - 1
+            else:
+                cached = self.monomial_image(monomial[:-1]) * self.monomial_image(monomial[-1:])
+            self._prefix_cache[monomial] = cached
+        return cached
+
+    def __call__(self, series):
+        """Sum of coeff * image over the terms of series, at cap
+        min(series.cap, self.cap)."""
+        if series.rank != self.rank:
+            raise ValueError("rank mismatch")
+        cap = min(series.cap, self.cap)
+        out = {}
+        for monomial, coeff in series.terms.items():
+            if len(monomial) >= cap:
+                continue
+            image = self.monomial_image(monomial)
+            if cap < self.cap:
+                image = image.truncate(cap)
+            accumulate(out, image.terms.items(), coeff)
+        return TruncatedSeries._raw(self.rank, cap, nonzero(out))
 
 
 def commutator(a, b):

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 from . import linalg
 from .derived_twists import derived_form_truncated
 from .errors import DomainError, SolverError
 from .group_algebra import GroupAlgebraElement
-from .series import TruncatedSeries
+from .series import Substitution, TruncatedSeries, accumulate, nonzero
 from .surfaces import (
     SurfaceSpec,
     first_difference,
@@ -93,12 +94,7 @@ def tensor_coproduct(series: TruncatedSeries) -> TruncatedTensor:
     """Coproduct with every basis letter primitive."""
     terms = {}
     for monomial, coeff in series.terms.items():
-        for key in _primitive_splits(monomial):
-            s = terms.get(key, 0) + coeff
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
+        accumulate(terms, zip(_primitive_splits(monomial), repeat(coeff)))
     return TruncatedTensor(series.rank, series.cap, terms)
 
 
@@ -128,14 +124,8 @@ def cyclicize(series: TruncatedSeries) -> TruncatedSeries:
         raise ValueError("cyclicization needs degree at least 1")
     terms = {}
     for monomial, coeff in series.terms.items():
-        for r in range(degree):
-            rotated = monomial[r:] + monomial[:r]
-            s = terms.get(rotated, Fraction(0)) + coeff
-            if s:
-                terms[rotated] = s
-            else:
-                terms.pop(rotated, None)
-    return TruncatedSeries._raw(series.rank, series.cap, terms)
+        accumulate(terms, ((monomial[r:] + monomial[:r], coeff) for r in range(degree)))
+    return TruncatedSeries._raw(series.rank, series.cap, nonzero(terms))
 
 
 def contraction(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
@@ -153,31 +143,25 @@ def contraction(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
     cap = min(u.cap, v.cap)
     terms = {}
     for mu, cu in u.terms.items():
-        for mv, cv in v.terms.items():
-            if len(mu) + len(mv) - 2 >= cap:
-                continue
-            scalar = form[mu[-1] - 1][mv[0] - 1]
-            if not scalar:
-                continue
-            key = mu[:-1] + mv[1:]
-            s = terms.get(key, Fraction(0)) + cu * cv * scalar
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-    return TruncatedSeries._raw(u.rank, cap, terms)
+        row = form[mu[-1] - 1]
+        room = cap + 2 - len(mu)
+        accumulate(terms, ((mu[:-1] + mv[1:], cv * row[mv[0] - 1])
+                           for mv, cv in v.terms.items()
+                           if len(mv) < room and row[mv[0] - 1]), cu)
+    return TruncatedSeries._raw(u.rank, cap, nonzero(terms))
 
 
 def derivation_pairing(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
     """The pairing <u, v> whose left slot acts by symplectic derivations.
 
-    A degree-1 left argument h acts as the derivation sending a basis
-    letter k to the scalar h . k.  A left argument of degree m >= 2 acts by
+    A left argument of degree m >= 1 acts by
 
         <h_1...h_m, k_1...k_n> =
             - sum_j k_1...k_{j-1} (k_j ~> N(h_1...h_m)) k_{j+1}...k_n
 
-    with N the cyclicization.  Degree-0 left arguments act as zero.
+    with N the cyclicization.  For m = 1 the form is skew, so this is the
+    derivation sending a basis letter k to the scalar h . k.  Degree-0
+    left arguments act as zero.
     """
     if u.rank != v.rank:
         raise ValueError("rank mismatch")
@@ -185,38 +169,18 @@ def derivation_pairing(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSerie
     form = intersection_form(genus)
     cap = min(u.cap, v.cap)
     terms = {}
-
-    def add(key, value):
-        if len(key) >= cap:
-            return
-        s = terms.get(key, Fraction(0)) + value
-        if s:
-            terms[key] = s
-        else:
-            terms.pop(key, None)
-
     for mu, cu in u.terms.items():
         m = len(mu)
         if m == 0:
             continue
-        if m == 1:
-            for mv, cv in v.terms.items():
-                for j, letter in enumerate(mv):
-                    scalar = form[mu[0] - 1][letter - 1]
-                    if scalar:
-                        add(mv[:j] + mv[j + 1:], cu * cv * scalar)
-            continue
         rotations = [mu[r:] + mu[:r] for r in range(m)]
         for mv, cv in v.terms.items():
-            weight = -cu * cv
-            for j, letter in enumerate(mv):
-                head = mv[:j]
-                tail = mv[j + 1:]
-                for rot in rotations:
-                    scalar = form[letter - 1][rot[0] - 1]
-                    if scalar:
-                        add(head + rot[1:] + tail, weight * scalar)
-    return TruncatedSeries._raw(u.rank, cap, terms)
+            if len(mv) + m - 2 >= cap:
+                continue
+            accumulate(terms, ((mv[:j] + rot[1:] + mv[j + 1:], form[letter - 1][rot[0] - 1])
+                               for j, letter in enumerate(mv) for rot in rotations
+                               if form[letter - 1][rot[0] - 1]), -cu * cv)
+    return TruncatedSeries._raw(u.rank, cap, nonzero(terms))
 
 
 def s_of_omega(genus: int, cap: int) -> TruncatedSeries:
@@ -248,7 +212,7 @@ def tensorial_rho(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
 class SymplecticExpansion:
     """Group-like generator images sending the boundary word to e^{-omega}."""
 
-    __slots__ = ("genus", "cap", "images", "exponents", "_prefix_cache")
+    __slots__ = ("genus", "cap", "images", "exponents", "_substitution")
 
     def __init__(self, genus, cap, images, exponents=None):
         rank = 2 * genus
@@ -265,7 +229,7 @@ class SymplecticExpansion:
         self.cap = cap
         self.images = tuple(images)
         self.exponents = None if exponents is None else tuple(exponents)
-        self._prefix_cache = {(): TruncatedSeries.one(rank, cap)}
+        self._substitution = Substitution(self.images)
 
     @property
     def rank(self):
@@ -278,27 +242,13 @@ class SymplecticExpansion:
             total = total * (image if letter > 0 else image.inverse())
         return total
 
-    def _monomial_image(self, monomial):
-        cached = self._prefix_cache.get(monomial)
-        if cached is None:
-            head = self._monomial_image(monomial[:-1])
-            cached = head * (self.images[monomial[-1] - 1] - 1)
-            self._prefix_cache[monomial] = cached
-        return cached
-
     def apply_hat(self, series: TruncatedSeries) -> TruncatedSeries:
         """Extend the expansion to truncated group-algebra series.
 
         Substitutes X_i -> theta(x_i) - 1 multiplicatively; the result is
         capped at min(series.cap, self.cap).
         """
-        if series.rank != self.rank:
-            raise ValueError("rank mismatch")
-        cap = min(series.cap, self.cap)
-        total = TruncatedSeries.zero(self.rank, cap)
-        for monomial, coeff in series.truncate(cap).terms.items():
-            total = total + self._monomial_image(monomial).truncate(cap).scale(coeff)
-        return total
+        return self._substitution(series)
 
     def boundary_image(self) -> TruncatedSeries:
         return self.apply_word(SurfaceSpec(self.genus, self.cap).boundary_word())

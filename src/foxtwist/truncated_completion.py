@@ -16,7 +16,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .group_algebra import GroupAlgebraElement
-from .series import TruncatedSeries, _int_split, commutator, series_matrix_inverse
+from .series import (
+    TruncatedSeries,
+    _int_split,
+    accumulate,
+    commutator,
+    nonzero,
+    series_matrix_inverse,
+)
 
 # Re-exported so that callers get the whole truncated layer from one place.
 __all__ = [
@@ -37,8 +44,6 @@ __all__ = [
     "is_primitive",
     "fox_left_series",
     "fox_right_series",
-    "strip_first",
-    "strip_last",
 ]
 
 
@@ -61,10 +66,10 @@ def _word_series(rank, cap, letters):
 
 def embed(element: GroupAlgebraElement, cap: int) -> TruncatedSeries:
     """Image of a group-algebra element in the cap-truncated completion."""
-    out = TruncatedSeries.zero(element.rank, cap)
-    for word, coeff in element.words():
-        out = out + _word_series(element.rank, cap, word.letters).scale(coeff)
-    return out
+    out = {}
+    for letters, coeff in element.terms.items():
+        accumulate(out, _word_series(element.rank, cap, letters).terms.items(), coeff)
+    return TruncatedSeries._raw(element.rank, cap, nonzero(out))
 
 
 def counit(series: TruncatedSeries) -> Fraction:
@@ -89,15 +94,11 @@ class TruncatedTensor:
             left, right = tuple(left), tuple(right)
             if len(left) + len(right) >= cap:
                 continue
-            coeff = Fraction(coeff)
-            if coeff:
-                key = (left, right)
-                clean[key] = clean.get(key, Fraction(0)) + coeff
-                if not clean[key]:
-                    del clean[key]
+            key = (left, right)
+            clean[key] = clean.get(key, 0) + Fraction(coeff)
         self.rank = rank
         self.cap = cap
-        self.terms = clean
+        self.terms = nonzero(clean)
 
     @classmethod
     def _raw(cls, rank, cap, terms):
@@ -128,14 +129,8 @@ class TruncatedTensor:
         if not isinstance(other, TruncatedTensor):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return TruncatedTensor._raw(self.rank, self.cap, out)
+        out = accumulate(dict(self.terms), other.terms.items())
+        return TruncatedTensor._raw(self.rank, self.cap, nonzero(out))
 
     def __neg__(self):
         return TruncatedTensor._raw(self.rank, self.cap,
@@ -159,16 +154,10 @@ class TruncatedTensor:
         self._check_compatible(other)
         out = {}
         for (al, ar), ca in self.terms.items():
-            for (bl, br), cb in other.terms.items():
-                if len(al) + len(ar) + len(bl) + len(br) >= self.cap:
-                    continue
-                key = (al + bl, ar + br)
-                s = out.get(key, Fraction(0)) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return TruncatedTensor._raw(self.rank, self.cap, out)
+            room = self.cap - len(al) - len(ar)
+            accumulate(out, (((al + bl, ar + br), cb) for (bl, br), cb in other.terms.items()
+                             if len(bl) + len(br) < room), ca)
+        return TruncatedTensor._raw(self.rank, self.cap, nonzero(out))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedTensor):
@@ -197,7 +186,7 @@ def tensor_outer(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedTensor:
 @lru_cache(maxsize=None)
 def _coproduct_monomial(cap, monomial):
     # Delta(X_i) = X_i x 1 + 1 x X_i + X_i x X_i, extended multiplicatively.
-    pairs = {((), ()): 1}
+    pairs = {((), ()): Fraction(1)}
     for letter in monomial:
         grown = {}
         for (left, right), c in pairs.items():
@@ -214,13 +203,8 @@ def _coproduct_monomial(cap, monomial):
 def coproduct(series: TruncatedSeries) -> TruncatedTensor:
     out = {}
     for monomial, coeff in series.terms.items():
-        for key, mult in _coproduct_monomial(series.cap, monomial).items():
-            s = out.get(key, Fraction(0)) + coeff * mult
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return TruncatedTensor._raw(series.rank, series.cap, out)
+        accumulate(out, _coproduct_monomial(series.cap, monomial).items(), coeff)
+    return TruncatedTensor._raw(series.rank, series.cap, nonzero(out))
 
 
 @lru_cache(maxsize=None)
@@ -235,37 +219,29 @@ def _antipode_monomial(rank, cap, monomial):
 
 
 def antipode(series: TruncatedSeries) -> TruncatedSeries:
-    out = TruncatedSeries.zero(series.rank, series.cap)
+    out = {}
     for monomial, coeff in series.terms.items():
-        out = out + _antipode_monomial(series.rank, series.cap, monomial).scale(coeff)
-    return out
+        accumulate(out, _antipode_monomial(series.rank, series.cap, monomial).terms.items(), coeff)
+    return TruncatedSeries._raw(series.rank, series.cap, nonzero(out))
 
 
 @lru_cache(maxsize=None)
 def _antipode_coproduct_monomial(rank, cap, monomial):
     out = {}
     for (left, right), mult in _coproduct_monomial(cap, monomial).items():
-        s_left = _antipode_monomial(rank, cap, left)
         room = cap - len(right)
-        for ms, cs in s_left.terms.items():
-            if len(ms) >= room:
-                continue
-            key = (ms, right)
-            c = out.get(key, Fraction(0)) + cs * mult
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
-    return TruncatedTensor._raw(rank, cap, out)
+        accumulate(out, (((ms, right), cs) for ms, cs in _antipode_monomial(rank, cap, left).items()
+                         if len(ms) < room), mult)
+    return TruncatedTensor._raw(rank, cap, nonzero(out))
 
 
 def antipode_coproduct(series: TruncatedSeries) -> TruncatedTensor:
     """(S x id) applied to the coproduct of the series."""
-    out = TruncatedTensor.zero(series.rank, series.cap)
+    out = {}
     for monomial, coeff in series.terms.items():
-        out = out + _antipode_coproduct_monomial(
-            series.rank, series.cap, monomial).scale(coeff)
-    return out
+        accumulate(out, _antipode_coproduct_monomial(series.rank, series.cap, monomial).items(),
+                   coeff)
+    return TruncatedTensor._raw(series.rank, series.cap, nonzero(out))
 
 
 def sandwich(tensor: TruncatedTensor, filling: TruncatedSeries) -> TruncatedSeries:
@@ -312,27 +288,27 @@ def is_primitive(series: TruncatedSeries) -> bool:
     return coproduct(series) == expected
 
 
+def _strip_last(series: TruncatedSeries, index: int) -> TruncatedSeries:
+    """The monomials ending with X_index, with that letter removed, at the
+    same cap; only callers that know the stripped degrees are complete
+    may keep that cap."""
+    kept = {m[:-1]: c for m, c in series.terms.items() if m and m[-1] == index}
+    return TruncatedSeries._raw(series.rank, series.cap, kept)
+
+
+def _strip_first(series: TruncatedSeries, index: int) -> TruncatedSeries:
+    """The monomials starting with X_index, with that letter removed."""
+    kept = {m[1:]: c for m, c in series.terms.items() if m and m[0] == index}
+    return TruncatedSeries._raw(series.rank, series.cap, kept)
+
+
 def fox_left_series(series: TruncatedSeries, index: int) -> TruncatedSeries:
     """Left Fox derivative in the completion: the part of the series whose
     monomials end with X_index, with that last letter removed.  The result
     is only trustworthy one degree lower, so the cap drops by one."""
-    kept = {m[:-1]: c for m, c in series.terms.items() if m and m[-1] == index}
-    return TruncatedSeries(series.rank, series.cap - 1, kept)
+    return TruncatedSeries(series.rank, series.cap - 1, _strip_last(series, index).terms)
 
 
 def fox_right_series(series: TruncatedSeries, index: int) -> TruncatedSeries:
     """Right Fox derivative in the completion: strip a leading X_index."""
-    kept = {m[1:]: c for m, c in series.terms.items() if m and m[0] == index}
-    return TruncatedSeries(series.rank, series.cap - 1, kept)
-
-
-def strip_last(series: TruncatedSeries, index: int) -> TruncatedSeries:
-    """Like fox_left_series but keeps the cap; for callers that know the
-    stripped degrees are still complete."""
-    kept = {m[:-1]: c for m, c in series.terms.items() if m and m[-1] == index}
-    return TruncatedSeries._raw(series.rank, series.cap, kept)
-
-
-def strip_first(series: TruncatedSeries, index: int) -> TruncatedSeries:
-    kept = {m[1:]: c for m, c in series.terms.items() if m and m[0] == index}
-    return TruncatedSeries._raw(series.rank, series.cap, kept)
+    return TruncatedSeries(series.rank, series.cap - 1, _strip_first(series, index).terms)

@@ -20,7 +20,7 @@ def _free_reduce(letters) -> tuple:
     out = []
     for x in letters:
         if out and out[-1] == -x:
-            out.pop()
+            del out[-1]
         else:
             out.append(int(x))
     return tuple(out)
@@ -56,10 +56,6 @@ class GroupWord:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         if not isinstance(other, GroupWord):

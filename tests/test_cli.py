@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from foxtwist import formats
-from foxtwist.cli import main
+from foxtwist import cli, formats
+from foxtwist.cli import DEGREES, main
 from foxtwist.derived_twists import twist
 from foxtwist.surfaces import SurfaceSpec, surface_pairing
 from foxtwist.words import MAX_WORD_LENGTH
@@ -141,10 +141,38 @@ def test_exit_2_on_out_of_range_degree(capsys):
     capsys.readouterr()
 
 
+def test_exit_2_on_pairing_file_outside_degree_range(tmp_path, capsys):
+    for degree_cap in (DEGREES.start - 1, DEGREES.stop):
+        path = tmp_path / f"pairing-{degree_cap}.json"
+        entry = {"degree_cap": degree_cap + 2, "terms": [{"word": [], "coeff": "1"}]}
+        formats.write_json(path, {"rank": 1, "representation": "truncated",
+                                  "degree_cap": degree_cap, "matrix": [[entry]]})
+        code, out, err = run(capsys, "twist", "--pairing", str(path), "--curve", "x1")
+        assert code == 2 and out == ""
+        assert f"degree_cap {degree_cap} implies degree {degree_cap}" in err
+
+
+def test_exit_2_on_nabla_file_outside_degree_range(tmp_path, capsys, monkeypatch):
+    def no_solve(nabla):
+        raise AssertionError("pairing_of_nabla ran on an out-of-range file")
+
+    monkeypatch.setattr(cli, "pairing_of_nabla", no_solve)
+    for degree_cap in (DEGREES.start + 3, DEGREES.stop + 4):
+        path = tmp_path / f"nabla-{degree_cap}.json"
+        formats.write_json(path, {"degree_cap": degree_cap, "terms": [
+            {"word": [1, 2], "coeff": "-1"},
+            {"word": [2, 1], "coeff": "1"},
+        ]})
+        code, out, err = run(capsys, "pairing", "--nabla", str(path))
+        assert code == 2 and out == ""
+        assert f"degree_cap {degree_cap} implies degree {degree_cap - 4}" in err
+
+
 def test_exit_1_on_degenerate_nabla(tmp_path, capsys):
     path = tmp_path / "nabla.json"
-    # iota(b a) - 1 has a nonzero degree-1 part: no pairing exists
-    doc = {"degree_cap": 5, "terms": [
+    # iota(b a) - 1 has a nonzero degree-1 part: no pairing exists.  Cap 6
+    # is the smallest nabla cap the CLI accepts (working degree 6 - 4 = 2).
+    doc = {"degree_cap": 6, "terms": [
         {"word": [1], "coeff": "1"},
         {"word": [2], "coeff": "1"},
         {"word": [2, 1], "coeff": "1"},
@@ -158,7 +186,7 @@ def test_exit_1_on_degenerate_nabla(tmp_path, capsys):
 def test_exit_1_on_non_isotropic_curve(tmp_path, capsys):
     # symmetric degree-2 nabla: generators pair with themselves to 1
     path = tmp_path / "nabla.json"
-    doc = {"degree_cap": 5, "terms": [
+    doc = {"degree_cap": 6, "terms": [
         {"word": [1, 1], "coeff": "1"},
         {"word": [2, 2], "coeff": "1"},
     ]}
