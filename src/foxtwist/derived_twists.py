@@ -161,9 +161,7 @@ def derived_form_truncated(pairing: FoxPairing, u: TruncatedSeries,
     """sigma(u, v) in the truncation, via generator values and the
     Leibniz rule.  Inputs complete at cap W give a result complete at
     W - 2."""
-    values = derived_generator_values(pairing, u)
-    cap = min(v.cap, values[0].cap)
-    return apply_derivation([x.truncate(cap) for x in values], v.truncate(cap))
+    return apply_derivation(derived_generator_values(pairing, u), v)
 
 
 def _sigma_log_squared_closed_form(k: Fraction, log_a: TruncatedSeries,

@@ -290,9 +290,11 @@ def nabla_of_pairing(pairing: FoxPairing) -> NablaElement:
     """The unique series nabla with pairing(a, nabla) = a - aug(a).
 
     Built as sum_{r,s} X_r c_{r,s} X_s where C is the inverse of the
-    generator-value matrix.  Output cap equals the entry cap; only the
-    degrees below cap - 2 of a round trip through pairing_of_nabla are
-    recoverable.
+    generator-value matrix: each term m of c_{r,s} becomes the monomial
+    (r, *m, s), kept while its degree stays below the cap.  The framed
+    monomials are distinct, so nothing is summed.  Output cap equals the
+    entry cap; only the degrees below cap - 2 of a round trip through
+    pairing_of_nabla are recoverable.
     """
     if pairing.representation != TRUNCATED:
         raise ValueError("nabla is computed from a truncated pairing")
@@ -300,26 +302,27 @@ def nabla_of_pairing(pairing: FoxPairing) -> NablaElement:
         raise NotNondegenerate("pairing has a singular homological form")
     n, cap = pairing.rank, pairing.cap
     c = series_matrix_inverse([list(row) for row in pairing.matrix])
-    x = [TruncatedSeries.variable(n, cap, i + 1) for i in range(n)]
-    total = {}
-    for r in range(n):
-        for s in range(n):
-            accumulate(total, (x[r] * c[r][s] * x[s]).terms.items())
-    return NablaElement(TruncatedSeries._raw(n, cap, nonzero(total)))
+    total = {(r + 1,) + m + (s + 1,): coeff
+             for r in range(n) for s in range(n)
+             for m, coeff in c[r][s].terms.items() if len(m) + 2 < cap}
+    return NablaElement(TruncatedSeries._raw(n, cap, total))
 
 
 def pairing_of_nabla(nabla: NablaElement) -> FoxPairing:
     """The nondegenerate pairing whose characteristic element is nabla.
 
-    The middle factors c_{r,s} (monomials of nabla framed by a leading
-    X_r and a trailing X_s) are complete two degrees below nabla's cap,
-    so the returned pairing carries cap - 2.
+    One pass over nabla: a monomial X_r m X_s (length L >= 2) puts its
+    coefficient at m in the middle factor c_{r,s}.  Since L < cap, m has
+    degree L - 2 < cap - 2, so every c_{r,s} is complete two degrees
+    below nabla's cap; the returned pairing is the inverse of the
+    c-matrix (``series_matrix_inverse``) at cap - 2.
     """
     if not nabla.is_nondegenerate():
         raise NotNondegenerate("degree-two coefficient matrix is singular")
-    n = nabla.rank
-    c = [
-        [fox_right_series(fox_left_series(nabla.series, s + 1), r + 1) for s in range(n)]
-        for r in range(n)
-    ]
-    return FoxPairing(series_matrix_inverse(c))
+    n, cap = nabla.rank, nabla.cap
+    c = [[{} for _ in range(n)] for _ in range(n)]
+    for m, coeff in nabla.series.terms.items():
+        if 2 <= len(m) < cap:
+            c[m[0] - 1][m[-1] - 1][m[1:-1]] = coeff
+    return FoxPairing(series_matrix_inverse(
+        [[TruncatedSeries._raw(n, cap - 2, e) for e in row] for row in c]))

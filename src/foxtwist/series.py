@@ -13,9 +13,10 @@ tensors) is a dict from keys to coefficients, and every loop that builds
 one follows a single accumulation rule: add ``scale * c`` into the dict
 in place with ``accumulate`` (or, in the innermost product loops, one
 inline ``out[key] = get(key, 0) + c`` line), let zeros stand, and drop
-them once at the end with ``nonzero``.  The two product kernels
-``_mul_terms`` and ``sandwich`` accumulate ints over a common
-denominator and return to Fractions only in that last step.
+them once at the end with ``nonzero``.  Three kernels accumulate ints
+over a common denominator and return to Fractions only in that last
+step: the product kernels ``_mul_terms`` and ``sandwich``, and
+``series_matrix_inverse``, which keeps one denominator per degree.
 """
 
 from __future__ import annotations
@@ -94,6 +95,18 @@ def _mul_terms(aterms, bterms, cap):
     return {m: Fraction(n, den) for m, n in out.items() if n}
 
 
+def _checked_items(rank, cap, terms):
+    """The terms below the cap as (tuple, Fraction) pairs; ValueError on a
+    letter outside 1..rank."""
+    for monomial, coeff in terms.items():
+        monomial = tuple(monomial)
+        if len(monomial) >= cap:
+            continue
+        if any(not isinstance(i, int) or not 1 <= i <= rank for i in monomial):
+            raise ValueError(f"monomial {monomial} has letters outside 1..{rank}")
+        yield monomial, _as_fraction(coeff)
+
+
 class TruncatedSeries:
     __slots__ = ("rank", "cap", "terms")
 
@@ -102,17 +115,9 @@ class TruncatedSeries:
             raise ValueError("rank must be a positive integer")
         if not isinstance(cap, int) or cap < 1:
             raise ValueError("degree cap must be a positive integer")
-        clean = {}
-        for monomial, coeff in (terms or {}).items():
-            monomial = tuple(monomial)
-            if len(monomial) >= cap:
-                continue
-            if any(not isinstance(i, int) or not 1 <= i <= rank for i in monomial):
-                raise ValueError(f"monomial {monomial} has letters outside 1..{rank}")
-            clean[monomial] = clean.get(monomial, 0) + _as_fraction(coeff)
         self.rank = rank
         self.cap = cap
-        self.terms = nonzero(clean)
+        self.terms = nonzero(accumulate({}, _checked_items(rank, cap, terms or {})))
 
     @classmethod
     def _raw(cls, rank, cap, terms):
@@ -359,34 +364,79 @@ def commutator(a, b):
 def series_matrix_inverse(matrix):
     """Inverse of a square matrix of TruncatedSeries entries.
 
-    Splits off the constant-term matrix, inverts it over Q, and runs a
-    Neumann sum on the rest; NotInvertible if the constant part is
-    singular.
+    Write A = H + A_1 + ... + A_{cap-1}, where H is the constant-term
+    matrix and A_j the degree-j part.  The degree-d part of A B is
+    H B_d + A_1 B_{d-1} + ... + A_d B_0, so the inverse B is solved
+    degree by degree:
+
+        B_0 = H^-1,    B_d = -H^-1 (A_1 B_{d-1} + ... + A_d B_0).
+
+    Degree bookkeeping: write H^-1 = M / h with M integral and every
+    positive-degree coefficient of A as an integer over delta.  Then
+    B_d = P_d / (h^(d+1) delta^d) with P_d integral, and
+
+        P_0 = M,    P_d = K_1 P_{d-1} + ... + K_d P_0,
+        K_j = -(h delta)^(j-1) M (delta A_j),
+
+    where (h delta)^(j-1) brings the term of A_j B_{d-j} to the common
+    denominator of degree d.  Each K_j has degree exactly j, so nothing
+    is truncated on the way; the solve runs on ints and builds each
+    Fraction once, on return.
+
+    Raises ValueError on an empty or ragged matrix or on entries of
+    mixed rank or cap, NotInvertible if H is singular over Q.
     """
     n = len(matrix)
-    sample = matrix[0][0]
-    rank, cap = sample.rank, sample.cap
-    head = [[entry.constant_term() for entry in row] for row in matrix]
-    head_inv = mat_inverse(head)
+    if n == 0 or any(len(row) != n for row in matrix):
+        raise ValueError("series matrix must be square and non-empty")
+    rank, cap = matrix[0][0].rank, matrix[0][0].cap
+    if any(e.rank != rank or e.cap != cap for row in matrix for e in row):
+        raise ValueError("series matrix entries must share one rank and degree cap")
+    head_inv = mat_inverse([[e.constant_term() for e in row] for row in matrix])
+    h = math.lcm(*(q.denominator for row in head_inv for q in row))
+    m = [[q.numerator * (h // q.denominator) for q in row] for row in head_inv]
+    delta = math.lcm(1, *(c.denominator for row in matrix for e in row
+                          for mono, c in e.terms.items() if mono))
 
-    def lift(q):
-        return [[TruncatedSeries.scalar(rank, cap, q[i][j]) for j in range(n)]
-                for i in range(n)]
+    # parts[j][t][k]: numerators of delta * (degree-j part of A[t][k])
+    parts = [[[{} for _ in range(n)] for _ in range(n)] for _ in range(cap)]
+    for t, row in enumerate(matrix):
+        for k, entry in enumerate(row):
+            for mono, c in entry.terms.items():
+                if mono:
+                    parts[len(mono)][t][k][mono] = c.numerator * (delta // c.denominator)
+    kernels = [None]
+    for j in range(1, cap):
+        weight = -(h * delta) ** (j - 1)
+        kernel = []
+        for i in range(n):
+            kernel_row = [{} for _ in range(n)]
+            for t in range(n):
+                if m[i][t]:
+                    for k in range(n):
+                        accumulate(kernel_row[k], parts[j][t][k].items(), weight * m[i][t])
+            kernel.append([nonzero(e) for e in kernel_row])
+        kernels.append(kernel)
 
-    def smat_mul(a, b):
-        return [[sum((a[i][k] * b[k][j] for k in range(n)),
-                     TruncatedSeries.zero(rank, cap))
-                 for j in range(n)] for i in range(n)]
+    solved = [[[{(): c} if c else {} for c in row] for row in m]]
+    for d in range(1, cap):
+        part = [[{} for _ in range(n)] for _ in range(n)]
+        for j in range(1, d + 1):
+            kernel, prev = kernels[j], solved[d - j]
+            for i in range(n):
+                for k in range(n):
+                    left = kernel[i][k]
+                    if not left:
+                        continue
+                    for out, right in zip(part[i], prev[k]):
+                        for ma, ca in left.items():
+                            for mb, cb in right.items():
+                                key = ma + mb
+                                out[key] = out.get(key, 0) + ca * cb
+        solved.append([[nonzero(e) for e in row] for row in part])
 
-    head_inv_s = lift(head_inv)
-    reduced = smat_mul(head_inv_s, matrix)
-    # reduced = I - E with E of positive filtration degree
-    one = TruncatedSeries.one(rank, cap)
-    residual = [[(one if i == j else TruncatedSeries.zero(rank, cap)) - reduced[i][j]
-                 for j in range(n)] for i in range(n)]
-    total = lift([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-    power = residual
-    while any(not entry.is_zero() for row in power for entry in row):
-        total = [[total[i][j] + power[i][j] for j in range(n)] for i in range(n)]
-        power = smat_mul(power, residual)
-    return smat_mul(total, head_inv_s)
+    dens = [h ** (d + 1) * delta ** d for d in range(cap)]
+    return [[TruncatedSeries._raw(rank, cap, {
+                mono: Fraction(num, dens[d])
+                for d in range(cap) for mono, num in solved[d][i][l].items()})
+             for l in range(n)] for i in range(n)]

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import repeat
 
 from . import linalg
-from .derived_twists import derived_form_truncated
+from .derived_twists import apply_derivation, derived_generator_values
 from .errors import DomainError, SolverError
 from .group_algebra import GroupAlgebraElement
 from .series import Substitution, TruncatedSeries, accumulate, nonzero
@@ -360,14 +360,17 @@ def verify_section9(spec: SurfaceSpec, expansion: SymplecticExpansion, cap: int,
               for i in range(rank)]
     for j, word in enumerate(extra_words or []):
         inputs.append(("word%d" % (j + 1), word))
-    embedded = [(label, embed(GroupAlgebraElement.from_word(w), work))
-                for label, w in inputs]
+    # Per-input work, done once: the embedding, its image under theta and
+    # its derived generator values sigma(u, 1 + X_j).
+    embedded = []
+    for label, w in inputs:
+        u = embed(GroupAlgebraElement.from_word(w), work)
+        embedded.append((label, u, expansion.apply_hat(u),
+                         derived_generator_values(pairing, u)))
     checks = []
-    for label_u, u in embedded:
-        theta_u = expansion.apply_hat(u)
-        for label_v, v in embedded:
-            theta_v = expansion.apply_hat(v)
-            left = expansion.apply_hat(derived_form_truncated(pairing, u, v))
+    for label_u, u, theta_u, values_u in embedded:
+        for label_v, v, theta_v, _ in embedded:
+            left = expansion.apply_hat(apply_derivation(values_u, v))
             right = derivation_pairing(theta_u, theta_v)
             witness = first_difference(left.truncate(cap), right.truncate(cap))
             checks.append({"name": "derived-diagram-%s-%s" % (label_u, label_v),

@@ -89,16 +89,12 @@ class TruncatedTensor:
     __slots__ = ("rank", "cap", "terms")
 
     def __init__(self, rank, cap, terms=None):
-        clean = {}
-        for (left, right), coeff in (terms or {}).items():
-            left, right = tuple(left), tuple(right)
-            if len(left) + len(right) >= cap:
-                continue
-            key = (left, right)
-            clean[key] = clean.get(key, 0) + Fraction(coeff)
+        items = (((tuple(left), tuple(right)), Fraction(coeff))
+                 for (left, right), coeff in (terms or {}).items()
+                 if len(left) + len(right) < cap)
         self.rank = rank
         self.cap = cap
-        self.terms = nonzero(clean)
+        self.terms = nonzero(accumulate({}, items))
 
     @classmethod
     def _raw(cls, rank, cap, terms):

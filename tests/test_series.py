@@ -24,6 +24,12 @@ def test_constructor_normalizes():
     assert s.items() == {(1,): Fraction(1, 2)}.items()
 
 
+def test_constructor_stores_a_new_key_as_given():
+    # A new key takes its Fraction as it is, with no 0 + c on the way.
+    c = Fraction(2, 7)
+    assert TruncatedSeries(2, 3, {(1,): c}).terms[(1,)] is c
+
+
 def test_constructor_validates_letters():
     with pytest.raises(ValueError):
         TruncatedSeries(2, 3, {(3,): 1})
@@ -153,3 +159,28 @@ def test_series_matrix_inverse():
     assert inv[1][0] == zero and inv[1][1] == one
     with pytest.raises(NotInvertible):
         series_matrix_inverse([[x]])
+
+
+def test_series_matrix_inverse_rejects_an_empty_matrix():
+    with pytest.raises(ValueError):
+        series_matrix_inverse([])
+
+
+def test_series_matrix_inverse_rejects_a_ragged_matrix():
+    one = TruncatedSeries.one(2, 4)
+    with pytest.raises(ValueError):
+        series_matrix_inverse([[one, one], [one]])
+    with pytest.raises(ValueError):
+        series_matrix_inverse([[one], [one]])
+
+
+def test_series_matrix_inverse_rejects_mixed_ranks():
+    one, zero = TruncatedSeries.one(2, 4), TruncatedSeries.zero(2, 4)
+    with pytest.raises(ValueError):
+        series_matrix_inverse([[one, zero], [zero, TruncatedSeries.one(3, 4)]])
+
+
+def test_series_matrix_inverse_rejects_mixed_caps():
+    one, zero = TruncatedSeries.one(2, 4), TruncatedSeries.zero(2, 4)
+    with pytest.raises(ValueError):
+        series_matrix_inverse([[one, zero], [zero, TruncatedSeries.one(2, 5)]])

@@ -236,6 +236,32 @@ def test_section9_diagrams_commute():
     assert "pairing-diagram-word1-word1" in names
 
 
+def test_section9_solves_each_input_once(monkeypatch):
+    # The symplectic suite checks 12 inputs (x1, x2 and ten words) in
+    # 144 pairs; each input's derived generator values and theta image
+    # are computed once.
+    from foxtwist import symplectic_tensor, verify
+
+    calls = {"values": 0, "hat": 0}
+    values, apply_hat = symplectic_tensor.derived_generator_values, SymplecticExpansion.apply_hat
+
+    def counted_values(pairing, u):
+        calls["values"] += 1
+        return values(pairing, u)
+
+    def counted_hat(self, series):
+        calls["hat"] += 1
+        return apply_hat(self, series)
+
+    monkeypatch.setattr(symplectic_tensor, "derived_generator_values", counted_values)
+    monkeypatch.setattr(SymplecticExpansion, "apply_hat", counted_hat)
+    report = verify.symplectic_suite(3)
+    assert verify.report_passed(report)
+    assert calls["values"] == 12
+    # one theta image per input, two per pair
+    assert calls["hat"] == 12 + 2 * 144
+
+
 def test_section9_requires_enough_expansion_cap():
     expansion = build_symplectic_expansion(1, 4)
     with pytest.raises(ValueError):
