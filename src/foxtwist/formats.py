@@ -15,10 +15,10 @@ from fractions import Fraction
 
 from .derived_twists import TwistAutomorphism
 from .fox_pairings import FoxPairing
-from .series import TruncatedSeries
+from .series import TruncatedSeries, nonzero
 from .symplectic_tensor import SymplecticExpansion
 
-_COEFF_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
+_COEFF_RE = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?\Z")
 
 
 class FormatError(ValueError):
@@ -65,8 +65,11 @@ def series_from_dict(data, rank=None) -> TruncatedSeries:
         top = max(top, max(word, default=0))
     if rank is None:
         rank = max(top, 1)
+    _require(isinstance(rank, int) and rank >= 1, "rank must be a positive integer")
     _require(top <= rank, "letters exceed the rank")
-    return TruncatedSeries(rank, cap, terms)
+    # Every letter, degree and coefficient is checked above, so the
+    # validating constructor would only repeat the work.
+    return TruncatedSeries._raw(rank, cap, nonzero(terms))
 
 
 # -- pairings ----------------------------------------------------------

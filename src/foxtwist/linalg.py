@@ -1,12 +1,15 @@
-"""Small dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Everything here works on lists of lists of Fractions.  Matrices are
-tiny (a handful of rows), so plain Gauss-Jordan elimination is all we
-need; determinism matters more than speed.
+The dense routines work on lists of lists of Fractions and invert the
+small square matrices of homological forms and constant terms.
+``solve_sparse`` eliminates large, sparse rectangular systems whose rows
+are dicts; its answer is fixed by a pivot rule, not by the elimination
+order, so it is deterministic.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
 from .errors import NotInvertible
@@ -43,37 +46,58 @@ def is_invertible(a: list) -> bool:
         return False
 
 
-def solve_consistent(a: list, b: list):
+def solve_sparse(rows: dict, rhs: dict, columns: int):
     """One exact solution of A x = b, or None if the system is inconsistent.
 
-    A may be rectangular (rows = equations).  Pivot columns are chosen
-    left to right; free variables are set to zero, so the answer is
-    deterministic.
+    ``rows`` maps a row key to the nonzero entries {column: value} of that
+    row of A, with columns numbered 0 .. columns - 1; ``rhs`` maps row keys
+    to b (a key missing from ``rows`` is an all-zero row).  The pivot
+    columns are the columns taken left to right that are not combinations
+    of earlier ones, and free variables are 0.  That rule fixes the answer
+    uniquely, whatever row each pivot is eliminated with: here the
+    shortest remaining row holding the column, so fill-in stays small.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    work = [[Fraction(x) for x in a[r]] + [Fraction(b[r])] for r in range(rows)]
+    active = {key: {c: Fraction(v) for c, v in row.items() if v}
+              for key, row in rows.items()}
+    b = {key: Fraction(rhs.get(key, 0)) for key in active}
+    if any(v and key not in active for key, v in rhs.items()):
+        return None
+    holders = defaultdict(set)  # column -> keys of unpivoted rows using it
+    for key, row in active.items():
+        for c in row:
+            holders[c].add(key)
     pivots = []
-    row = 0
-    for col in range(cols):
-        pivot_row = next((r for r in range(row, rows) if work[r][col]), None)
-        if pivot_row is None:
+    for col in range(columns):
+        keys = holders.pop(col, None)
+        if not keys:
             continue
-        work[row], work[pivot_row] = work[pivot_row], work[row]
-        pivot = work[row][col]
-        work[row] = [x / pivot for x in work[row]]
-        for r in range(rows):
-            if r != row and work[r][col]:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[row])]
-        pivots.append(col)
-        row += 1
-        if row == rows:
-            break
-    for r in range(row, rows):
-        if work[r][cols]:
-            return None
-    x = [Fraction(0)] * cols
-    for r, col in enumerate(pivots):
-        x[col] = work[r][cols]
+        pkey = min(keys, key=lambda k: len(active[k]))
+        keys.discard(pkey)
+        prow = active.pop(pkey)
+        pivot = prow.pop(col)
+        pb = b.pop(pkey) / pivot
+        prow = {c: v / pivot for c, v in prow.items()}
+        for c in prow:
+            holders[c].discard(pkey)
+        # Every unpivoted row now loses column col; earlier columns are
+        # already gone from them, so the pivot row only reaches rightwards.
+        for key in keys:
+            row = active[key]
+            factor = row.pop(col)
+            for c, v in prow.items():
+                new = row.get(c, 0) - factor * v
+                if new:
+                    if c not in row:
+                        holders[c].add(key)
+                    row[c] = new
+                else:
+                    del row[c]
+                    holders[c].discard(key)
+            b[key] -= factor * pb
+        pivots.append((col, prow, pb))
+    if any(b.values()):
+        return None
+    x = [Fraction(0)] * columns
+    for col, prow, pb in reversed(pivots):
+        x[col] = pb - sum((v * x[c] for c, v in prow.items()), Fraction(0))
     return x

@@ -10,6 +10,7 @@ its own group-like and primitivity tests.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -276,15 +277,40 @@ def _degree_words(rank, degree):
             for i in range(1, rank + 1)]
 
 
+def _closed_form_column(slot, bracket):
+    """Degree-d change of the boundary defect when ``bracket`` (degree
+    d - 1) is added to exponent ``slot`` (0-based): [bracket, b_i] for
+    the slot of a_i, [a_i, bracket] for the slot of b_i."""
+    letter = slot + 1
+    if letter % 2:  # a_i: bracket b_i - b_i bracket
+        partner, sign = letter + 1, 1
+    else:  # b_i: a_i bracket - bracket a_i
+        partner, sign = letter - 1, -1
+    out = {}
+    accumulate(out, ((m + (partner,), c) for m, c in bracket.terms.items()), sign)
+    accumulate(out, (((partner,) + m, c) for m, c in bracket.terms.items()), -sign)
+    return nonzero(out)
+
+
 def build_symplectic_expansion(genus: int, cap: int) -> SymplecticExpansion:
     """Solve for group-like images with boundary image e^{-omega}.
 
     Exponents start at the basis letters and are corrected degree by
     degree: the degree-d defect of log theta(nu) + omega is cancelled by
-    a combination of right-nested Lie brackets added to the exponents
-    (those brackets span the free Lie algebra in each degree, so the
-    probed linear system is consistent whenever an expansion exists).
-    The first-pivot-wins pseudo-solution keeps the output deterministic.
+    a combination of right-nested Lie brackets of degree d - 1 added to
+    the exponents (those brackets span the free Lie algebra in each
+    degree, so the system is consistent whenever an expansion exists).
+
+    Columns come in closed form.  Adding delta to the exponent of a_i
+    changes the degree-d defect by exactly [delta, b_i], and adding it
+    to the exponent of b_i by [a_i, delta]: by BCH the only term of
+    log prod [e^{A_i}, e^{B_i}] that is linear in delta and of degree d
+    is the quadratic one, which pairs delta with a degree-1 letter, and
+    terms quadratic in delta start at degree 2d - 2 > d.
+
+    Columns run over (slot, bracket) in order, and the solve takes pivot
+    columns left to right with free variables 0, which keeps the output
+    deterministic.  The defect itself is recomputed once per degree.
     """
     if genus < 1:
         raise ValueError("genus must be at least 1")
@@ -311,27 +337,18 @@ def build_symplectic_expansion(genus: int, cap: int) -> SymplecticExpansion:
         defect = defect_series(exponents).degree_part(degree)
         if defect.is_zero():
             continue
-        brackets = [lie_bracket_of_word(rank, cap, w)
-                    for w in _degree_words(rank, degree - 1)]
-        columns = []
-        probes = []
-        for slot in range(rank):
-            for bracket in brackets:
-                if bracket.is_zero():
-                    continue
-                probed = list(exponents)
-                probed[slot] = probed[slot] + bracket
-                change = defect_series(probed).degree_part(degree) - defect
-                columns.append(change)
-                probes.append((slot, bracket))
-        rows = sorted({m for c in columns for m in c.terms}
-                      | set(defect.terms))
-        matrix = [[c.coefficient(m) for c in columns] for m in rows]
-        rhs = [-defect.coefficient(m) for m in rows]
-        solution = linalg.solve_consistent(matrix, rhs)
+        brackets = [lie_bracket_of_word(rank, cap, w) for w in _degree_words(rank, degree - 1)]
+        corrections = [(slot, bracket) for slot in range(rank) for bracket in brackets
+                       if not bracket.is_zero()]
+        rows = defaultdict(dict)
+        for column, (slot, bracket) in enumerate(corrections):
+            for m, c in _closed_form_column(slot, bracket).items():
+                rows[m][column] = c
+        rhs = {m: -c for m, c in defect.terms.items()}
+        solution = linalg.solve_sparse(rows, rhs, len(corrections))
         if solution is None:
             raise SolverError("no degree-%d correction exists" % degree)
-        for x, (slot, bracket) in zip(solution, probes):
+        for x, (slot, bracket) in zip(solution, corrections):
             if x:
                 exponents[slot] = exponents[slot] + bracket.scale(x)
     if not defect_series(exponents).is_zero():

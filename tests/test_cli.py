@@ -168,6 +168,17 @@ def test_exit_2_on_nabla_file_outside_degree_range(tmp_path, capsys, monkeypatch
         assert f"degree_cap {degree_cap} implies degree {degree_cap - 4}" in err
 
 
+def test_exit_2_on_zero_denominator_in_a_file(tmp_path, capsys):
+    path = tmp_path / "nabla.json"
+    formats.write_json(path, {"degree_cap": 6, "terms": [
+        {"word": [1, 2], "coeff": "-1"},
+        {"word": [2, 1], "coeff": "1/0"},
+    ]})
+    code, out, err = run(capsys, "pairing", "--nabla", str(path))
+    assert code == 2 and out == ""
+    assert "'1/0' is not exact fraction text" in err
+
+
 def test_exit_1_on_degenerate_nabla(tmp_path, capsys):
     path = tmp_path / "nabla.json"
     # iota(b a) - 1 has a nonzero degree-1 part: no pairing exists.  Cap 6

@@ -60,6 +60,71 @@ def test_series_validation_errors():
         series_from_dict({"degree_cap": 3, "terms": [{"word": [3], "coeff": "1"}]}, rank=2)
 
 
+def _one_term(word, coeff, cap=3):
+    return {"degree_cap": cap, "terms": [{"word": word, "coeff": coeff}]}
+
+
+def test_series_loader_rejects_a_letter_below_one():
+    for letter in (0, -2):
+        with pytest.raises(FormatError):
+            series_from_dict(_one_term([1, letter], "1"), rank=2)
+
+
+def test_series_loader_rejects_a_letter_above_the_rank():
+    with pytest.raises(FormatError):
+        series_from_dict(_one_term([2, 3], "1"), rank=2)
+    with pytest.raises(FormatError):
+        series_from_dict(_one_term([1], "1"), rank=0)
+
+
+def test_series_loader_rejects_a_word_at_the_cap():
+    with pytest.raises(FormatError):
+        series_from_dict(_one_term([1, 2, 1], "1", cap=3), rank=2)
+
+
+def test_series_loader_rejects_a_duplicate_word():
+    doc = {"degree_cap": 4, "terms": [{"word": [2, 1], "coeff": "1"},
+                                      {"word": [2, 1], "coeff": "0"}]}
+    with pytest.raises(FormatError):
+        series_from_dict(doc, rank=2)
+
+
+def test_series_loader_rejects_inexact_coefficient_text():
+    for text in ("0.5", "1e3", " 1", "1/", "/2", "1/0", "3/00", "+1", 2, None):
+        with pytest.raises(FormatError):
+            series_from_dict(_one_term([1], text), rank=2)
+
+
+def test_series_loader_drops_zero_coefficients():
+    doc = {"degree_cap": 4, "terms": [{"word": [], "coeff": "0"},
+                                      {"word": [1], "coeff": "-0"},
+                                      {"word": [2], "coeff": "0/7"},
+                                      {"word": [2, 1], "coeff": "-3/6"}]}
+    s = series_from_dict(doc, rank=2)
+    assert s.terms == {(2, 1): Fraction(-1, 2)}
+    assert all(type(c) is Fraction for c in s.terms.values())
+
+
+def test_series_loader_matches_the_validating_constructor(monkeypatch):
+    rng = random.Random(31)
+    terms = {}
+    for _ in range(60):
+        word = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 4)))
+        terms[word] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    want = TruncatedSeries(3, 5, terms)
+    doc = {"degree_cap": 5,
+           "terms": [{"word": list(w), "coeff": str(c)} for w, c in terms.items()]}
+
+    def refuse(*args):
+        raise AssertionError("series_from_dict re-validated its terms")
+
+    from foxtwist import series
+    monkeypatch.setattr(series, "_checked_items", refuse)
+    got = series_from_dict(doc, rank=3)
+    assert got == want
+    assert all(type(m) is tuple for m in got.terms)
+
+
 def test_pairing_roundtrip():
     pairing = surface_pairing(SurfaceSpec(1, 3))
     doc = pairing_to_dict(pairing)
