@@ -65,6 +65,7 @@ from .symplectic_tensor import (
     contraction,
     cyclicize,
     derivation_pairing,
+    derivation_values,
     omega,
     tensorial_rho,
     verify_section9,
@@ -100,6 +101,7 @@ __all__ = [
     "coproduct",
     "cyclicize",
     "derivation_pairing",
+    "derivation_values",
     "derived_form_exact",
     "derived_form_truncated",
     "embed",

@@ -26,12 +26,19 @@ from .words import parse_word
 # Working degrees the CLI accepts, from --degree or implied by a file.
 DEGREES = range(2, 9)
 
+# Largest (2g)^d, about the terms of one series, that --surface genus:g
+# --degree d may ask for: 6^6 admits genus 1 up to degree 8, genus 2 up
+# to degree 7 and genus 3 up to degree 6.
+SURFACE_TERM_BUDGET = 6 ** 6
+
 
 class InputError(Exception):
     """Bad configuration or unparsable input; exits with code 2."""
 
 
-def _parse_surface(text: str) -> int:
+def _parse_surface(text: str, degree: int) -> int:
+    """The genus of genus:<g>, rejected when (2g)^degree exceeds
+    SURFACE_TERM_BUDGET."""
     head, sep, tail = text.partition(":")
     if head != "genus" or not sep:
         raise InputError(f"--surface expects genus:<g>, got {text!r}")
@@ -41,6 +48,10 @@ def _parse_surface(text: str) -> int:
         raise InputError(f"bad genus {tail!r}") from None
     if genus < 1:
         raise InputError("genus must be at least 1")
+    if (2 * genus) ** degree > SURFACE_TERM_BUDGET:
+        raise InputError(f"genus {genus} at degree {degree} needs about (2g)^d = "
+                         f"{(2 * genus) ** degree} terms per series, over "
+                         f"SURFACE_TERM_BUDGET = {SURFACE_TERM_BUDGET}")
     return genus
 
 
@@ -58,7 +69,7 @@ def _load_pairing_source(args):
     if len(sources) != 1:
         raise InputError("exactly one of --surface, --pairing, --nabla is required")
     if args.surface:
-        spec = SurfaceSpec(_parse_surface(args.surface), args.degree)
+        spec = SurfaceSpec(_parse_surface(args.surface, args.degree), args.degree)
         return surface_pairing(spec), spec.parse_curve
     if getattr(args, "pairing", None):
         pairing = formats.pairing_from_dict(_read(args.pairing, 0))

@@ -31,13 +31,14 @@ the end.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import linalg
 from .errors import DomainError, IsotropyError, NilpotencyCapExceeded
 from .fox_pairings import TRUNCATED, FoxPairing
 from .group_algebra import GroupAlgebraElement, as_fraction, conjugation_sum
-from .series import Substitution, TruncatedSeries, accumulate, nonzero
+from .series import Substitution, TruncatedSeries, _int_join, _int_split, accumulate, nonzero
 from .truncated_completion import (
     _antipode_coproduct_monomial,
     _coproduct_monomial,
@@ -92,22 +93,26 @@ def derived_generator_values(pairing: FoxPairing, u: TruncatedSeries) -> list:
 
     # G_r = sum of u1 conjugated by the stripped leg u2[:-1], over legs
     # ending in r.  Splits are enumerated one degree above the cap since
-    # the strip refunds a degree.
+    # the strip refunds a degree.  The coproduct and antipode of a
+    # monomial have integer coefficients, so with u split into ints over
+    # one denominator the whole loop runs on ints.
+    iwork, den = _int_split(work.terms)
     g_terms = [dict() for _ in range(n)]
-    for monomial, coeff in work.terms.items():
+    for monomial, coeff in iwork.items():
         for (m1, m2), mult in _coproduct_monomial(cap + 1, monomial).items():
             if not m2 or len(m1) + len(m2) - 1 >= cap:
                 continue
-            weight = coeff * mult
+            weight = coeff * mult.numerator
             bucket = g_terms[m2[-1] - 1]
+            get = bucket.get
             kernel = _antipode_coproduct_monomial(n, cap, m2[:-1])
             room = cap - len(m1)
             for (s1, s2), cs in kernel.terms.items():
                 if len(s1) + len(s2) >= room:
                     continue
                 key = s1 + m1 + s2
-                bucket[key] = bucket.get(key, 0) + weight * cs
-    kernels = [TruncatedSeries._raw(n, cap, nonzero(terms)) for terms in g_terms]
+                bucket[key] = get(key, 0) + weight * cs.numerator
+    kernels = [TruncatedSeries._raw(n, cap, _int_join(terms, den)) for terms in g_terms]
 
     values = []
     for j in range(n):
@@ -130,30 +135,40 @@ def apply_derivation(values: list, series: TruncatedSeries) -> TruncatedSeries:
     values[i] is the image of X_{i+1}.  Result degrees are only complete
     as far as the values are; with values of filtration degree >= 1 the
     full cap is trustworthy.
+
+    This is the one derivation kernel of the package: twists,
+    ``exp_derivation`` and both sides of the section-9 diagram run
+    through it.  The values are split once into ints over one common
+    denominator and the series once over another, so the loop adds int
+    products and each Fraction is built once, on return.
     """
     n = len(values)
     if series.rank != n:
         raise ValueError("rank mismatch")
     cap = min(series.cap, min((v.cap for v in values), default=series.cap))
-    out = {}
-    # Value terms bucketed by degree: a slot of degree d only accepts
-    # replacements keeping the total below the cap.
+    split = [_int_split(v.truncate(cap).terms) for v in values]
+    value_den = math.lcm(*(den for _, den in split))
+    # Value terms bucketed by degree: a slot only accepts replacements
+    # keeping the total below the cap.
     tables = []
-    for v in values:
+    for terms, den in split:
+        scale = value_den // den
         buckets = [[] for _ in range(cap)]
-        for dm, dc in v.truncate(cap).terms.items():
-            buckets[len(dm)].append((dm, dc))
+        for dm, dc in terms.items():
+            buckets[len(dm)].append((dm, dc * scale))
         tables.append(buckets)
-    for monomial, coeff in series.truncate(cap).terms.items():
-        room = cap - (len(monomial) - 1)
+    iseries, series_den = _int_split(series.truncate(cap).terms)
+    out = {}
+    get = out.get
+    for monomial, coeff in iseries.items():
+        room = cap + 1 - len(monomial)
         for p, letter in enumerate(monomial):
             head, tail = monomial[:p], monomial[p + 1:]
-            buckets = tables[letter - 1]
-            for degree in range(min(room, cap)):
-                for dm, dc in buckets[degree]:
+            for bucket in tables[letter - 1][:room]:
+                for dm, dc in bucket:
                     key = head + dm + tail
-                    out[key] = out.get(key, 0) + coeff * dc
-    return TruncatedSeries._raw(n, cap, nonzero(out))
+                    out[key] = get(key, 0) + coeff * dc
+    return TruncatedSeries._raw(n, cap, _int_join(out, value_den * series_den))
 
 
 def derived_form_truncated(pairing: FoxPairing, u: TruncatedSeries,

@@ -18,7 +18,8 @@ from .fox_pairings import FoxPairing
 from .series import TruncatedSeries, nonzero
 from .symplectic_tensor import SymplecticExpansion
 
-_COEFF_RE = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?\Z")
+# Numerator and optional nonzero denominator of exact fraction text.
+_COEFF_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?\Z")
 
 
 class FormatError(ValueError):
@@ -28,6 +29,15 @@ class FormatError(ValueError):
 def _require(condition, message):
     if not condition:
         raise FormatError(message)
+
+
+def _coefficient(text) -> Fraction:
+    """Exact fraction text as a Fraction.  The match has already split the
+    text, so Fraction(int, int) skips a second parse of the string."""
+    match = _COEFF_RE.match(text) if isinstance(text, str) else None
+    _require(match is not None, f"coefficient {text!r} is not exact fraction text")
+    p, q = match.groups()
+    return Fraction(int(p), int(q)) if q else Fraction(int(p))
 
 
 # -- series ------------------------------------------------------------
@@ -56,12 +66,10 @@ def series_from_dict(data, rank=None) -> TruncatedSeries:
         _require(all(isinstance(i, int) and i >= 1 for i in word),
                  "letters must be positive integers")
         _require(len(word) < cap, "term degree reaches the cap")
-        coeff = item.get("coeff")
-        _require(isinstance(coeff, str) and _COEFF_RE.match(coeff),
-                 f"coefficient {coeff!r} is not exact fraction text")
+        coeff = _coefficient(item.get("coeff"))
         key = tuple(word)
         _require(key not in terms, "duplicate term word")
-        terms[key] = Fraction(coeff)
+        terms[key] = coeff
         top = max(top, max(word, default=0))
     if rank is None:
         rank = max(top, 1)

@@ -13,10 +13,14 @@ tensors) is a dict from keys to coefficients, and every loop that builds
 one follows a single accumulation rule: add ``scale * c`` into the dict
 in place with ``accumulate`` (or, in the innermost product loops, one
 inline ``out[key] = get(key, 0) + c`` line), let zeros stand, and drop
-them once at the end with ``nonzero``.  Three kernels accumulate ints
+them once at the end with ``nonzero``.  Four kernels accumulate ints
 over a common denominator and return to Fractions only in that last
-step: the product kernels ``_mul_terms`` and ``sandwich``, and
-``series_matrix_inverse``, which keeps one denominator per degree.
+step: the product kernels ``_mul_terms`` and ``sandwich``,
+``series_matrix_inverse``, which keeps one denominator per degree, and
+the derivation kernel ``derived_twists.apply_derivation``.  The loops
+that feed it, the G_r kernel of ``derived_generator_values`` and
+``symplectic_tensor.derivation_values``, split their input the same way
+with ``_int_split``.
 """
 
 from __future__ import annotations
@@ -42,10 +46,13 @@ def _as_fraction(value):
 
 def _int_split(terms):
     """Rewrite {monomial: Fraction} as ({monomial: int}, denominator)."""
-    den = 1
-    for c in terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return {m: int(c * den) for m, c in terms.items()}, den
+    den = math.lcm(*{c.denominator for c in terms.values()})
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
+def _int_join(terms, den):
+    """The nonzero terms of {monomial: int} over den, as Fractions."""
+    return {m: Fraction(n, den) for m, n in terms.items() if n}
 
 
 def accumulate(out, items, scale=1):
@@ -92,7 +99,7 @@ def _mul_terms(aterms, bterms, cap):
                 key = ma + mb
                 out[key] = out.get(key, 0) + ca * cb
     den = da * db
-    return {m: Fraction(n, den) for m, n in out.items() if n}
+    return _int_join(out, den)
 
 
 def _checked_items(rank, cap, terms):

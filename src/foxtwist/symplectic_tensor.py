@@ -19,7 +19,7 @@ from . import linalg
 from .derived_twists import apply_derivation, derived_generator_values
 from .errors import DomainError, SolverError
 from .group_algebra import GroupAlgebraElement
-from .series import Substitution, TruncatedSeries, accumulate, nonzero
+from .series import Substitution, TruncatedSeries, _int_join, _int_split, accumulate, nonzero
 from .surfaces import (
     SurfaceSpec,
     first_difference,
@@ -152,6 +152,36 @@ def contraction(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries._raw(u.rank, cap, nonzero(terms))
 
 
+def derivation_values(u: TruncatedSeries, cap=None) -> list:
+    """The generator values <u, X_k> = -(X_k ~> N(u)) for k = 1..n.
+
+    With N the cyclicization, each rotation of a term of u that starts
+    with the letter l gives its tail to the value of every k with
+    k . l nonzero, so one pass over the rotations fills all n values.
+    Degree-0 terms of u act as zero.
+
+    Cap rule: a term of degree m gives value terms of degree m - 1, so
+    the values are returned at ``cap`` (default u.cap) and built from
+    the terms of u of degree at most cap.
+    """
+    n = u.rank
+    form = intersection_form(_genus_of_rank(n))
+    cap = u.cap if cap is None else cap
+    # partners[l - 1]: (k - 1, k . l) for every k pairing nontrivially with l
+    partners = [[(k, int(form[k][l])) for k in range(n) if form[k][l]] for l in range(n)]
+    iu, den = _int_split(u.terms)
+    out = [{} for _ in range(n)]
+    for mu, cu in iu.items():
+        if not 0 < len(mu) <= cap:
+            continue
+        for r, letter in enumerate(mu):
+            tail = mu[r + 1:] + mu[:r]
+            for k, entry in partners[letter - 1]:
+                value = out[k]
+                value[tail] = value.get(tail, 0) - cu * entry
+    return [TruncatedSeries._raw(n, cap, _int_join(value, den)) for value in out]
+
+
 def derivation_pairing(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
     """The pairing <u, v> whose left slot acts by symplectic derivations.
 
@@ -162,26 +192,20 @@ def derivation_pairing(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSerie
 
     with N the cyclicization.  For m = 1 the form is skew, so this is the
     derivation sending a basis letter k to the scalar h . k.  Degree-0
-    left arguments act as zero.
+    left arguments act as zero.  So <u, -> is ``apply_derivation`` with
+    the values ``derivation_values(u)``.
+
+    Cap rule: the result has cap = min(u.cap, v.cap) and holds every
+    product of a stored term of u with a stored term of v whose degree
+    lands below it.  Degree-1 terms of u give degree-0 values, so the
+    derivation lowers degree by one: when v.cap > cap, terms of v of
+    degree cap still count, and the derivation runs at
+    min(v.cap, cap + 1) and is truncated to cap.
     """
     if u.rank != v.rank:
         raise ValueError("rank mismatch")
-    genus = _genus_of_rank(u.rank)
-    form = intersection_form(genus)
     cap = min(u.cap, v.cap)
-    terms = {}
-    for mu, cu in u.terms.items():
-        m = len(mu)
-        if m == 0:
-            continue
-        rotations = [mu[r:] + mu[:r] for r in range(m)]
-        for mv, cv in v.terms.items():
-            if len(mv) + m - 2 >= cap:
-                continue
-            accumulate(terms, ((mv[:j] + rot[1:] + mv[j + 1:], form[letter - 1][rot[0] - 1])
-                               for j, letter in enumerate(mv) for rot in rotations
-                               if form[letter - 1][rot[0] - 1]), -cu * cv)
-    return TruncatedSeries._raw(u.rank, cap, nonzero(terms))
+    return apply_derivation(derivation_values(u, min(v.cap, cap + 1)), v).truncate(cap)
 
 
 def s_of_omega(genus: int, cap: int) -> TruncatedSeries:
@@ -377,18 +401,20 @@ def verify_section9(spec: SurfaceSpec, expansion: SymplecticExpansion, cap: int,
               for i in range(rank)]
     for j, word in enumerate(extra_words or []):
         inputs.append(("word%d" % (j + 1), word))
-    # Per-input work, done once: the embedding, its image under theta and
-    # its derived generator values sigma(u, 1 + X_j).
+    # Per-input work, done once: the embedding, its image under theta,
+    # its derived generator values sigma(u, 1 + X_j) and the values
+    # <theta u, X_k> of the tensor-side derivation.
     embedded = []
     for label, w in inputs:
         u = embed(GroupAlgebraElement.from_word(w), work)
-        embedded.append((label, u, expansion.apply_hat(u),
-                         derived_generator_values(pairing, u)))
+        theta_u = expansion.apply_hat(u)
+        embedded.append((label, u, theta_u, derived_generator_values(pairing, u),
+                         derivation_values(theta_u)))
     checks = []
-    for label_u, u, theta_u, values_u in embedded:
-        for label_v, v, theta_v, _ in embedded:
+    for label_u, u, theta_u, values_u, tensor_values_u in embedded:
+        for label_v, v, theta_v, _, _ in embedded:
             left = expansion.apply_hat(apply_derivation(values_u, v))
-            right = derivation_pairing(theta_u, theta_v)
+            right = apply_derivation(tensor_values_u, theta_v)
             witness = first_difference(left.truncate(cap), right.truncate(cap))
             checks.append({"name": "derived-diagram-%s-%s" % (label_u, label_v),
                            "pass": witness is None, "witness": witness})

@@ -18,6 +18,7 @@ from functools import lru_cache
 from .group_algebra import GroupAlgebraElement
 from .series import (
     TruncatedSeries,
+    _int_join,
     _int_split,
     accumulate,
     commutator,
@@ -261,9 +262,7 @@ def sandwich(tensor: TruncatedTensor, filling: TruncatedSeries) -> TruncatedSeri
                 key = left + mf + right
                 out[key] = out.get(key, 0) + ct * cf
     den = dt * dfl
-    return TruncatedSeries._raw(
-        filling.rank, cap,
-        {m: Fraction(n, den) for m, n in out.items() if n})
+    return TruncatedSeries._raw(filling.rank, cap, _int_join(out, den))
 
 
 def conjugation_sum_series(v: TruncatedSeries, u: TruncatedSeries) -> TruncatedSeries:

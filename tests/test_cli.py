@@ -134,6 +134,27 @@ def test_exit_2_on_bad_inputs(capsys):
         assert "error:" in err
 
 
+def test_exit_2_when_the_surface_exceeds_the_term_budget(capsys, monkeypatch):
+    def refuse(spec):
+        raise AssertionError("surface_pairing ran for an over-budget surface")
+
+    monkeypatch.setattr(cli, "surface_pairing", refuse)
+    for genus, degree in ((4, 6), (2, 8), (1000, 8)):
+        assert (2 * genus) ** degree > cli.SURFACE_TERM_BUDGET
+        for command in (("pairing",), ("twist", "--curve", "a1")):
+            code, out, err = run(capsys, *command, "--surface", f"genus:{genus}",
+                                 "--degree", str(degree))
+            assert code == 2 and out == ""
+            assert "SURFACE_TERM_BUDGET" in err and str(cli.SURFACE_TERM_BUDGET) in err
+
+
+def test_surface_term_budget_admits_the_documented_grid():
+    # Genus 1 degrees 5-8, genus 2 degrees 4-7, genus 3 degrees 4-6.
+    for genus, degrees in ((1, range(5, 9)), (2, range(4, 8)), (3, range(4, 7))):
+        for degree in degrees:
+            assert cli._parse_surface(f"genus:{genus}", degree) == genus
+
+
 def test_exit_2_on_out_of_range_degree(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--degree", "9"])

@@ -8,6 +8,7 @@ import pytest
 from foxtwist.derived_twists import TwistAutomorphism
 from foxtwist.formats import (
     FormatError,
+    _coefficient,
     dumps,
     expansion_from_dict,
     expansion_to_dict,
@@ -103,6 +104,13 @@ def test_series_loader_drops_zero_coefficients():
     s = series_from_dict(doc, rank=2)
     assert s.terms == {(2, 1): Fraction(-1, 2)}
     assert all(type(c) is Fraction for c in s.terms.values())
+
+
+def test_coefficients_parse_like_fraction_text():
+    for text in ("-0", "0/7", "-3/6", "12", "-5/1", "007/021", "-1/1024"):
+        got = _coefficient(text)
+        assert type(got) is Fraction
+        assert got == Fraction(text)
 
 
 def test_series_loader_matches_the_validating_constructor(monkeypatch):
