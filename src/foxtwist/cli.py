@@ -26,9 +26,9 @@ from .words import parse_word
 # Working degrees the CLI accepts, from --degree or implied by a file.
 DEGREES = range(2, 9)
 
-# Largest (2g)^d, about the terms of one series, that --surface genus:g
-# --degree d may ask for: 6^6 admits genus 1 up to degree 8, genus 2 up
-# to degree 7 and genus 3 up to degree 6.
+# Largest rank^d, about the terms of one series, that an input of the
+# given rank may ask for at working degree d: 6^6 admits genus 1 up to
+# degree 8, genus 2 up to degree 7 and genus 3 up to degree 6.
 SURFACE_TERM_BUDGET = 6 ** 6
 
 
@@ -48,11 +48,17 @@ def _parse_surface(text: str, degree: int) -> int:
         raise InputError(f"bad genus {tail!r}") from None
     if genus < 1:
         raise InputError("genus must be at least 1")
-    if (2 * genus) ** degree > SURFACE_TERM_BUDGET:
-        raise InputError(f"genus {genus} at degree {degree} needs about (2g)^d = "
-                         f"{(2 * genus) ** degree} terms per series, over "
-                         f"SURFACE_TERM_BUDGET = {SURFACE_TERM_BUDGET}")
+    _check_budget(2 * genus, degree, f"genus {genus}")
     return genus
+
+
+def _check_budget(rank, degree, source):
+    """Reject a source of this rank at this working degree, before any
+    work starts, when rank^degree exceeds SURFACE_TERM_BUDGET."""
+    if rank ** degree > SURFACE_TERM_BUDGET:
+        raise InputError(f"{source} (rank {rank}) at degree {degree} needs about "
+                         f"rank^d = {rank ** degree} terms per series, over "
+                         f"SURFACE_TERM_BUDGET = {SURFACE_TERM_BUDGET}")
 
 
 def _parse_k(text: str) -> Fraction:
@@ -75,6 +81,7 @@ def _load_pairing_source(args):
         pairing = formats.pairing_from_dict(_read(args.pairing, 0))
         return pairing, lambda text: parse_word(text, pairing.rank)
     series = formats.series_from_dict(_read(args.nabla, 4))
+    _check_budget(series.rank, series.cap - 4, args.nabla)
     pairing = pairing_of_nabla(NablaElement(series))
     return pairing, lambda text: parse_word(text, pairing.rank)
 
@@ -82,15 +89,20 @@ def _load_pairing_source(args):
 def _read(path, offset):
     """Read a pairing (offset 0) or nabla (offset 4) file and reject it
     when the working degree it implies, degree_cap - offset, is outside
-    DEGREES.  A missing or non-integer degree_cap is left to the loader."""
+    DEGREES, or when its rank field puts it over the term budget.  A
+    missing or non-integer degree_cap or rank is left to the loader."""
     try:
         doc = formats.read_json(path)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    cap = doc.get("degree_cap") if isinstance(doc, dict) else None
-    if isinstance(cap, int) and cap - offset not in DEGREES:
-        raise InputError(f"{path}: degree_cap {cap} implies degree {cap - offset}, "
+    if not isinstance(doc, dict) or not isinstance(doc.get("degree_cap"), int):
+        return doc
+    degree = doc["degree_cap"] - offset
+    if degree not in DEGREES:
+        raise InputError(f"{path}: degree_cap {doc['degree_cap']} implies degree {degree}, "
                          f"outside {DEGREES.start}..{DEGREES.stop - 1}")
+    if isinstance(doc.get("rank"), int):
+        _check_budget(doc["rank"], degree, path)
     return doc
 
 

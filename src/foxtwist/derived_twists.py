@@ -31,14 +31,13 @@ the end.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from . import linalg
 from .errors import DomainError, IsotropyError, NilpotencyCapExceeded
 from .fox_pairings import TRUNCATED, FoxPairing
-from .group_algebra import GroupAlgebraElement, as_fraction, conjugation_sum
-from .series import Substitution, TruncatedSeries, _int_join, _int_split, accumulate, nonzero
+from .group_algebra import GroupAlgebraElement, conjugation_sum
+from .series import Substitution, TruncatedSeries, accumulate, as_fraction, frame_product
 from .truncated_completion import (
     _antipode_coproduct_monomial,
     _coproduct_monomial,
@@ -46,7 +45,6 @@ from .truncated_completion import (
     conjugation_sum_series,
     embed,
     is_group_like,
-    sandwich,
 )
 from .words import GroupWord
 
@@ -80,8 +78,8 @@ def derived_generator_values(pairing: FoxPairing, u: TruncatedSeries) -> list:
     For group-like second argument b the composite collapses to
     b * sum over coproduct legs (u1, u2) of u1^rho(u2, b).  Legs are
     grouped by the trailing letter r of u2, which reduces the whole
-    computation to n conjugation kernels G_r followed by one sandwich
-    per matrix entry.
+    computation to n conjugation kernels G_r followed by one frame
+    product per value.
     """
     if pairing.representation != TRUNCATED:
         raise ValueError("derived_generator_values needs a truncated pairing")
@@ -91,41 +89,30 @@ def derived_generator_values(pairing: FoxPairing, u: TruncatedSeries) -> list:
     cap = min(u.cap, pairing.cap)
     work = u.truncate(cap)
 
-    # G_r = sum of u1 conjugated by the stripped leg u2[:-1], over legs
-    # ending in r.  Splits are enumerated one degree above the cap since
-    # the strip refunds a degree.  The coproduct and antipode of a
-    # monomial have integer coefficients, so with u split into ints over
-    # one denominator the whole loop runs on ints.
-    iwork, den = _int_split(work.terms)
-    g_terms = [dict() for _ in range(n)]
-    for monomial, coeff in iwork.items():
+    # G_r = sum of u1 conjugated by the stripped leg stem = u2[:-1], over
+    # legs ending in r.  Legs sharing (r, stem) share the frames of
+    # (S x id) of the coproduct of stem, so each stem is one job around
+    # its u1 legs.  Splits are enumerated one degree above the cap since
+    # the strip refunds a degree; S(stem) has degree >= len(stem), so the
+    # room rule drops every leg that would not fit.
+    legs = {}
+    for monomial, coeff in work.terms.items():
         for (m1, m2), mult in _coproduct_monomial(cap + 1, monomial).items():
-            if not m2 or len(m1) + len(m2) - 1 >= cap:
-                continue
-            weight = coeff * mult.numerator
-            bucket = g_terms[m2[-1] - 1]
-            get = bucket.get
-            kernel = _antipode_coproduct_monomial(n, cap, m2[:-1])
-            room = cap - len(m1)
-            for (s1, s2), cs in kernel.terms.items():
-                if len(s1) + len(s2) >= room:
-                    continue
-                key = s1 + m1 + s2
-                bucket[key] = get(key, 0) + weight * cs.numerator
-    kernels = [TruncatedSeries._raw(n, cap, _int_join(terms, den)) for terms in g_terms]
+            if m2:
+                filling = legs.setdefault((m2[-1] - 1, m2[:-1]), {})
+                filling[m1] = filling.get(m1, 0) + coeff * mult
+    jobs = [[] for _ in range(n)]
+    for (r, stem), filling in legs.items():
+        jobs[r].append((_antipode_coproduct_monomial(n, cap, stem).terms, filling))
+    kernels = [frame_product(r_jobs, cap) for r_jobs in jobs]
 
     values = []
     for j in range(n):
-        acc = {}
-        for r in range(n):
-            if kernels[r].is_zero():
-                continue
-            entry = pairing.entry(r + 1, j + 1).truncate(cap)
-            if entry.is_zero():
-                continue
-            accumulate(acc, sandwich(antipode_coproduct(entry), kernels[r]).terms.items())
+        value = frame_product(
+            [(antipode_coproduct(pairing.entry(r + 1, j + 1).truncate(cap)).terms, kernels[r])
+             for r in range(n) if kernels[r]], cap)
         values.append((1 + TruncatedSeries.variable(n, cap, j + 1))
-                      * TruncatedSeries._raw(n, cap, nonzero(acc)))
+                      * TruncatedSeries._raw(n, cap, value))
     return values
 
 
@@ -138,37 +125,21 @@ def apply_derivation(values: list, series: TruncatedSeries) -> TruncatedSeries:
 
     This is the one derivation kernel of the package: twists,
     ``exp_derivation`` and both sides of the section-9 diagram run
-    through it.  The values are split once into ints over one common
-    denominator and the series once over another, so the loop adds int
-    products and each Fraction is built once, on return.
+    through it.  Each term c * m of the series gives, for every position
+    p, the frame (m[:p], m[p+1:]) with coefficient c to the letter m[p];
+    ``frame_product`` then runs one job per letter around its value.
     """
     n = len(values)
     if series.rank != n:
         raise ValueError("rank mismatch")
     cap = min(series.cap, min((v.cap for v in values), default=series.cap))
-    split = [_int_split(v.truncate(cap).terms) for v in values]
-    value_den = math.lcm(*(den for _, den in split))
-    # Value terms bucketed by degree: a slot only accepts replacements
-    # keeping the total below the cap.
-    tables = []
-    for terms, den in split:
-        scale = value_den // den
-        buckets = [[] for _ in range(cap)]
-        for dm, dc in terms.items():
-            buckets[len(dm)].append((dm, dc * scale))
-        tables.append(buckets)
-    iseries, series_den = _int_split(series.truncate(cap).terms)
-    out = {}
-    get = out.get
-    for monomial, coeff in iseries.items():
-        room = cap + 1 - len(monomial)
-        for p, letter in enumerate(monomial):
-            head, tail = monomial[:p], monomial[p + 1:]
-            for bucket in tables[letter - 1][:room]:
-                for dm, dc in bucket:
-                    key = head + dm + tail
-                    out[key] = get(key, 0) + coeff * dc
-    return TruncatedSeries._raw(n, cap, _int_join(out, value_den * series_den))
+    frames = [{} for _ in range(n)]
+    for monomial, coeff in series.terms.items():
+        if len(monomial) < cap:
+            for p, letter in enumerate(monomial):
+                frames[letter - 1][monomial[:p], monomial[p + 1:]] = coeff
+    return TruncatedSeries._raw(
+        n, cap, frame_product(zip(frames, (v.terms for v in values)), cap))
 
 
 def derived_form_truncated(pairing: FoxPairing, u: TruncatedSeries,

@@ -19,16 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import accumulate, nonzero
+from .series import accumulate, as_fraction, nonzero
 from .words import GroupWord, _free_reduce
-
-
-def as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError(f"expected an int, str or Fraction, got {type(value).__name__}")
 
 
 class GroupAlgebraElement:

@@ -11,37 +11,41 @@ X_i = x_i - 1; the embedding itself lives in ``completion``.
 Every sparse object in the package (group-algebra elements, series,
 tensors) is a dict from keys to coefficients, and every loop that builds
 one follows a single accumulation rule: add ``scale * c`` into the dict
-in place with ``accumulate`` (or, in the innermost product loops, one
-inline ``out[key] = get(key, 0) + c`` line), let zeros stand, and drop
-them once at the end with ``nonzero``.  Four kernels accumulate ints
-over a common denominator and return to Fractions only in that last
-step: the product kernels ``_mul_terms`` and ``sandwich``,
+in place with ``accumulate`` (the innermost loops inline the same
+``out[key] = get(key, 0) + c`` line), let zeros stand, and drop them
+once at the end with ``nonzero``.
+
+Every product that inserts one series into the frames of another runs
+through one kernel, ``frame_product``: concatenation products,
+``truncated_completion.sandwich``, the derivation kernel
+``derived_twists.apply_derivation``, the G_r kernel of
+``derived_generator_values`` and ``symplectic_tensor.contraction``.  It
+accumulates ints over one common denominator and builds each Fraction
+once, on return, and its docstring states the room rule by which all of
+them truncate.  Two loops keep their own int arithmetic:
 ``series_matrix_inverse``, which keeps one denominator per degree, and
-the derivation kernel ``derived_twists.apply_derivation``.  The loops
-that feed it, the G_r kernel of ``derived_generator_values`` and
-``symplectic_tensor.derivation_values``, split their input the same way
-with ``_int_split``.
+``symplectic_tensor.derivation_values``, a rotation scan rather than a
+product.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from fractions import Fraction
 
 from .errors import DomainError, NotInvertible
 from .linalg import mat_inverse
 
 
-def _as_fraction(value):
+def as_fraction(value) -> Fraction:
+    """An exact rational from an int, a str or a Fraction; anything else,
+    floats included, is a TypeError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    raise TypeError(f"expected an int, str or Fraction, got {type(value).__name__}")
 
 
 def _int_split(terms):
@@ -76,29 +80,47 @@ def nonzero(terms):
     return {key: c for key, c in terms.items() if c}
 
 
-def _mul_terms(aterms, bterms, cap):
-    """Concatenation product of two term dicts, dropping degree >= cap.
+def frame_product(jobs, cap):
+    """Sum of c * d * (left + m + right) over the jobs (frames, filling),
+    where frames is {(left, right): c} and filling is {m: d}.
 
-    Coefficients are pulled apart into integers over a common
-    denominator so the inner loop is pure int arithmetic.
+    The room rule: a term survives when
+
+        len(left) + len(m) + len(right) < cap,
+
+    so a frame of degree f takes filling terms of degree below cap - f
+    and a frame at or over the cap takes none.  Every product of the
+    package truncates by this rule and no other.
+
+    Each job is split into ints, all jobs are brought to one common
+    denominator, each filling is bucketed by degree, and each Fraction
+    is built once, on return.  The result is a dict of nonzero terms.
     """
-    if not aterms or not bterms:
-        return {}
-    ia, da = _int_split(aterms)
-    ib, db = _int_split(bterms)
-    by_len = defaultdict(list)
-    for mb, cb in ib.items():
-        by_len[len(mb)].append((mb, cb))
+    split = []
+    for frames, filling in jobs:
+        if frames and filling:
+            iframes, frame_den = _int_split(frames)
+            ifilling, filling_den = _int_split(filling)
+            split.append((iframes, ifilling, frame_den * filling_den))
+    den = math.lcm(*(job_den for _, _, job_den in split))
     out = {}
-    for ma, ca in ia.items():
-        room = cap - len(ma)
-        for lb, entries in by_len.items():
-            if lb >= room:
-                continue
-            for mb, cb in entries:
-                key = ma + mb
-                out[key] = out.get(key, 0) + ca * cb
-    den = da * db
+    get = out.get
+    for iframes, ifilling, job_den in split:
+        scale = den // job_den
+        buckets = [[] for _ in range(cap)]
+        for m, d in ifilling.items():
+            if len(m) < cap:
+                buckets[len(m)].append((m, d * scale))
+        # fits[room]: the filling terms of degree below room.
+        fits = [[]]
+        for bucket in buckets:
+            fits.append(fits[-1] + bucket if bucket else fits[-1])
+        for (left, right), c in iframes.items():
+            room = cap - len(left) - len(right)
+            if room > 0:
+                for m, d in fits[room]:
+                    key = left + m + right
+                    out[key] = get(key, 0) + c * d
     return _int_join(out, den)
 
 
@@ -111,7 +133,7 @@ def _checked_items(rank, cap, terms):
             continue
         if any(not isinstance(i, int) or not 1 <= i <= rank for i in monomial):
             raise ValueError(f"monomial {monomial} has letters outside 1..{rank}")
-        yield monomial, _as_fraction(coeff)
+        yield monomial, as_fraction(coeff)
 
 
 class TruncatedSeries:
@@ -145,7 +167,7 @@ class TruncatedSeries:
 
     @classmethod
     def scalar(cls, rank, cap, value):
-        value = _as_fraction(value)
+        value = as_fraction(value)
         return cls._raw(rank, cap, {(): value} if value else {})
 
     @classmethod
@@ -221,7 +243,7 @@ class TruncatedSeries:
         return (-self) + other
 
     def scale(self, value):
-        value = _as_fraction(value)
+        value = as_fraction(value)
         if not value:
             return TruncatedSeries.zero(self.rank, self.cap)
         return TruncatedSeries._raw(self.rank, self.cap,
@@ -232,8 +254,9 @@ class TruncatedSeries:
             return self.scale(other)
         if isinstance(other, TruncatedSeries):
             self._check_compatible(other)
+            frames = {(m, ()): c for m, c in self.terms.items()}
             return TruncatedSeries._raw(
-                self.rank, self.cap, _mul_terms(self.terms, other.terms, self.cap))
+                self.rank, self.cap, frame_product([(frames, other.terms)], self.cap))
         return NotImplemented
 
     def __rmul__(self, other):

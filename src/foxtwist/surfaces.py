@@ -20,7 +20,8 @@ from .derived_twists import (
     twist,
 )
 from .fox_pairings import FoxPairing, NablaElement, pairing_of_nabla
-from .group_algebra import GroupAlgebraElement, as_fraction
+from .group_algebra import GroupAlgebraElement
+from .series import as_fraction
 from .truncated_completion import TruncatedSeries, commutator, embed
 from .words import GroupWord, parse_word
 

@@ -19,7 +19,15 @@ from . import linalg
 from .derived_twists import apply_derivation, derived_generator_values
 from .errors import DomainError, SolverError
 from .group_algebra import GroupAlgebraElement
-from .series import Substitution, TruncatedSeries, _int_join, _int_split, accumulate, nonzero
+from .series import (
+    Substitution,
+    TruncatedSeries,
+    _int_join,
+    _int_split,
+    accumulate,
+    frame_product,
+    nonzero,
+)
 from .surfaces import (
     SurfaceSpec,
     first_difference,
@@ -139,17 +147,21 @@ def contraction(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
         raise ValueError("rank mismatch")
     if u.constant_term() or v.constant_term():
         raise DomainError("contraction needs arguments without constant terms")
-    genus = _genus_of_rank(u.rank)
-    form = intersection_form(genus)
-    cap = min(u.cap, v.cap)
-    terms = {}
+    n = u.rank
+    form = intersection_form(_genus_of_rank(n))
+    # One job per first letter k of v: the frames are u's terms without
+    # their last letter h, weighted by h . k, around v's tails after k.
+    frames = [{} for _ in range(n)]
     for mu, cu in u.terms.items():
         row = form[mu[-1] - 1]
-        room = cap + 2 - len(mu)
-        accumulate(terms, ((mu[:-1] + mv[1:], cv * row[mv[0] - 1])
-                           for mv, cv in v.terms.items()
-                           if len(mv) < room and row[mv[0] - 1]), cu)
-    return TruncatedSeries._raw(u.rank, cap, nonzero(terms))
+        for k in range(n):
+            if row[k]:
+                accumulate(frames[k], [((mu[:-1], ()), cu * row[k])])
+    fillings = [{} for _ in range(n)]
+    for mv, cv in v.terms.items():
+        fillings[mv[0] - 1][mv[1:]] = cv
+    cap = min(u.cap, v.cap)
+    return TruncatedSeries._raw(n, cap, frame_product(zip(frames, fillings), cap))
 
 
 def derivation_values(u: TruncatedSeries, cap=None) -> list:

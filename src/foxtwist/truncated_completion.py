@@ -18,10 +18,10 @@ from functools import lru_cache
 from .group_algebra import GroupAlgebraElement
 from .series import (
     TruncatedSeries,
-    _int_join,
-    _int_split,
     accumulate,
+    as_fraction,
     commutator,
+    frame_product,
     nonzero,
     series_matrix_inverse,
 )
@@ -90,7 +90,7 @@ class TruncatedTensor:
     __slots__ = ("rank", "cap", "terms")
 
     def __init__(self, rank, cap, terms=None):
-        items = (((tuple(left), tuple(right)), Fraction(coeff))
+        items = (((tuple(left), tuple(right)), as_fraction(coeff))
                  for (left, right), coeff in (terms or {}).items()
                  if len(left) + len(right) < cap)
         self.rank = rank
@@ -139,7 +139,7 @@ class TruncatedTensor:
         return self + (-other)
 
     def scale(self, value):
-        value = Fraction(value)
+        value = as_fraction(value)
         if not value:
             return TruncatedTensor.zero(self.rank, self.cap)
         return TruncatedTensor._raw(self.rank, self.cap,
@@ -245,24 +245,8 @@ def sandwich(tensor: TruncatedTensor, filling: TruncatedSeries) -> TruncatedSeri
     """Contract a tensor around a series: sum of left * filling * right."""
     if tensor.rank != filling.rank or tensor.cap != filling.cap:
         raise ValueError("sandwich needs matching rank and degree cap")
-    cap = tensor.cap
-    if not tensor.terms or not filling.terms:
-        return TruncatedSeries.zero(filling.rank, cap)
-    it, dt = _int_split(tensor.terms)
-    ifl, dfl = _int_split(filling.terms)
-    # Bucket the filling by degree so each frame only sees terms it can hold.
-    buckets = [[] for _ in range(cap)]
-    for mf, cf in ifl.items():
-        buckets[len(mf)].append((mf, cf))
-    out = {}
-    for (left, right), ct in it.items():
-        room = cap - len(left) - len(right)
-        for degree in range(room):
-            for mf, cf in buckets[degree]:
-                key = left + mf + right
-                out[key] = out.get(key, 0) + ct * cf
-    den = dt * dfl
-    return TruncatedSeries._raw(filling.rank, cap, _int_join(out, den))
+    return TruncatedSeries._raw(filling.rank, filling.cap,
+                                frame_product([(tensor.terms, filling.terms)], filling.cap))
 
 
 def conjugation_sum_series(v: TruncatedSeries, u: TruncatedSeries) -> TruncatedSeries:

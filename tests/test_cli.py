@@ -155,6 +155,59 @@ def test_surface_term_budget_admits_the_documented_grid():
             assert cli._parse_surface(f"genus:{genus}", degree) == genus
 
 
+def refuse_work(monkeypatch):
+    """Make the pairing solve and the twist fail if an over-budget input
+    reaches them."""
+    def refuse(*args):
+        raise AssertionError("an over-budget input reached the computation")
+
+    monkeypatch.setattr(cli, "pairing_of_nabla", refuse)
+    monkeypatch.setattr(cli, "twist", refuse)
+
+
+def assert_over_budget(capsys, *source):
+    for command in (("pairing",), ("twist", "--curve", "x1")):
+        code, out, err = run(capsys, *command, *source)
+        assert code == 2 and out == ""
+        assert "SURFACE_TERM_BUDGET" in err and str(cli.SURFACE_TERM_BUDGET) in err
+
+
+def test_exit_2_when_a_pairing_file_exceeds_the_term_budget(tmp_path, capsys, monkeypatch):
+    refuse_work(monkeypatch)
+    # 40^3 = 64000 terms per series; the budget is checked before the
+    # matrix is even parsed.
+    path = tmp_path / "pairing.json"
+    formats.write_json(path, {"rank": 40, "representation": "truncated",
+                              "degree_cap": 3, "matrix": []})
+    assert 40 ** 3 > cli.SURFACE_TERM_BUDGET
+    assert_over_budget(capsys, "--pairing", str(path))
+
+
+def test_exit_2_when_a_nabla_file_exceeds_the_term_budget(tmp_path, capsys, monkeypatch):
+    refuse_work(monkeypatch)
+    # Letters up to 300 at working degree 6 - 4 = 2: 300^2 = 90000 terms.
+    path = tmp_path / "nabla.json"
+    formats.write_json(path, {"degree_cap": 6, "terms": [
+        {"word": [1, 300], "coeff": "-1"},
+        {"word": [300, 1], "coeff": "1"},
+    ]})
+    assert 300 ** 2 > cli.SURFACE_TERM_BUDGET
+    assert_over_budget(capsys, "--nabla", str(path))
+
+
+def test_term_budget_admits_the_bench_nabla_files():
+    import sys
+    from pathlib import Path
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        from inputs import NABLA_CELLS
+    finally:
+        sys.path.pop(0)
+    for genus, cap, *_ in NABLA_CELLS.values():
+        cli._check_budget(2 * genus, cap - 4, f"genus {genus} cap {cap}")
+
+
 def test_exit_2_on_out_of_range_degree(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--degree", "9"])

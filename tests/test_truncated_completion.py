@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from foxtwist.group_algebra import GroupAlgebraElement
 from foxtwist.series import TruncatedSeries, commutator
 from foxtwist.truncated_completion import (
@@ -176,3 +178,17 @@ def test_tensor_arithmetic():
     assert (t - t).is_zero()
     assert tensor_outer(x, one) * tensor_outer(one, y) == t
     assert TruncatedTensor.zero(2, 4) + t == t
+
+
+def test_tensor_coefficients_are_exact_rationals():
+    # A float is not an exact rational: 0.1 would be stored as
+    # 3602879701896397/36028797018963968.
+    with pytest.raises(TypeError):
+        TruncatedTensor(1, 3, {((1,), ()): 0.1})
+    tensor = TruncatedTensor(1, 3, {((1,), ()): "1/3"})
+    assert tensor.coefficient((1,), ()) == Fraction(1, 3)
+    with pytest.raises(TypeError):
+        tensor.scale(0.5)
+    assert tensor.scale("3/2").coefficient((1,), ()) == Fraction(1, 2)
+    with pytest.raises(TypeError):
+        TruncatedSeries(1, 3, {(1,): 0.1})
