@@ -37,7 +37,7 @@ from . import linalg
 from .errors import DomainError, IsotropyError, NilpotencyCapExceeded
 from .fox_pairings import TRUNCATED, FoxPairing
 from .group_algebra import GroupAlgebraElement, conjugation_sum
-from .series import Substitution, TruncatedSeries, accumulate, as_fraction, frame_product
+from .series import Substitution, TruncatedSeries, accumulate, as_fraction, frame_product, nonzero
 from .truncated_completion import (
     _antipode_coproduct_monomial,
     _coproduct_monomial,
@@ -61,15 +61,15 @@ def derived_form_exact(pairing: FoxPairing, a: GroupAlgebraElement,
     if left:
         return derived_form_exact(pairing.transpose(), b, a)
     total = {}
-    for wa, ca in a.words():
-        ea = GroupAlgebraElement.from_word(wa)
-        for wb, cb in b.words():
-            eb = GroupAlgebraElement.from_word(wb)
+    for ma, ca in a.terms.items():
+        ea = GroupAlgebraElement._raw(a.rank, {ma: Fraction(1)})
+        for mb, cb in b.terms.items():
+            eb = GroupAlgebraElement._raw(b.rank, {mb: Fraction(1)})
             value = pairing.evaluate(ea, eb)
             if value.is_zero():
                 continue
             accumulate(total, (eb * conjugation_sum(ea, value)).terms.items(), ca * cb)
-    return GroupAlgebraElement(pairing.rank, total)
+    return GroupAlgebraElement._raw(pairing.rank, nonzero(total))
 
 
 def derived_generator_values(pairing: FoxPairing, u: TruncatedSeries) -> list:

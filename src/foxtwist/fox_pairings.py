@@ -161,7 +161,7 @@ class FoxPairing:
                     if rights[j].is_zero():
                         continue
                     accumulate(total, (lefts[i] * self.matrix[i][j] * rights[j]).terms.items())
-            return GroupAlgebraElement(self.rank, total)
+            return GroupAlgebraElement._raw(self.rank, nonzero(total))
         if not isinstance(a, TruncatedSeries) or not isinstance(b, TruncatedSeries):
             raise TypeError("truncated pairing evaluates truncated series")
         cap = min(a.cap - 1, b.cap - 1, self.cap)

@@ -13,14 +13,32 @@ Conventions used throughout the package:
 * right Fox derivative:  d(ab) = d(a) b + aug(a) d(b),  giving
   a = aug(a) + sum_i (x_i - 1) d^i(a);
 * conjugation sum:       v^u = sum_x k_x x^-1 v x  for u = sum_x k_x x.
+
+The invariant: ``terms`` maps freely reduced words with letters in
++-1..+-rank to nonzero Fractions.  The public constructor establishes it
+from arbitrary input (coercion, free reduction, merging, range check);
+every operation here keeps it by construction and builds its result
+with ``_raw``.  The seam rule: a product of two reduced words can cancel
+only at the junction, so ``_seam`` reduces a + b by stripping the
+letters that meet there and never rescans either word.  Prefixes,
+suffixes and inverses of reduced words are reduced as they stand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import accumulate, as_fraction, nonzero
+from .series import _int_join, _int_split, accumulate, as_fraction, nonzero
 from .words import GroupWord, _free_reduce
+
+
+def _seam(a: tuple, b: tuple) -> tuple:
+    """The reduced word of a + b, for reduced words a and b."""
+    k = 0
+    limit = min(len(a), len(b))
+    while k < limit and a[-1 - k] == -b[k]:
+        k += 1
+    return a[:len(a) - k] + b[k:] if k else a + b
 
 
 class GroupAlgebraElement:
@@ -44,6 +62,14 @@ class GroupAlgebraElement:
         self.rank = rank
         self.terms = nonzero(clean)
 
+    @classmethod
+    def _raw(cls, rank, terms):
+        # Internal constructor: terms must already keep the invariant.
+        self = object.__new__(cls)
+        self.rank = rank
+        self.terms = terms
+        return self
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -56,7 +82,8 @@ class GroupAlgebraElement:
 
     @classmethod
     def from_word(cls, word: GroupWord, coeff=1) -> "GroupAlgebraElement":
-        return cls(word.rank, {word.letters: as_fraction(coeff)})
+        coeff = as_fraction(coeff)
+        return cls._raw(word.rank, {word.letters: coeff} if coeff else {})
 
     @classmethod
     def generator(cls, rank: int, i: int, sign: int = 1) -> "GroupAlgebraElement":
@@ -77,10 +104,8 @@ class GroupAlgebraElement:
 
     def bar(self) -> "GroupAlgebraElement":
         """The involution sending every word to its inverse."""
-        out = {}
-        for mono, coeff in self.terms.items():
-            out[tuple(-x for x in reversed(mono))] = coeff
-        return GroupAlgebraElement(self.rank, out)
+        return GroupAlgebraElement._raw(self.rank, {
+            tuple(-x for x in reversed(mono)): coeff for mono, coeff in self.terms.items()})
 
     # -- ring operations ---------------------------------------------------
 
@@ -94,12 +119,13 @@ class GroupAlgebraElement:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         self._check_rank(other)
-        return GroupAlgebraElement(self.rank, accumulate(dict(self.terms), other.terms.items()))
+        return GroupAlgebraElement._raw(
+            self.rank, nonzero(accumulate(dict(self.terms), other.terms.items())))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GroupAlgebraElement(self.rank, {m: -c for m, c in self.terms.items()})
+        return GroupAlgebraElement._raw(self.rank, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -113,7 +139,8 @@ class GroupAlgebraElement:
 
     def scale(self, k) -> "GroupAlgebraElement":
         k = as_fraction(k)
-        return GroupAlgebraElement(self.rank, {m: k * c for m, c in self.terms.items()})
+        return GroupAlgebraElement._raw(
+            self.rank, {m: k * c for m, c in self.terms.items()} if k else {})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -121,11 +148,15 @@ class GroupAlgebraElement:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         self._check_rank(other)
-        # The constructor reduces the concatenations and merges what meets.
+        ia, den_a = _int_split(self.terms)
+        ib, den_b = _int_split(other.terms)
         out = {}
-        for ma, ca in self.terms.items():
-            accumulate(out, ((ma + mb, cb) for mb, cb in other.terms.items()), ca)
-        return GroupAlgebraElement(self.rank, out)
+        get = out.get
+        for ma, ca in ia.items():
+            for mb, cb in ib.items():
+                key = _seam(ma, mb)
+                out[key] = get(key, 0) + ca * cb
+        return GroupAlgebraElement._raw(self.rank, _int_join(out, den_a * den_b))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -159,7 +190,7 @@ def fox_derivative_left(a: GroupAlgebraElement, i: int) -> GroupAlgebraElement:
     for mono, coeff in a.terms.items():
         accumulate(out, ((mono[:p], coeff) if x == i else (mono[:p + 1], -coeff)
                          for p, x in enumerate(mono) if abs(x) == i))
-    return GroupAlgebraElement(a.rank, out)
+    return GroupAlgebraElement._raw(a.rank, nonzero(out))
 
 
 def fox_derivative_right(a: GroupAlgebraElement, i: int) -> GroupAlgebraElement:
@@ -168,7 +199,7 @@ def fox_derivative_right(a: GroupAlgebraElement, i: int) -> GroupAlgebraElement:
     for mono, coeff in a.terms.items():
         accumulate(out, ((mono[p + 1:], coeff) if x == i else (mono[p:], -coeff)
                          for p, x in enumerate(mono) if abs(x) == i))
-    return GroupAlgebraElement(a.rank, out)
+    return GroupAlgebraElement._raw(a.rank, nonzero(out))
 
 
 def fox_derivative(side: str, i: int, a: GroupAlgebraElement) -> GroupAlgebraElement:
@@ -185,12 +216,13 @@ def conjugation_sum(v: GroupAlgebraElement, u: GroupAlgebraElement) -> GroupAlge
     out = {}
     for mono, coeff in u.terms.items():
         inv = tuple(-x for x in reversed(mono))
-        accumulate(out, ((inv + mv + mono, cv) for mv, cv in v.terms.items()), coeff)
-    return GroupAlgebraElement(v.rank, out)
+        accumulate(out, ((_seam(_seam(inv, mv), mono), cv) for mv, cv in v.terms.items()),
+                   coeff)
+    return GroupAlgebraElement._raw(v.rank, nonzero(out))
 
 
 def cyclic_projection(a: GroupAlgebraElement) -> GroupAlgebraElement:
     """Replace every word by the canonical representative of its conjugacy class."""
-    return GroupAlgebraElement(a.rank, accumulate({}, (
+    return GroupAlgebraElement._raw(a.rank, nonzero(accumulate({}, (
         (GroupWord(a.rank, mono).cyclic_normal_form().letters, coeff)
-        for mono, coeff in a.terms.items())))
+        for mono, coeff in a.terms.items()))))

@@ -2,8 +2,9 @@
 
 Each suite returns {"suite": name, "checks": [{"name", "pass", ...}]}
 with a "witness" entry on failing checks when a first differing
-coefficient is available.  Randomized inputs always draw from fixed
-seeds, so reports are deterministic and byte-stable.
+coefficient is available; ``run_suite`` adds the "degree" it ran at.
+Randomized inputs always draw from fixed seeds, so reports are
+deterministic and byte-stable.
 """
 
 from __future__ import annotations
@@ -722,7 +723,10 @@ _SUITES = {
 
 
 def run_suite(name: str, degree: int = 5) -> dict:
-    """Run one named suite (or "all") at the given degree cap."""
+    """Run one named suite (or "all") at the given degree cap.
+
+    The report is {"suite": name, "degree": degree, "checks": [...]}.
+    """
     if not isinstance(degree, int) or not 2 <= degree <= 8:
         raise ValueError("degree must be an integer in 2..8")
     if name == "all":
@@ -733,10 +737,11 @@ def run_suite(name: str, degree: int = 5) -> dict:
                 flat = dict(entry)
                 flat["name"] = f"{suite_name}/{entry['name']}"
                 checks.append(flat)
-        return {"suite": "all", "checks": checks}
-    if name not in _SUITES:
+    elif name in _SUITES:
+        checks = _SUITES[name](degree)["checks"]
+    else:
         raise ValueError(f"unknown suite {name!r}")
-    return _SUITES[name](degree)
+    return {"suite": name, "degree": degree, "checks": checks}
 
 
 def report_passed(report: dict) -> bool:

@@ -11,6 +11,7 @@ from foxtwist.surfaces import SurfaceSpec
 from foxtwist.symplectic_tensor import (
     S_COEFFICIENTS,
     SymplecticExpansion,
+    _rho_table,
     basis_names,
     basis_vector,
     build_symplectic_expansion,
@@ -27,7 +28,8 @@ from foxtwist.symplectic_tensor import (
     tensorial_rho,
     verify_section9,
 )
-from foxtwist.truncated_completion import tensor_outer
+from foxtwist.group_algebra import GroupAlgebraElement
+from foxtwist.truncated_completion import embed, tensor_outer
 from foxtwist.words import GroupWord
 
 
@@ -172,6 +174,39 @@ def test_tensorial_rho_boundary_unit():
             assert tensorial_rho(h, boundary) == h
 
 
+def tensorial_rho_by_formula(u, v):
+    """The formula with s(omega) and both centred inputs built per pair."""
+    u1 = u - u.constant_term()
+    v1 = v - v.constant_term()
+    cap = min(u.cap, v.cap)
+    middle = s_of_omega(u.rank // 2, cap)
+    return contraction(u1, v1) + u1.truncate(cap) * middle * v1.truncate(cap)
+
+
+@pytest.mark.parametrize("genus,cap", [(1, 5), (2, 5)])
+def test_rho_table_matches_tensorial_rho_per_pair(genus, cap):
+    expansion = build_symplectic_expansion(genus, cap)
+    rank = 2 * genus
+    rng = random.Random(107 + genus)
+    words = [GroupWord.generator(rank, i + 1) for i in range(rank)]
+    words += [GroupWord(rank, tuple(rng.choice((1, -1)) * rng.randint(1, rank)
+                                    for _ in range(3))) for _ in range(2)]
+    thetas = [expansion.apply_hat(embed(GroupAlgebraElement.from_word(w), cap)) for w in words]
+    table = _rho_table(thetas, thetas)
+    for theta_u, row in zip(thetas, table):
+        for theta_v, got in zip(thetas, row):
+            assert got == tensorial_rho(theta_u, theta_v)
+            assert got == tensorial_rho_by_formula(theta_u, theta_v)
+
+
+def test_tensorial_rho_at_unequal_caps():
+    rng = random.Random(108)
+    u = random_tensor(rng, 4, 6, 5, 0)
+    v = random_tensor(rng, 4, 4, 5, 0)
+    assert tensorial_rho(u, v) == tensorial_rho_by_formula(u, v)
+    assert tensorial_rho(v, u) == tensorial_rho_by_formula(v, u)
+
+
 def test_expansion_build_is_deterministic_and_symplectic():
     e1 = build_symplectic_expansion(1, 5)
     e2 = build_symplectic_expansion(1, 5)
@@ -242,8 +277,19 @@ def test_section9_solves_each_input_once(monkeypatch):
     # are computed once.
     from foxtwist import symplectic_tensor, verify
 
-    calls = {"values": 0, "hat": 0}
+    # verify_section9 builds s(omega) once, and each pair costs one
+    # contraction; the suite's two rho-boundary-unit calls add one each.
+    calls = {"values": 0, "hat": 0, "s": 0, "contraction": 0}
     values, apply_hat = symplectic_tensor.derived_generator_values, SymplecticExpansion.apply_hat
+    s_of_omega_, contraction_ = symplectic_tensor.s_of_omega, symplectic_tensor.contraction
+
+    def counted_s(genus, cap):
+        calls["s"] += 1
+        return s_of_omega_(genus, cap)
+
+    def counted_contraction(u, v):
+        calls["contraction"] += 1
+        return contraction_(u, v)
 
     def counted_values(pairing, u):
         calls["values"] += 1
@@ -255,9 +301,13 @@ def test_section9_solves_each_input_once(monkeypatch):
 
     monkeypatch.setattr(symplectic_tensor, "derived_generator_values", counted_values)
     monkeypatch.setattr(SymplecticExpansion, "apply_hat", counted_hat)
+    monkeypatch.setattr(symplectic_tensor, "s_of_omega", counted_s)
+    monkeypatch.setattr(symplectic_tensor, "contraction", counted_contraction)
     report = verify.symplectic_suite(3)
     assert verify.report_passed(report)
     assert calls["values"] == 12
+    assert calls["s"] == 1 + 2
+    assert calls["contraction"] == 144 + 2
     # one theta image per input, two per pair
     assert calls["hat"] == 12 + 2 * 144
 

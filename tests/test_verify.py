@@ -25,6 +25,16 @@ def test_all_suite_prefixes_names():
     assert prefixes == set(SUITE_NAMES)
 
 
+def test_reports_record_their_degree():
+    # No check name, flag or witness changes between degrees 3 and 5,
+    # so before the degree was recorded the two reports were equal.
+    low, high = run_suite("all", 3), run_suite("all", 5)
+    assert low["degree"] == 3 and high["degree"] == 5
+    assert list(low) == ["suite", "degree", "checks"]
+    assert {**low, "degree": 5} == high
+    assert run_suite("hopf", 4)["degree"] == 4
+
+
 def test_reports_are_deterministic():
     a = run_suite("fox-laws", 3)
     b = run_suite("fox-laws", 3)
