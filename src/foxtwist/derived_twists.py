@@ -31,13 +31,22 @@ the end.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import linalg
 from .errors import DomainError, IsotropyError, NilpotencyCapExceeded
 from .fox_pairings import TRUNCATED, FoxPairing
 from .group_algebra import GroupAlgebraElement, conjugation_sum
-from .series import Substitution, TruncatedSeries, accumulate, as_fraction, frame_product, nonzero
+from .series import (
+    Substitution,
+    TruncatedSeries,
+    accumulate,
+    as_fraction,
+    frame_product,
+    nonzero,
+    power_sum,
+)
 from .truncated_completion import (
     _antipode_coproduct_monomial,
     _coproduct_monomial,
@@ -189,26 +198,19 @@ def exp_derivation(values: list):
             raise DomainError("derivation values must have no constant term")
     bound = (max((v.cap for v in values), default=2) + 1) ** 2
 
-    def apply(series: TruncatedSeries) -> TruncatedSeries:
-        total = series
-        term = series
-        j = 0
-        while not term.is_zero():
-            j += 1
-            if j > bound:
-                raise NilpotencyCapExceeded(
-                    "exp did not stabilize within %d iterations" % bound)
-            term = apply_derivation(values, term).scale(Fraction(1, j))
-            total = total + term
-        return total
+    def coefficients():
+        for j in range(bound + 1):
+            yield Fraction(1, math.factorial(j))
+        raise NilpotencyCapExceeded("exp did not stabilize within %d iterations" % bound)
 
-    return apply
+    return lambda series: power_sum(series, lambda term: apply_derivation(values, term),
+                                    coefficients())
 
 
 class TwistAutomorphism:
     """A filtered algebra automorphism stored by its generator images."""
 
-    __slots__ = ("rank", "cap", "images", "_substitution", "_inverse_images")
+    __slots__ = ("rank", "cap", "images", "_substitution")
 
     def __init__(self, rank: int, cap: int, images):
         images = tuple(images)
@@ -223,7 +225,6 @@ class TwistAutomorphism:
         self.cap = cap
         self.images = images
         self._substitution = Substitution(images)
-        self._inverse_images = {}
 
     @classmethod
     def identity(cls, rank: int, cap: int) -> "TwistAutomorphism":
@@ -239,17 +240,7 @@ class TwistAutomorphism:
         series inversion of the corresponding image."""
         if word.rank != self.rank:
             raise ValueError("rank mismatch")
-        out = TruncatedSeries.one(self.rank, self.cap)
-        for letter in word.letters:
-            if letter > 0:
-                out = out * self.images[letter - 1]
-            else:
-                inv = self._inverse_images.get(-letter)
-                if inv is None:
-                    inv = self.images[-letter - 1].inverse()
-                    self._inverse_images[-letter] = inv
-                out = out * inv
-        return out
+        return self._substitution.word(word.letters)
 
     def compose(self, other: "TwistAutomorphism") -> "TwistAutomorphism":
         """self after other."""

@@ -26,6 +26,12 @@ them truncate.  Two loops keep their own int arithmetic:
 ``series_matrix_inverse``, which keeps one denominator per degree, and
 ``symplectic_tensor.derivation_values``, a rotation scan rather than a
 product.
+
+The functional calculus of the completion is three routines:
+``power_sum`` (exp, log, s(omega) and the map of ``exp_derivation``),
+``Substitution.word`` (``embed``, both ``apply_word`` methods and the
+boundary defect of ``build_symplectic_expansion``) and
+``series_matrix_inverse``, the only inverse.
 """
 
 from __future__ import annotations
@@ -289,44 +295,24 @@ class TruncatedSeries:
 
     def inverse(self):
         """Multiplicative inverse; needs an invertible constant term."""
-        c = self.constant_term()
-        if not c:
+        if not self.constant_term():
             raise NotInvertible("series with zero constant term has no inverse")
-        # self = c * (1 - r) with r of positive filtration degree
-        r = (TruncatedSeries.one(self.rank, self.cap) - self.scale(1 / c))
-        out = TruncatedSeries.one(self.rank, self.cap)
-        power = r
-        while not power.is_zero():
-            out = out + power
-            power = power * r
-        return out.scale(1 / c)
+        return series_matrix_inverse([[self]])[0][0]
 
     def log(self):
         """log of a series with constant term 1."""
         if self.constant_term() != 1:
             raise DomainError("log needs constant term exactly 1")
         z = self - 1
-        out = TruncatedSeries.zero(self.rank, self.cap)
-        power = z
-        k = 1
-        while not power.is_zero():
-            out = out + power.scale(Fraction((-1) ** (k + 1), k))
-            power = power * z
-            k += 1
-        return out
+        return power_sum(z, lambda power: power * z,
+                         (Fraction((-1) ** k, k + 1) for k in itertools.count()))
 
     def exp(self):
         """exp of a series with constant term 0."""
         if self.constant_term():
             raise DomainError("exp needs constant term exactly 0")
-        out = TruncatedSeries.one(self.rank, self.cap)
-        power = self
-        k = 1
-        while not power.is_zero():
-            out = out + power.scale(Fraction(1, math.factorial(k)))
-            power = power * self
-            k += 1
-        return out
+        return power_sum(TruncatedSeries.one(self.rank, self.cap), lambda power: power * self,
+                         (Fraction(1, math.factorial(k)) for k in itertools.count()))
 
     def __repr__(self):
         if not self.terms:
@@ -344,21 +330,41 @@ class TruncatedSeries:
         return f"<series {' + '.join(bits)} (cap {self.cap})>"
 
 
+def power_sum(first, step, coefficients):
+    """Sum of c_k * step^k(first), k = 0, 1, ..., into one dict in place,
+    until a term vanishes or the coefficients run out.  A step that
+    changes the rank or the cap is a ValueError."""
+    out = {}
+    term = first
+    for k, c in enumerate(coefficients):
+        if k:
+            term = step(term)
+            first._check_compatible(term)
+        if term.is_zero():
+            break
+        accumulate(out, term.terms.items(), c)
+    return TruncatedSeries._raw(first.rank, first.cap, nonzero(out))
+
+
 class Substitution:
     """The algebra map X_i -> images[i] - 1 on truncated series.
 
     The images share one rank and cap.  A monomial's image is the image
     of its longest proper prefix times the image of its last letter; both
     are cached, so a dense series costs one product per new monomial.
+    ``word`` maps signed group words the same way, with x_i -> images[i]
+    and x_i^-1 -> its inverse.
     """
 
-    __slots__ = ("rank", "cap", "_images", "_prefix_cache")
+    __slots__ = ("rank", "cap", "_images", "_prefix_cache", "_word_cache")
 
     def __init__(self, images):
         self.rank = images[0].rank
         self.cap = images[0].cap
         self._images = images
         self._prefix_cache = {(): TruncatedSeries.one(self.rank, self.cap)}
+        self._word_cache = {(): self._prefix_cache[()]}
+        self._word_cache.update(((i + 1,), image) for i, image in enumerate(images))
 
     def monomial_image(self, monomial):
         cached = self._prefix_cache.get(monomial)
@@ -369,6 +375,23 @@ class Substitution:
                 cached = self.monomial_image(monomial[:-1]) * self.monomial_image(monomial[-1:])
             self._prefix_cache[monomial] = cached
         return cached
+
+    def word(self, letters):
+        """Image of the signed word: images[i - 1] for a letter i and its
+        inverse for -i.  Every prefix is cached, inverses included, so
+        each inverse is solved once."""
+        cache = self._word_cache
+        known = len(letters)
+        while letters[:known] not in cache:
+            known -= 1
+        image = cache[letters[:known]]
+        for end in range(known + 1, len(letters) + 1):
+            letter = letters[end - 1:end]
+            factor = cache.get(letter)
+            if factor is None:
+                factor = cache[letter] = self._images[-letter[0] - 1].inverse()
+            image = cache[letters[:end]] = factor if end == 1 else image * factor
+        return image
 
     def __call__(self, series):
         """Sum of coeff * image over the terms of series, at cap

@@ -27,6 +27,7 @@ from .series import (
     accumulate,
     frame_product,
     nonzero,
+    power_sum,
 )
 from .surfaces import (
     SurfaceSpec,
@@ -223,15 +224,8 @@ def derivation_pairing(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSerie
 def s_of_omega(genus: int, cap: int) -> TruncatedSeries:
     """The series s(omega) with s(z) = 1/(e^{-z} - 1) + 1/z."""
     w = omega(genus, cap)
-    total = TruncatedSeries.scalar(2 * genus, cap, S_COEFFICIENTS[0])
-    power = TruncatedSeries.one(2 * genus, cap)
-    for coefficient in S_COEFFICIENTS[1:]:
-        power = power * w
-        if power.is_zero():
-            break
-        if coefficient:
-            total = total + power.scale(coefficient)
-    return total
+    return power_sum(TruncatedSeries.one(2 * genus, cap), lambda power: power * w,
+                     S_COEFFICIENTS)
 
 
 def tensorial_rho(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
@@ -287,11 +281,7 @@ class SymplecticExpansion:
         return 2 * self.genus
 
     def apply_word(self, word: GroupWord) -> TruncatedSeries:
-        total = TruncatedSeries.one(self.rank, self.cap)
-        for letter in word.letters:
-            image = self.images[abs(letter) - 1]
-            total = total * (image if letter > 0 else image.inverse())
-        return total
+        return self._substitution.word(word.letters)
 
     def apply_hat(self, series: TruncatedSeries) -> TruncatedSeries:
         """Extend the expansion to truncated group-algebra series.
@@ -371,11 +361,8 @@ def build_symplectic_expansion(genus: int, cap: int) -> SymplecticExpansion:
     target = omega(genus, cap)
 
     def defect_series(exponents):
-        total = TruncatedSeries.one(rank, cap)
-        for letter in boundary.letters:
-            e = exponents[abs(letter) - 1]
-            total = total * (e if letter > 0 else -e).exp()
-        return total.log() + target
+        theta = Substitution([e.exp() for e in exponents])
+        return theta.word(boundary.letters).log() + target
 
     exponents = [TruncatedSeries.variable(rank, cap, i + 1) for i in range(rank)]
     if not defect_series(exponents).degree_part(2).is_zero():

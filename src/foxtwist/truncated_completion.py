@@ -1,7 +1,7 @@
 """Truncated completion of a free-group algebra and its Hopf structure.
 
-The completion map sends x_i to 1 + X_i and x_i^-1 to the geometric
-series sum (-1)^k X_i^k, then cuts at the degree cap.  Because the
+The completion map sends x_i to 1 + X_i and x_i^-1 to its inverse, the
+geometric series sum (-1)^k X_i^k, then cuts at the degree cap.  Because the
 degree filtration of a free-group algebra is faithful, an element lies
 in the m-th power of the augmentation ideal exactly when its image at
 cap m vanishes; that gives an exact membership test.
@@ -17,6 +17,7 @@ from functools import lru_cache
 
 from .group_algebra import GroupAlgebraElement
 from .series import (
+    Substitution,
     TruncatedSeries,
     accumulate,
     as_fraction,
@@ -49,27 +50,17 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def _letter_series(rank, cap, letter):
-    if letter > 0:
-        return TruncatedSeries(rank, cap, {(): 1, (letter,): 1})
-    i = -letter
-    terms = {(i,) * k: Fraction((-1) ** k) for k in range(cap)}
-    return TruncatedSeries(rank, cap, terms)
-
-
-@lru_cache(maxsize=None)
-def _word_series(rank, cap, letters):
-    if not letters:
-        return TruncatedSeries.one(rank, cap)
-    head = _word_series(rank, cap, letters[:-1])
-    return head * _letter_series(rank, cap, letters[-1])
+def _identity_substitution(rank, cap):
+    """X_i -> X_i, whose ``word`` is the completion map on group words."""
+    return Substitution([1 + TruncatedSeries.variable(rank, cap, i + 1) for i in range(rank)])
 
 
 def embed(element: GroupAlgebraElement, cap: int) -> TruncatedSeries:
     """Image of a group-algebra element in the cap-truncated completion."""
+    word = _identity_substitution(element.rank, cap).word
     out = {}
     for letters, coeff in element.terms.items():
-        accumulate(out, _word_series(element.rank, cap, letters).terms.items(), coeff)
+        accumulate(out, word(letters).terms.items(), coeff)
     return TruncatedSeries._raw(element.rank, cap, nonzero(out))
 
 
@@ -285,9 +276,13 @@ def fox_left_series(series: TruncatedSeries, index: int) -> TruncatedSeries:
     """Left Fox derivative in the completion: the part of the series whose
     monomials end with X_index, with that last letter removed.  The result
     is only trustworthy one degree lower, so the cap drops by one."""
-    return TruncatedSeries(series.rank, series.cap - 1, _strip_last(series, index).terms)
+    if series.cap < 2:
+        raise ValueError("a Fox derivative needs a degree cap of at least 2")
+    return _strip_last(series, index).truncate(series.cap - 1)
 
 
 def fox_right_series(series: TruncatedSeries, index: int) -> TruncatedSeries:
     """Right Fox derivative in the completion: strip a leading X_index."""
-    return TruncatedSeries(series.rank, series.cap - 1, _strip_first(series, index).terms)
+    if series.cap < 2:
+        raise ValueError("a Fox derivative needs a degree cap of at least 2")
+    return _strip_first(series, index).truncate(series.cap - 1)

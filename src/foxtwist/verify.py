@@ -26,7 +26,7 @@ from .group_algebra import (
     fox_derivative_left,
     fox_derivative_right,
 )
-from .series import TruncatedSeries, commutator
+from .series import TruncatedSeries, accumulate, commutator, nonzero
 from .surfaces import (
     CurveSpec,
     SurfaceSpec,
@@ -96,11 +96,11 @@ def _random_word(rng, rank, max_len, min_len=0) -> GroupWord:
 
 
 def _random_element(rng, rank, terms=3, max_len=3) -> GroupAlgebraElement:
-    total = GroupAlgebraElement.zero(rank)
+    draws = []
     for _ in range(terms):
         coeff = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2, 3]))
-        total = total + GroupAlgebraElement.from_word(_random_word(rng, rank, max_len), coeff)
-    return total
+        draws.append((_random_word(rng, rank, max_len).letters, coeff))
+    return GroupAlgebraElement._raw(rank, nonzero(accumulate({}, draws)))
 
 
 def _random_exact_pairing(rng, rank) -> FoxPairing:
