@@ -31,6 +31,11 @@ def _require(condition, message):
         raise FormatError(message)
 
 
+def _positive_int(value) -> bool:
+    """An integer >= 1; JSON true and false are not integers here."""
+    return type(value) is int and value >= 1
+
+
 def _coefficient(text) -> Fraction:
     """Exact fraction text as a Fraction.  The match has already split the
     text, so Fraction(int, int) skips a second parse of the string."""
@@ -54,7 +59,7 @@ def series_to_dict(series) -> dict:
 def series_from_dict(data, rank=None) -> TruncatedSeries:
     _require(isinstance(data, dict), "series payload must be an object")
     cap = data.get("degree_cap")
-    _require(isinstance(cap, int) and cap >= 1, "degree_cap must be a positive integer")
+    _require(_positive_int(cap), "degree_cap must be a positive integer")
     raw = data.get("terms")
     _require(isinstance(raw, list), "terms must be a list")
     terms = {}
@@ -63,7 +68,7 @@ def series_from_dict(data, rank=None) -> TruncatedSeries:
         _require(isinstance(item, dict), "each term must be an object")
         word = item.get("word")
         _require(isinstance(word, list), "term word must be a list of letters")
-        _require(all(isinstance(i, int) and i >= 1 for i in word),
+        _require(all(map(_positive_int, word)),
                  "letters must be positive integers")
         _require(len(word) < cap, "term degree reaches the cap")
         coeff = _coefficient(item.get("coeff"))
@@ -73,7 +78,7 @@ def series_from_dict(data, rank=None) -> TruncatedSeries:
         top = max(top, max(word, default=0))
     if rank is None:
         rank = max(top, 1)
-    _require(isinstance(rank, int) and rank >= 1, "rank must be a positive integer")
+    _require(_positive_int(rank), "rank must be a positive integer")
     _require(top <= rank, "letters exceed the rank")
     # Every letter, degree and coefficient is checked above, so the
     # validating constructor would only repeat the work.
@@ -99,11 +104,11 @@ def pairing_to_dict(pairing) -> dict:
 def pairing_from_dict(data) -> FoxPairing:
     _require(isinstance(data, dict), "pairing payload must be an object")
     rank = data.get("rank")
-    _require(isinstance(rank, int) and rank >= 1, "rank must be a positive integer")
+    _require(_positive_int(rank), "rank must be a positive integer")
     _require(data.get("representation") == "truncated",
              "representation must be 'truncated'")
     cap = data.get("degree_cap")
-    _require(isinstance(cap, int) and cap >= 1, "degree_cap must be a positive integer")
+    _require(_positive_int(cap), "degree_cap must be a positive integer")
     matrix = data.get("matrix")
     _require(isinstance(matrix, list) and len(matrix) == rank
              and all(isinstance(row, list) and len(row) == rank for row in matrix),
@@ -134,9 +139,9 @@ def twist_to_dict(automorphism) -> dict:
 def twist_from_dict(data) -> TwistAutomorphism:
     _require(isinstance(data, dict), "twist payload must be an object")
     rank = data.get("rank")
-    _require(isinstance(rank, int) and rank >= 1, "rank must be a positive integer")
+    _require(_positive_int(rank), "rank must be a positive integer")
     cap = data.get("degree_cap")
-    _require(isinstance(cap, int) and cap >= 1, "degree_cap must be a positive integer")
+    _require(_positive_int(cap), "degree_cap must be a positive integer")
     raw = data.get("images")
     _require(isinstance(raw, list) and len(raw) == rank, "need one image per generator")
     images = [series_from_dict(item, rank=rank) for item in raw]
@@ -162,9 +167,9 @@ def expansion_to_dict(expansion) -> dict:
 def expansion_from_dict(data) -> SymplecticExpansion:
     _require(isinstance(data, dict), "expansion payload must be an object")
     genus = data.get("genus")
-    _require(isinstance(genus, int) and genus >= 1, "genus must be a positive integer")
+    _require(_positive_int(genus), "genus must be a positive integer")
     cap = data.get("degree_cap")
-    _require(isinstance(cap, int) and cap >= 1, "degree_cap must be a positive integer")
+    _require(_positive_int(cap), "degree_cap must be a positive integer")
     raw = data.get("images")
     _require(isinstance(raw, list) and len(raw) == 2 * genus,
              "need one image per basis direction")

@@ -130,6 +130,11 @@ def frame_product(jobs, cap):
     return _int_join(out, den)
 
 
+def _check_cap(cap):
+    if not isinstance(cap, int) or cap < 1:
+        raise ValueError("degree cap must be a positive integer")
+
+
 def _checked_items(rank, cap, terms):
     """The terms below the cap as (tuple, Fraction) pairs; ValueError on a
     letter outside 1..rank."""
@@ -148,8 +153,7 @@ class TruncatedSeries:
     def __init__(self, rank, cap, terms=None):
         if not isinstance(rank, int) or rank < 1:
             raise ValueError("rank must be a positive integer")
-        if not isinstance(cap, int) or cap < 1:
-            raise ValueError("degree cap must be a positive integer")
+        _check_cap(cap)
         self.rank = rank
         self.cap = cap
         self.terms = nonzero(accumulate({}, _checked_items(rank, cap, terms or {})))
@@ -207,6 +211,7 @@ class TruncatedSeries:
         return TruncatedSeries._raw(self.rank, self.cap, kept)
 
     def truncate(self, new_cap):
+        _check_cap(new_cap)
         if new_cap > self.cap:
             raise ValueError("cannot raise a degree cap; missing terms are unknown")
         kept = {m: c for m, c in self.terms.items() if len(m) < new_cap}
@@ -281,8 +286,9 @@ class TruncatedSeries:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):

@@ -47,11 +47,7 @@ class SurfaceSpec:
 
     @property
     def names(self):
-        out = []
-        for i in range(1, self.genus + 1):
-            out.append(f"a{i}")
-            out.append(f"b{i}")
-        return out
+        return basis_names(self.genus)
 
     def name_table(self) -> dict:
         """Canonical names a1, b1, ... plus single letters a, b, c, ..."""
@@ -84,6 +80,11 @@ class CurveSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "k", as_fraction(self.k))
+
+
+def basis_names(genus: int) -> list:
+    """a1, b1, a2, b2, ...: the names of the generators in order."""
+    return [f"{letter}{i}" for i in range(1, genus + 1) for letter in "ab"]
 
 
 def intersection_form(genus: int) -> list:

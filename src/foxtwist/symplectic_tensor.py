@@ -31,6 +31,7 @@ from .series import (
 )
 from .surfaces import (
     SurfaceSpec,
+    basis_names,  # re-exported beside the symplectic basis
     first_difference,
     intersection_form,
     surface_pairing,
@@ -55,14 +56,6 @@ def _genus_of_rank(rank: int) -> int:
     if rank % 2:
         raise ValueError("H must be even-dimensional")
     return rank // 2
-
-
-def basis_names(genus: int) -> list:
-    out = []
-    for i in range(1, genus + 1):
-        out.append(f"a{i}")
-        out.append(f"b{i}")
-    return out
 
 
 def basis_vector(genus: int, index: int, cap: int) -> TruncatedSeries:

@@ -253,6 +253,17 @@ def test_exit_2_on_zero_denominator_in_a_file(tmp_path, capsys):
     assert "'1/0' is not exact fraction text" in err
 
 
+def test_exit_2_on_a_boolean_letter_in_a_file(tmp_path, capsys):
+    path = tmp_path / "nabla.json"
+    formats.write_json(path, {"degree_cap": 6, "terms": [
+        {"word": [1, 2], "coeff": "-1"},
+        {"word": [2, True], "coeff": "1"},
+    ]})
+    code, out, err = run(capsys, "twist", "--nabla", str(path), "--curve", "x1")
+    assert code == 2 and out == ""
+    assert "letters must be positive integers" in err
+
+
 def test_exit_1_on_degenerate_nabla(tmp_path, capsys):
     path = tmp_path / "nabla.json"
     # iota(b a) - 1 has a nonzero degree-1 part: no pairing exists.  Cap 6

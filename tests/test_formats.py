@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from foxtwist.derived_twists import TwistAutomorphism
+from foxtwist.fox_pairings import FoxPairing
 from foxtwist.formats import (
     FormatError,
     _coefficient,
@@ -76,6 +77,24 @@ def test_series_loader_rejects_a_letter_above_the_rank():
         series_from_dict(_one_term([2, 3], "1"), rank=2)
     with pytest.raises(FormatError):
         series_from_dict(_one_term([1], "1"), rank=0)
+
+
+def test_loaders_refuse_booleans_as_integers():
+    with pytest.raises(FormatError, match="letters must be positive integers"):
+        series_from_dict(_one_term([True, 2], "1/2"))
+    with pytest.raises(FormatError, match="degree_cap must be a positive integer"):
+        series_from_dict({"degree_cap": True, "terms": []})
+    pairing = pairing_to_dict(FoxPairing([[TruncatedSeries.one(1, 3)]]))
+    twist = twist_to_dict(TwistAutomorphism.identity(1, 3))
+    expansion = expansion_to_dict(build_symplectic_expansion(1, 3))
+    for load, doc, key in ((pairing_from_dict, pairing, "rank"),
+                           (pairing_from_dict, pairing, "degree_cap"),
+                           (twist_from_dict, twist, "rank"),
+                           (twist_from_dict, twist, "degree_cap"),
+                           (expansion_from_dict, expansion, "genus"),
+                           (expansion_from_dict, expansion, "degree_cap")):
+        with pytest.raises(FormatError, match=f"{key} must be a positive integer"):
+            load({**doc, key: True})
 
 
 def test_series_loader_rejects_a_word_at_the_cap():

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from foxtwist.derived_twists import TwistAutomorphism
 from foxtwist.errors import DomainError, NotInvertible
 from foxtwist.series import TruncatedSeries, commutator, series_matrix_inverse
+from foxtwist.surfaces import SurfaceSpec, surface_pairing
 
 
 def rand_series(rng, rank=2, cap=5, terms=4, unit=False):
@@ -125,6 +127,20 @@ def test_truncate_drops_high_degrees():
     assert t == TruncatedSeries(2, 3, {(1,): 1})
     with pytest.raises(ValueError):
         s.truncate(6)
+
+
+@pytest.mark.parametrize("new_cap", [0, -2, 2.5])
+def test_truncate_refuses_a_cap_the_constructor_refuses(new_cap):
+    with pytest.raises(ValueError, match="degree cap must be a positive integer"):
+        TruncatedSeries.one(2, 3).truncate(new_cap)
+    assert TruncatedSeries.one(2, 3).truncate(1) == TruncatedSeries.one(2, 1)
+
+
+def test_truncating_wrappers_refuse_a_cap_below_one():
+    with pytest.raises(ValueError, match="degree cap must be a positive integer"):
+        surface_pairing(SurfaceSpec(1, 3)).truncate(0)
+    with pytest.raises(ValueError, match="degree cap must be a positive integer"):
+        TwistAutomorphism.identity(2, 4).truncate(0)
 
 
 def test_pow_matches_repeated_multiplication():
