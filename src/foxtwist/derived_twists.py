@@ -48,6 +48,7 @@ from .series import (
     power_sum,
 )
 from .truncated_completion import (
+    GROUP_LETTER,
     _antipode_coproduct_monomial,
     _coproduct_monomial,
     antipode_coproduct,
@@ -106,7 +107,7 @@ def derived_generator_values(pairing: FoxPairing, u: TruncatedSeries) -> list:
     # room rule drops every leg that would not fit.
     legs = {}
     for monomial, coeff in work.terms.items():
-        for (m1, m2), mult in _coproduct_monomial(cap + 1, monomial).items():
+        for (m1, m2), mult in _coproduct_monomial(cap + 1, monomial, GROUP_LETTER).items():
             if m2:
                 filling = legs.setdefault((m2[-1] - 1, m2[:-1]), {})
                 filling[m1] = filling.get(m1, 0) + coeff * mult

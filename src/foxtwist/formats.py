@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .derived_twists import TwistAutomorphism
 from .fox_pairings import FoxPairing
-from .series import TruncatedSeries, nonzero
+from .series import TruncatedSeries, _positive_int, nonzero
 from .symplectic_tensor import SymplecticExpansion
 
 # Numerator and optional nonzero denominator of exact fraction text.
@@ -29,11 +29,6 @@ class FormatError(ValueError):
 def _require(condition, message):
     if not condition:
         raise FormatError(message)
-
-
-def _positive_int(value) -> bool:
-    """An integer >= 1; JSON true and false are not integers here."""
-    return type(value) is int and value >= 1
 
 
 def _coefficient(text) -> Fraction:

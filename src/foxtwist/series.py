@@ -130,19 +130,30 @@ def frame_product(jobs, cap):
     return _int_join(out, den)
 
 
+def _positive_int(value) -> bool:
+    """The rule for ranks, caps and letters: an int >= 1, and never a bool."""
+    return type(value) is int and value >= 1
+
+
 def _check_cap(cap):
-    if not isinstance(cap, int) or cap < 1:
+    if not _positive_int(cap):
         raise ValueError("degree cap must be a positive integer")
+
+
+def _check_shape(rank, cap):
+    if not _positive_int(rank):
+        raise ValueError("rank must be a positive integer")
+    _check_cap(cap)
 
 
 def _checked_items(rank, cap, terms):
     """The terms below the cap as (tuple, Fraction) pairs; ValueError on a
-    letter outside 1..rank."""
+    letter that is not an int in 1..rank."""
     for monomial, coeff in terms.items():
         monomial = tuple(monomial)
         if len(monomial) >= cap:
             continue
-        if any(not isinstance(i, int) or not 1 <= i <= rank for i in monomial):
+        if any(type(i) is not int or not 1 <= i <= rank for i in monomial):
             raise ValueError(f"monomial {monomial} has letters outside 1..{rank}")
         yield monomial, as_fraction(coeff)
 
@@ -151,9 +162,7 @@ class TruncatedSeries:
     __slots__ = ("rank", "cap", "terms")
 
     def __init__(self, rank, cap, terms=None):
-        if not isinstance(rank, int) or rank < 1:
-            raise ValueError("rank must be a positive integer")
-        _check_cap(cap)
+        _check_shape(rank, cap)
         self.rank = rank
         self.cap = cap
         self.terms = nonzero(accumulate({}, _checked_items(rank, cap, terms or {})))
@@ -182,7 +191,7 @@ class TruncatedSeries:
 
     @classmethod
     def variable(cls, rank, cap, index):
-        if not 1 <= index <= rank:
+        if type(index) is not int or not 1 <= index <= rank:
             raise ValueError(f"variable index {index} outside 1..{rank}")
         if cap < 2:
             return cls.zero(rank, cap)

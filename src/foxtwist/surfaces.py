@@ -179,9 +179,28 @@ def first_difference(got: TruncatedSeries, want: TruncatedSeries):
     return None
 
 
-def _series_check(name, got, want):
-    witness = first_difference(got, want)
-    return {"name": name, "pass": witness is None, "witness": witness}
+def _check(name, ok, witness=None):
+    entry = {"name": name, "pass": bool(ok)}
+    if not ok and witness is not None:
+        entry["witness"] = witness
+    return entry
+
+
+def _trials(ok_iter):
+    """Collapse an iterator of (ok, witness) into one pass/witness pair."""
+    for ok, witness in ok_iter:
+        if not ok:
+            return False, witness
+    return True, None
+
+
+def _agree(name, pairs):
+    """The check that every (got, want) series pair is equal; it fails on
+    the first pair that differs, with ``first_difference`` as witness."""
+    for got, want in pairs:
+        if got != want:
+            return _check(name, False, first_difference(got, want))
+    return _check(name, True)
 
 
 def figure_eight_scenario(k, cap: int = 5) -> dict:
@@ -224,7 +243,7 @@ def figure_eight_scenario(k, cap: int = 5) -> dict:
     )
     twist_log = sigma_log_squared(k, emb(c), ia, rho_c_alpha)
     bracket = commutator(emb(beta.inverse() * alpha).log(), ia)
-    checks = [_series_check("twist-log-bracket", twist_log, bracket.scale(2 * k))]
+    checks = [_agree("twist-log-bracket", [(twist_log, bracket.scale(2 * k))])]
 
     u = ia.log()
     v = emb(beta).log()
@@ -236,11 +255,8 @@ def figure_eight_scenario(k, cap: int = 5) -> dict:
     )
     second_slot = u + (u * u).scale(half) + (u * u * u).scale(Fraction(1, 6))
     display = commutator(first_slot, second_slot).scale(-2 * k)
-    checks.append(
-        _series_check(
-            "log-coordinate-display", twist_log.truncate(5), display.truncate(5)
-        )
-    )
+    checks.append(_agree("log-coordinate-display",
+                         [(twist_log.truncate(5), display.truncate(5))]))
 
     half_twist_sq = commutator(emb(beta * alpha).log(), ia)
     if k == 0:
@@ -270,18 +286,14 @@ def figure_eight_scenario(k, cap: int = 5) -> dict:
     values = [commutator(log_nu, emb(GroupWord.generator(rank, i + 1)))
               for i in range(rank)]
     conjugate = exp_derivation(values)
-    ok = True
-    witness = None
-    for i in range(rank):
-        x = GroupWord.generator(rank, i + 1)
-        got = conjugate(emb(x))
-        want = emb(nu * x * nu.inverse())
-        diff = first_difference(got, want)
-        if diff is not None:
-            ok = False
-            witness = dict(diff, generator=i + 1)
-            break
-    checks.append({"name": "boundary-conjugation", "pass": ok, "witness": witness})
+
+    def conjugations():
+        for i in range(rank):
+            x = GroupWord.generator(rank, i + 1)
+            diff = first_difference(conjugate(emb(x)), emb(nu * x * nu.inverse()))
+            yield diff is None, diff and dict(diff, generator=i + 1)
+
+    checks.append(_check("boundary-conjugation", *_trials(conjugations())))
 
     return {
         "scenario": "figure-eight",

@@ -3,17 +3,15 @@
 H is the degree-1 homology of a genus g surface with basis written
 a1, b1, ..., ag, bg; the completed tensor algebra reuses the sparse
 truncated-series representation, with letter i naming the i-th basis
-vector of H rather than a shifted group generator.  The coproduct here
-is the one making every letter primitive, which is why this module has
-its own group-like and primitivity tests.
+vector of H rather than a shifted group generator.  ``tensor_coproduct``
+makes every letter primitive: it is the primitive rule of the coproduct
+engine in ``truncated_completion``, whose group-like tests take it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
-from itertools import repeat
 
 from . import linalg
 from .derived_twists import apply_derivation, derived_generator_values
@@ -31,12 +29,18 @@ from .series import (
 )
 from .surfaces import (
     SurfaceSpec,
+    _agree,
     basis_names,  # re-exported beside the symplectic basis
-    first_difference,
     intersection_form,
     surface_pairing,
 )
-from .truncated_completion import TruncatedTensor, embed, tensor_outer
+from .truncated_completion import (
+    PRIMITIVE_LETTER,
+    TruncatedTensor,
+    _coproduct,
+    embed,
+    is_group_like,
+)
 from .words import GroupWord
 
 # s(z) = 1/(e^{-z} - 1) + 1/z, coefficients of z^0 .. z^5.  Caps up to 8
@@ -80,39 +84,9 @@ def omega(genus: int, cap: int) -> TruncatedSeries:
     return TruncatedSeries._raw(2 * genus, cap, terms)
 
 
-@lru_cache(maxsize=None)
-def _primitive_splits(monomial):
-    """All ways to deal the letters into two ordered hands."""
-    if not monomial:
-        return ((tuple(), tuple()),)
-    head = monomial[:1]
-    out = []
-    for left, right in _primitive_splits(monomial[1:]):
-        out.append((head + left, right))
-        out.append((left, head + right))
-    return tuple(out)
-
-
 def tensor_coproduct(series: TruncatedSeries) -> TruncatedTensor:
     """Coproduct with every basis letter primitive."""
-    terms = {}
-    for monomial, coeff in series.terms.items():
-        accumulate(terms, zip(_primitive_splits(monomial), repeat(coeff)))
-    return TruncatedTensor(series.rank, series.cap, terms)
-
-
-def is_tensor_primitive(series: TruncatedSeries) -> bool:
-    if series.constant_term():
-        return False
-    one = TruncatedSeries.one(series.rank, series.cap)
-    expected = tensor_outer(series, one) + tensor_outer(one, series)
-    return tensor_coproduct(series) == expected
-
-
-def is_tensor_group_like(series: TruncatedSeries) -> bool:
-    if series.constant_term() != 1:
-        return False
-    return tensor_coproduct(series) == tensor_outer(series, series)
+    return _coproduct(series, PRIMITIVE_LETTER)
 
 
 def cyclicize(series: TruncatedSeries) -> TruncatedSeries:
@@ -288,7 +262,7 @@ class SymplecticExpansion:
         return self.apply_word(SurfaceSpec(self.genus, self.cap).boundary_word())
 
     def is_group_like(self) -> bool:
-        return all(is_tensor_group_like(image) for image in self.images)
+        return all(is_group_like(image, tensor_coproduct) for image in self.images)
 
     def is_symplectic(self) -> bool:
         return self.boundary_image() == (-omega(self.genus, self.cap)).exp()
@@ -424,13 +398,11 @@ def verify_section9(spec: SurfaceSpec, expansion: SymplecticExpansion, cap: int,
         for (label_v, v, theta_v, _, _), rho_uv in zip(embedded, rho_u):
             left = expansion.apply_hat(apply_derivation(values_u, v))
             right = apply_derivation(tensor_values_u, theta_v)
-            witness = first_difference(left.truncate(cap), right.truncate(cap))
-            checks.append({"name": "derived-diagram-%s-%s" % (label_u, label_v),
-                           "pass": witness is None, "witness": witness})
+            checks.append(_agree("derived-diagram-%s-%s" % (label_u, label_v),
+                                 [(left.truncate(cap), right.truncate(cap))]))
             left = expansion.apply_hat(pairing.evaluate(u, v))
-            witness = first_difference(left.truncate(cap), rho_uv.truncate(cap))
-            checks.append({"name": "pairing-diagram-%s-%s" % (label_u, label_v),
-                           "pass": witness is None, "witness": witness})
+            checks.append(_agree("pairing-diagram-%s-%s" % (label_u, label_v),
+                                 [(left.truncate(cap), rho_uv.truncate(cap))]))
     return {
         "scenario": "symplectic-expansion",
         "genus": spec.genus,

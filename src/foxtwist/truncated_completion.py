@@ -6,8 +6,12 @@ degree filtration of a free-group algebra is faithful, an element lies
 in the m-th power of the augmentation ideal exactly when its image at
 cap m vanishes; that gives an exact membership test.
 
-Tensors here are truncated by total degree: a monomial pair (m1, m2)
-survives when len(m1) + len(m2) < cap.
+Tensors here are frames {(m1, m2): c}, truncated by total degree: a pair
+survives when len(m1) + len(m2) < cap.  One engine, ``_coproduct_monomial``,
+builds both coproducts from a rule for one letter X: the group rule
+X x 1 + 1 x X + X x X of ``coproduct``, under which every embedded group
+element is group-like, and the primitive rule X x 1 + 1 x X of the
+tensor algebra over H (``symplectic_tensor.tensor_coproduct``).
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ from .group_algebra import GroupAlgebraElement
 from .series import (
     Substitution,
     TruncatedSeries,
+    _check_shape,
+    _checked_items,
     accumulate,
-    as_fraction,
     commutator,
     frame_product,
     nonzero,
@@ -76,14 +81,18 @@ def fundamental_power_contains(element: GroupAlgebraElement, m: int) -> bool:
 
 
 class TruncatedTensor:
-    """Element of the completed tensor square, cut by total degree."""
+    """Frames {(left, right): c} of the completed tensor square, cut by
+    total degree; ``frame_product`` consumes them."""
 
     __slots__ = ("rank", "cap", "terms")
 
     def __init__(self, rank, cap, terms=None):
-        items = (((tuple(left), tuple(right)), as_fraction(coeff))
-                 for (left, right), coeff in (terms or {}).items()
-                 if len(left) + len(right) < cap)
+        _check_shape(rank, cap)
+        # The right side gets the room the left one leaves below the cap.
+        items = (((left, right), coeff)
+                 for (left, right), c in (terms or {}).items()
+                 for left, coeff in _checked_items(rank, cap, {left: c})
+                 for right, _ in _checked_items(rank, cap - len(left), {right: c}))
         self.rank = rank
         self.cap = cap
         self.terms = nonzero(accumulate({}, items))
@@ -95,57 +104,6 @@ class TruncatedTensor:
         self.cap = cap
         self.terms = terms
         return self
-
-    @classmethod
-    def zero(cls, rank, cap):
-        return cls._raw(rank, cap, {})
-
-    def is_zero(self):
-        return not self.terms
-
-    def items(self):
-        return self.terms.items()
-
-    def coefficient(self, left, right):
-        return self.terms.get((tuple(left), tuple(right)), Fraction(0))
-
-    def _check_compatible(self, other):
-        if self.rank != other.rank or self.cap != other.cap:
-            raise ValueError("tensor rank or degree cap mismatch")
-
-    def __add__(self, other):
-        if not isinstance(other, TruncatedTensor):
-            return NotImplemented
-        self._check_compatible(other)
-        out = accumulate(dict(self.terms), other.terms.items())
-        return TruncatedTensor._raw(self.rank, self.cap, nonzero(out))
-
-    def __neg__(self):
-        return TruncatedTensor._raw(self.rank, self.cap,
-                                    {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedTensor):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, value):
-        value = as_fraction(value)
-        if not value:
-            return TruncatedTensor.zero(self.rank, self.cap)
-        return TruncatedTensor._raw(self.rank, self.cap,
-                                    {k: c * value for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedTensor):
-            return NotImplemented
-        self._check_compatible(other)
-        out = {}
-        for (al, ar), ca in self.terms.items():
-            room = self.cap - len(al) - len(ar)
-            accumulate(out, (((al + bl, ar + br), cb) for (bl, br), cb in other.terms.items()
-                             if len(bl) + len(br) < room), ca)
-        return TruncatedTensor._raw(self.rank, self.cap, nonzero(out))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedTensor):
@@ -171,28 +129,37 @@ def tensor_outer(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedTensor:
     return TruncatedTensor._raw(a.rank, a.cap, out)
 
 
+# A letter rule lists the (left, right) copies of X in each term of Delta(X).
+GROUP_LETTER = ((1, 0), (0, 1), (1, 1))
+PRIMITIVE_LETTER = ((1, 0), (0, 1))
+
+
 @lru_cache(maxsize=None)
-def _coproduct_monomial(cap, monomial):
-    # Delta(X_i) = X_i x 1 + 1 x X_i + X_i x X_i, extended multiplicatively.
+def _coproduct_monomial(cap, monomial, rule):
+    """The letter rule extended multiplicatively to one monomial."""
     pairs = {((), ()): Fraction(1)}
     for letter in monomial:
+        shares = [((letter,) * dl, (letter,) * dr) for dl, dr in rule]
         grown = {}
         for (left, right), c in pairs.items():
-            for dl, dr in (((letter,), ()), ((), (letter,)), ((letter,), (letter,))):
+            for dl, dr in shares:
                 nl, nr = left + dl, right + dr
-                if len(nl) + len(nr) >= cap:
-                    continue
-                key = (nl, nr)
-                grown[key] = grown.get(key, 0) + c
+                if len(nl) + len(nr) < cap:
+                    grown[nl, nr] = grown.get((nl, nr), 0) + c
         pairs = grown
     return pairs
 
 
-def coproduct(series: TruncatedSeries) -> TruncatedTensor:
+def _coproduct(series, rule):
     out = {}
     for monomial, coeff in series.terms.items():
-        accumulate(out, _coproduct_monomial(series.cap, monomial).items(), coeff)
+        accumulate(out, _coproduct_monomial(series.cap, monomial, rule).items(), coeff)
     return TruncatedTensor._raw(series.rank, series.cap, nonzero(out))
+
+
+def coproduct(series: TruncatedSeries) -> TruncatedTensor:
+    """The group coproduct, under which every 1 + X_i is group-like."""
+    return _coproduct(series, GROUP_LETTER)
 
 
 @lru_cache(maxsize=None)
@@ -216,7 +183,7 @@ def antipode(series: TruncatedSeries) -> TruncatedSeries:
 @lru_cache(maxsize=None)
 def _antipode_coproduct_monomial(rank, cap, monomial):
     out = {}
-    for (left, right), mult in _coproduct_monomial(cap, monomial).items():
+    for (left, right), mult in _coproduct_monomial(cap, monomial, GROUP_LETTER).items():
         room = cap - len(right)
         accumulate(out, (((ms, right), cs) for ms, cs in _antipode_monomial(rank, cap, left).items()
                          if len(ms) < room), mult)
@@ -227,8 +194,8 @@ def antipode_coproduct(series: TruncatedSeries) -> TruncatedTensor:
     """(S x id) applied to the coproduct of the series."""
     out = {}
     for monomial, coeff in series.terms.items():
-        accumulate(out, _antipode_coproduct_monomial(series.rank, series.cap, monomial).items(),
-                   coeff)
+        frames = _antipode_coproduct_monomial(series.rank, series.cap, monomial).terms
+        accumulate(out, frames.items(), coeff)
     return TruncatedTensor._raw(series.rank, series.cap, nonzero(out))
 
 
@@ -246,16 +213,20 @@ def conjugation_sum_series(v: TruncatedSeries, u: TruncatedSeries) -> TruncatedS
     return sandwich(antipode_coproduct(u), v)
 
 
-def is_group_like(series: TruncatedSeries) -> bool:
+def is_group_like(series: TruncatedSeries, delta=None) -> bool:
+    """delta(series) == series x series; delta is the group coproduct by default."""
     if series.constant_term() != 1:
         return False
-    return coproduct(series) == tensor_outer(series, series)
+    return (delta or coproduct)(series) == tensor_outer(series, series)
 
 
-def is_primitive(series: TruncatedSeries) -> bool:
-    one = TruncatedSeries.one(series.rank, series.cap)
-    expected = tensor_outer(series, one) + tensor_outer(one, series)
-    return coproduct(series) == expected
+def is_primitive(series: TruncatedSeries, delta=None) -> bool:
+    """delta(series) == series x 1 + 1 x series; delta as in ``is_group_like``."""
+    if series.constant_term():
+        return False
+    expected = {(m, ()): c for m, c in series.terms.items()}
+    expected.update((((), m), c) for m, c in series.terms.items())
+    return (delta or coproduct)(series).terms == expected
 
 
 def _strip_last(series: TruncatedSeries, index: int) -> TruncatedSeries:

@@ -6,14 +6,14 @@ coefficient is available; ``run_suite`` adds the "degree" it ran at.
 Randomized inputs always draw from fixed seeds, so reports are
 deterministic and byte-stable.
 
-Every check is written one way.  Each entry is built by ``_check``.  A
-check over many trials collapses them with ``_trials``, which stops at
-the first (ok, witness) that fails, or with ``_agree``, which stops at
-the first (got, want) pair that differs and takes ``first_difference``
-as its witness.  Trials are generated lazily, so no input is drawn after
-the first failure.  A check calls the library's own calculus (``**``,
-``power_sum``, products) rather than a copy of it, so it tests the code
-the package runs.
+Every check is written one way, by the helpers in ``surfaces``.  Each
+entry is built by ``_check``.  A check over many trials collapses them
+with ``_trials``, which stops at the first (ok, witness) that fails, or
+with ``_agree``, which stops at the first (got, want) pair that differs
+and takes ``first_difference`` as its witness.  Trials are generated
+lazily, so no input is drawn after the first failure.  A check calls the
+library's own calculus (``**``, ``power_sum``, products) rather than a
+copy of it, so it tests the code the package runs.
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ from .series import TruncatedSeries, accumulate, commutator, nonzero, power_sum
 from .surfaces import (
     CurveSpec,
     SurfaceSpec,
+    _agree,
+    _check,
+    _trials,
     boundary_nabla,
     classical_dehn_twist,
     figure_eight_scenario,
@@ -56,8 +59,8 @@ from .symplectic_tensor import (
     basis_vector,
     build_symplectic_expansion,
     contraction,
-    is_tensor_primitive,
     omega,
+    tensor_coproduct,
     tensorial_rho,
     verify_section9,
 )
@@ -82,13 +85,6 @@ SUITE_NAMES = (
     "symplectic",
     "appendix-identities",
 )
-
-
-def _check(name, ok, witness=None):
-    entry = {"name": name, "pass": bool(ok)}
-    if not ok and witness is not None:
-        entry["witness"] = witness
-    return entry
 
 
 def _random_word(rng, rank, max_len, min_len=0) -> GroupWord:
@@ -122,23 +118,6 @@ def _random_series(rng, rank, cap, terms=4, min_degree=0) -> TruncatedSeries:
             continue
         data[monomial] = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2, 3]))
     return TruncatedSeries(rank, cap, data)
-
-
-def _trials(ok_iter):
-    """Collapse an iterator of (ok, witness) into one pass/witness pair."""
-    for ok, witness in ok_iter:
-        if not ok:
-            return False, witness
-    return True, None
-
-
-def _agree(name, pairs):
-    """The check that every (got, want) series pair is equal; it fails on
-    the first pair that differs, with ``first_difference`` as witness."""
-    for got, want in pairs:
-        if got != want:
-            return _check(name, False, first_difference(got, want))
-    return _check(name, True)
 
 
 # -- fox-laws ------------------------------------------------------------
@@ -572,7 +551,7 @@ def appendix_suite(degree: int, trials: int = 4) -> dict:
                 + commutator(u, commutator(u, v)).scale(Fraction(1, 12))
                 + commutator(v, commutator(v, u)).scale(Fraction(1, 12)))
     checks.append(_agree("bch-degree-3", [(bch.truncate(4), expected.truncate(4))]))
-    checks.append(_check("bch-lie-through-5", is_tensor_primitive(bch)))
+    checks.append(_check("bch-lie-through-5", is_primitive(bch, tensor_coproduct)))
     checks.append(_agree("bch-roundtrip", [(bch.exp(), both)]))
 
     def hadamard():

@@ -18,6 +18,7 @@ from foxtwist.series import TruncatedSeries, accumulate, frame_product, nonzero
 from foxtwist.surfaces import intersection_form
 from foxtwist.symplectic_tensor import contraction
 from foxtwist.truncated_completion import (
+    GROUP_LETTER,
     TruncatedTensor,
     _antipode_coproduct_monomial,
     _coproduct_monomial,
@@ -66,7 +67,7 @@ def derived_generator_values_by_legs(pairing, u):
     cap = min(u.cap, pairing.cap)
     g_terms = [{} for _ in range(n)]
     for monomial, coeff in u.truncate(cap).terms.items():
-        for (m1, m2), mult in _coproduct_monomial(cap + 1, monomial).items():
+        for (m1, m2), mult in _coproduct_monomial(cap + 1, monomial, GROUP_LETTER).items():
             if not m2 or len(m1) + len(m2) - 1 >= cap:
                 continue
             room = cap - len(m1)
@@ -168,7 +169,7 @@ def test_sandwich_matches_the_old_loop(genus, cap):
         filling = random_series(rng, rank, cap, rng.randint(0, 10))
         assert_exact(sandwich(tensor, filling), sandwich_by_fractions(tensor, filling))
     with pytest.raises(ValueError):
-        sandwich(TruncatedTensor.zero(rank, cap), TruncatedSeries.zero(rank, cap + 1))
+        sandwich(TruncatedTensor(rank, cap), TruncatedSeries.zero(rank, cap + 1))
 
 
 @pytest.mark.parametrize("genus, cap", GENERA_AND_CAPS)

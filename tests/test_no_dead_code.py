@@ -37,3 +37,12 @@ def test_every_function_and_class_is_referenced():
     words = corpus_words()
     dead = sorted(name for name, count in defined.items() if words[name] <= count)
     assert not dead, f"defined in src/foxtwist but referenced nowhere: {dead}"
+
+
+def test_every_exported_name_resolves():
+    import foxtwist
+    from foxtwist import truncated_completion
+
+    for module in (foxtwist, truncated_completion):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names missing objects: {missing}"

@@ -39,6 +39,25 @@ def test_constructor_validates_letters():
         TruncatedSeries(2, 0, {})
 
 
+def test_constructor_refuses_a_boolean_rank_or_cap():
+    # bool is a subclass of int, but True is not a degree cap.
+    with pytest.raises(ValueError, match="degree cap must be a positive integer"):
+        TruncatedSeries(2, True, {(): 1})
+    with pytest.raises(ValueError, match="rank must be a positive integer"):
+        TruncatedSeries(True, 3, {(): 1})
+
+
+def test_constructor_refuses_a_boolean_letter():
+    # Accepted, it would be written as "word": [true], which
+    # series_from_dict refuses to read back.
+    with pytest.raises(ValueError, match="letters outside"):
+        TruncatedSeries(2, 3, {(True,): 1})
+    with pytest.raises(ValueError, match="letters outside"):
+        TruncatedSeries(2, 3, {(1, False): 1})
+    with pytest.raises(ValueError, match="outside 1..2"):
+        TruncatedSeries.variable(2, 3, True)
+
+
 def test_ring_laws():
     rng = random.Random(41)
     for _ in range(25):
@@ -129,7 +148,7 @@ def test_truncate_drops_high_degrees():
         s.truncate(6)
 
 
-@pytest.mark.parametrize("new_cap", [0, -2, 2.5])
+@pytest.mark.parametrize("new_cap", [0, -2, 2.5, True])
 def test_truncate_refuses_a_cap_the_constructor_refuses(new_cap):
     with pytest.raises(ValueError, match="degree cap must be a positive integer"):
         TruncatedSeries.one(2, 3).truncate(new_cap)

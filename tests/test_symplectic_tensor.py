@@ -19,8 +19,6 @@ from foxtwist.symplectic_tensor import (
     cyclicize,
     derivation_pairing,
     intersection_number,
-    is_tensor_group_like,
-    is_tensor_primitive,
     lie_bracket_of_word,
     omega,
     s_of_omega,
@@ -29,8 +27,14 @@ from foxtwist.symplectic_tensor import (
     verify_section9,
 )
 from foxtwist.group_algebra import GroupAlgebraElement
-from foxtwist.truncated_completion import embed, tensor_outer
+from foxtwist.truncated_completion import (
+    TruncatedTensor,
+    embed,
+    is_group_like,
+    is_primitive,
+)
 from foxtwist.words import GroupWord
+from test_truncated_completion import tensor_product_by_fractions
 
 
 def mono(letters, cap=5, rank=2, coeff=1):
@@ -60,12 +64,43 @@ def test_omega_frozen():
         omega(1, 2)
 
 
+def primitive_splits(monomial):
+    """Oracle: all ways to deal the letters into two ordered hands."""
+    if not monomial:
+        return (((), ()),)
+    head = monomial[:1]
+    out = []
+    for left, right in primitive_splits(monomial[1:]):
+        out.append((head + left, right))
+        out.append((left, head + right))
+    return tuple(out)
+
+
+def tensor_coproduct_by_splits(series):
+    """Oracle: every split of every monomial, summed in Fractions."""
+    terms = {}
+    for monomial, coeff in series.terms.items():
+        for split in primitive_splits(monomial):
+            terms[split] = terms.get(split, 0) + coeff
+    return TruncatedTensor(series.rank, series.cap, terms)
+
+
 def test_tensor_coproduct_letters_are_primitive():
     h = basis_vector(1, 1, 4)
-    one = TruncatedSeries.one(2, 4)
-    assert tensor_coproduct(h) == tensor_outer(h, one) + tensor_outer(one, h)
-    assert is_tensor_primitive(h)
-    assert not is_tensor_primitive(h * h)
+    assert tensor_coproduct(h) == TruncatedTensor(2, 4, {((1,), ()): 1, ((), (1,)): 1})
+    assert is_primitive(h, tensor_coproduct)
+    assert not is_primitive(h * h, tensor_coproduct)
+    assert not is_primitive(1 + h, tensor_coproduct)
+
+
+@pytest.mark.parametrize("rank, cap", [(rank, cap) for rank in (2, 4) for cap in range(1, 7)])
+def test_tensor_coproduct_matches_the_split_oracle(rank, cap):
+    rng = random.Random(110 + 10 * rank + cap)
+    for _ in range(4):
+        u = random_tensor(rng, rank, cap, rng.randint(0, 8), min_degree=0)
+        got = tensor_coproduct(u)
+        assert got == tensor_coproduct_by_splits(u)
+        assert all(type(c) is Fraction for c in got.terms.values())
 
 
 def test_tensor_coproduct_is_an_algebra_map():
@@ -73,7 +108,8 @@ def test_tensor_coproduct_is_an_algebra_map():
     for _ in range(8):
         u = random_tensor(rng, cap=4)
         v = random_tensor(rng, cap=4)
-        assert tensor_coproduct(u * v) == tensor_coproduct(u) * tensor_coproduct(v)
+        assert tensor_coproduct(u * v) == tensor_product_by_fractions(
+            tensor_coproduct(u), tensor_coproduct(v))
 
 
 def test_exponentials_of_primitives_are_group_like():
@@ -81,8 +117,12 @@ def test_exponentials_of_primitives_are_group_like():
     for _ in range(5):
         p = basis_vector(1, 1, 5).scale(rng.randint(-2, 2)) + lie_bracket_of_word(
             2, 5, (2, 1)).scale(Fraction(rng.randint(-2, 2), 2))
-        assert is_tensor_primitive(p)
-        assert is_tensor_group_like(p.exp())
+        assert is_primitive(p, tensor_coproduct)
+        assert is_group_like(p.exp(), tensor_coproduct)
+    # the group coproduct tells the two structures apart
+    h = basis_vector(1, 1, 5)
+    assert not is_group_like(h.exp())
+    assert is_group_like(1 + h) and not is_group_like(1 + h, tensor_coproduct)
 
 
 def test_cyclicize_frozen():
@@ -219,7 +259,7 @@ def test_expansion_build_is_deterministic_and_symplectic():
 def test_expansion_exponents_are_primitive():
     e = build_symplectic_expansion(1, 4)
     for exponent in e.exponents:
-        assert is_tensor_primitive(exponent)
+        assert is_primitive(exponent, tensor_coproduct)
         assert exponent.exp() in e.images
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from foxtwist.group_algebra import GroupAlgebraElement
-from foxtwist.series import TruncatedSeries, commutator
+from foxtwist.series import TruncatedSeries, accumulate, commutator, nonzero
 from foxtwist.truncated_completion import (
     TruncatedTensor,
     antipode,
@@ -23,6 +23,18 @@ from foxtwist.truncated_completion import (
     tensor_outer,
 )
 from foxtwist.words import GroupWord
+
+
+def tensor_product_by_fractions(a, b):
+    """Oracle: the product of the tensor square, frame by frame in
+    Fractions, cut by total degree."""
+    assert a.rank == b.rank and a.cap == b.cap
+    out = {}
+    for (al, ar), ca in a.terms.items():
+        room = a.cap - len(al) - len(ar)
+        accumulate(out, (((al + bl, ar + br), cb) for (bl, br), cb in b.terms.items()
+                         if len(bl) + len(br) < room), ca)
+    return TruncatedTensor._raw(a.rank, a.cap, nonzero(out))
 
 
 def embed_word(letters, cap=5, rank=2):
@@ -74,8 +86,10 @@ def test_fundamental_power_detects_filtration():
 def test_coproduct_of_variable():
     x = TruncatedSeries.variable(2, 4, 1)
     one = TruncatedSeries.one(2, 4)
-    want = tensor_outer(x, one) + tensor_outer(one, x) + tensor_outer(x, x)
+    want = TruncatedTensor(2, 4, {((1,), ()): 1, ((), (1,)): 1, ((1,), (1,)): 1})
     assert coproduct(x) == want
+    assert coproduct(1 + x) == tensor_outer(1 + x, 1 + x)
+    assert coproduct(one) == tensor_outer(one, one)
 
 
 def test_coproduct_is_an_algebra_map():
@@ -83,7 +97,7 @@ def test_coproduct_is_an_algebra_map():
     for _ in range(10):
         a = random_word_series(rng, cap=4)
         b = random_word_series(rng, cap=4)
-        assert coproduct(a * b) == coproduct(a) * coproduct(b)
+        assert coproduct(a * b) == tensor_product_by_fractions(coproduct(a), coproduct(b))
 
 
 def test_group_likes_are_exactly_embedded_words():
@@ -108,6 +122,19 @@ def test_bracket_of_primitives_is_primitive():
     a = embed_word((1,)).log()
     b = embed_word((2, 1)).log()
     assert is_primitive(commutator(a, b))
+
+
+def test_group_like_tests_look_up_the_coproduct_when_called(monkeypatch):
+    # A wrapper bound over ``coproduct`` (as the benchmark tracer binds
+    # one) must see the calls that is_group_like and is_primitive make.
+    from foxtwist import truncated_completion
+
+    seen = []
+    real = truncated_completion.coproduct
+    monkeypatch.setattr(truncated_completion, "coproduct", lambda s: seen.append(s) or real(s))
+    g = embed_word((1, 2))
+    assert is_group_like(g) and is_primitive(g.log())
+    assert seen == [g, g.log()]
 
 
 def test_antipode_inverts_group_likes():
@@ -169,26 +196,31 @@ def test_strip_operations_invert_framing():
     assert fox_left_series(fox_right_series(framed, 1), 2) == e.truncate(3)
 
 
-def test_tensor_arithmetic():
-    x = TruncatedSeries.variable(2, 4, 1)
-    y = TruncatedSeries.variable(2, 4, 2)
-    one = TruncatedSeries.one(2, 4)
-    t = tensor_outer(x, y)
-    assert t + t == t.scale(2)
-    assert (t - t).is_zero()
-    assert tensor_outer(x, one) * tensor_outer(one, y) == t
-    assert TruncatedTensor.zero(2, 4) + t == t
-
-
 def test_tensor_coefficients_are_exact_rationals():
     # A float is not an exact rational: 0.1 would be stored as
     # 3602879701896397/36028797018963968.
     with pytest.raises(TypeError):
         TruncatedTensor(1, 3, {((1,), ()): 0.1})
-    tensor = TruncatedTensor(1, 3, {((1,), ()): "1/3"})
-    assert tensor.coefficient((1,), ()) == Fraction(1, 3)
-    with pytest.raises(TypeError):
-        tensor.scale(0.5)
-    assert tensor.scale("3/2").coefficient((1,), ()) == Fraction(1, 2)
+    tensor = TruncatedTensor(1, 3, {((1,), ()): "1/3", ((1,), (1, 1)): 1, ((), ()): 0})
+    assert tensor.terms == {((1,), ()): Fraction(1, 3)}
+    assert all(type(c) is Fraction for c in tensor.terms.values())
     with pytest.raises(TypeError):
         TruncatedSeries(1, 3, {(1,): 0.1})
+
+
+@pytest.mark.parametrize("rank, cap, terms", [
+    ("x", 4, {}),
+    (0, 4, {}),
+    (True, 4, {}),
+    (1, -4, {}),
+    (1, 0, {}),
+    (1, True, {}),
+    (1, 2.0, {}),
+    (1, 3, {((5,), ()): 1}),
+    (1, 3, {((), (0,)): 1}),
+    (2, 3, {((True,), ()): 1}),
+    (2, 3, {((1,), (2.0,)): 1}),
+])
+def test_tensor_constructor_rejects_bad_shapes_and_letters(rank, cap, terms):
+    with pytest.raises(ValueError):
+        TruncatedTensor(rank, cap, terms)
