@@ -62,10 +62,11 @@ def _check_budget(rank, degree, source):
 
 
 def _parse_k(text: str) -> Fraction:
+    """--k by the file formats' rule for exact fraction text, p or p/q."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"--k expects an exact fraction, got {text!r}") from None
+        return formats._coefficient(text)
+    except ValueError:
+        raise InputError(f"--k expects an exact fraction p or p/q, got {text!r}") from None
 
 
 def _load_pairing_source(args):

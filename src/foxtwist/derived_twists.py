@@ -18,15 +18,11 @@ conjugation sum of log alpha.  Group-likeness is the whole hypothesis:
 iota(alpha) and iota(x_j) are group-like by construction, so ``twist``
 skips the check that the public ``sigma_log_squared`` makes.
 
-Degree bookkeeping: sigma can drop filtration degree by two, so a general
-derived form wanted at cap M is computed from inputs at cap M + 2 and
-truncated.  A twist from a pairing at cap P is exact at cap P - 2 and is
-built there throughout.  Pairing evaluation loses one degree per operand,
-so rho(alpha, x_j) is evaluated on operands at P - 1 and lands at P - 2;
-log alpha and the generator values are formed at P - 2.  The values have
-no constant term, so the derivation never lowers degree and truncation
-commutes with it: exp runs at P - 2 as well, and nothing is truncated at
-the end.
+Caps follow the degree rule in ``fox_pairings``.  A twist from a pairing
+at cap P is built at P - 2 throughout, with rho(alpha, x_j) evaluated on
+operands at P - 1.  The values have no constant term, so the derivation
+never lowers degree: exp runs at P - 2 as well, and nothing is truncated
+at the end.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import DomainError, IsotropyError, NilpotencyCapExceeded
-from .fox_pairings import TRUNCATED, FoxPairing
+from .fox_pairings import FoxPairing
 from .group_algebra import GroupAlgebraElement, conjugation_sum
 from .series import (
     Substitution,
@@ -66,7 +62,7 @@ def derived_form_exact(pairing: FoxPairing, a: GroupAlgebraElement,
     With left=True returns the companion form b^bar(rho(a,b)) * a, which
     is the plain derived form of the transposed pairing at (b, a).
     """
-    if pairing.representation != "exact":
+    if pairing.cap is not None:
         raise ValueError("derived_form_exact needs an exact pairing")
     if left:
         return derived_form_exact(pairing.transpose(), b, a)
@@ -91,7 +87,7 @@ def derived_generator_values(pairing: FoxPairing, u: TruncatedSeries) -> list:
     computation to n conjugation kernels G_r followed by one frame
     product per value.
     """
-    if pairing.representation != TRUNCATED:
+    if pairing.cap is None:
         raise ValueError("derived_generator_values needs a truncated pairing")
     if u.rank != pairing.rank:
         raise ValueError("rank mismatch")
@@ -354,12 +350,10 @@ def twist(pairing: FoxPairing, k, alpha: GroupWord) -> TwistAutomorphism:
     the exponent is not weakly nilpotent and no automorphism exists at
     any cap.  The generator values come from the closed form
     2k * x_j * (log alpha)^rho(alpha, x_j), valid because iota(alpha) is
-    group-like.  With P the pairing cap, rho(alpha, x_j) is evaluated on
-    operands at P - 1, and the values, exp and the result all carry cap
-    P - 2, the degrees the pairing determines completely, so every stored
-    coefficient of the images is exact.
+    group-like.  By the degree rule in ``fox_pairings`` the images carry
+    cap P - 2 for a pairing at cap P, and every stored coefficient is exact.
     """
-    if pairing.representation != TRUNCATED:
+    if pairing.cap is None:
         raise ValueError("twists are built from truncated pairings")
     if alpha.rank != pairing.rank:
         raise ValueError("rank mismatch")

@@ -84,8 +84,9 @@ def series_from_dict(data, rank=None) -> TruncatedSeries:
 
 
 def pairing_to_dict(pairing) -> dict:
-    """Envelope degree_cap is the working degree, two below the entry cap."""
-    _require(pairing.representation == "truncated",
+    """Envelope degree_cap is the working degree (the degree rule in
+    ``fox_pairings``)."""
+    _require(pairing.cap is not None,
              "only truncated pairings have a file format")
     _require(pairing.cap >= 3, "pairing cap too small to serialize")
     return {

@@ -2,86 +2,113 @@
 
 A pairing is a left Fox derivative in its first slot and a right Fox
 derivative in its second slot, so it is determined by the n x n matrix of
-its values on generator pairs.  Both the exact representation (group
-algebra entries) and the truncated one (series entries, all at one degree
-cap) are supported.  Truncated evaluation loses one degree per stripped
-argument, and the nondegenerate calculus relating a pairing to its
-characteristic element nabla loses two; callers pad caps accordingly.
+its values on generator pairs: rho(a, b) = sum d_i(a) rho(x_i, x_j) d^j(b).
+
+The ring rule: a pairing lives over the ring of its entries.  Group-algebra
+entries give a pairing on Q[pi] (``cap`` is None); truncated series, all at
+one degree cap, give its image in the completion.  What depends on the
+ring -- the two Fox derivatives, the involution of ``transpose`` (bar or
+antipode), the augmentation (augmentation or counit) and the image of a
+group-algebra element -- is looked up by entry type in ``_RINGS``, so
+every method has one body for both rings.
+
+The degree rule, stated once for the package.  For entries at cap P:
+
+* evaluation loses one degree per operand: operands at caps A and B give
+  a value at min(A - 1, B - 1, P);
+* derived forms and twists lose two: a derived form wanted at cap M takes
+  inputs at M + 2, and a twist is built at P - 2 (``derived_twists``);
+* nabla <-> pairing loses two: a nabla at cap N gives a pairing at N - 2,
+  and a nabla from a pairing at P keeps only its degrees below P - 2;
+* a pairing file's ``degree_cap`` is P - 2, the degree its twists reach
+  (``formats``);
+* ``surfaces.surface_pairing`` solves from a nabla at spec.cap + 4, so its
+  entries sit at spec.cap + 2 and its twists at spec.cap.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from operator import methodcaller
+
 from . import linalg
 from .errors import NotNondegenerate
 from .group_algebra import GroupAlgebraElement, fox_derivative_left, fox_derivative_right
-from .series import TruncatedSeries, accumulate, nonzero, series_matrix_inverse
+from .series import TruncatedSeries, series_matrix_inverse
 from .truncated_completion import (
     _strip_first,
     _strip_last,
     antipode,
+    counit,
     embed,
     fox_left_series,
     fox_right_series,
 )
 from .words import GroupWord
 
-EXACT = "exact"
-TRUNCATED = "truncated"
+
+# Fox derivatives left(a, i) and right(a, i), the involution, the
+# augmentation, and image(e, like): a group-algebra element e in the ring
+# (and at the cap) of like.
+_Ring = namedtuple("_Ring", "name left right involution augmentation image")
+
+
+def _as_is(element, like=None):
+    return element
+
+
+_RINGS = {
+    GroupAlgebraElement: _Ring("exact", fox_derivative_left, fox_derivative_right,
+                               GroupAlgebraElement.bar, GroupAlgebraElement.augmentation,
+                               _as_is),
+    TruncatedSeries: _Ring("truncated", fox_left_series, fox_right_series, antipode, counit,
+                           lambda element, like: embed(element, like.cap)),
+}
 
 
 class FoxPairing:
     """A pairing given by its generator-pair value matrix."""
 
-    __slots__ = ("rank", "representation", "matrix")
+    __slots__ = ("rank", "cap", "matrix")
 
     def __init__(self, matrix):
         rows = len(matrix)
         if rows == 0 or any(len(row) != rows for row in matrix):
             raise ValueError("matrix must be square and non-empty")
         first = matrix[0][0]
-        if isinstance(first, TruncatedSeries):
-            representation = TRUNCATED
-        elif isinstance(first, GroupAlgebraElement):
-            representation = EXACT
-        else:
+        if type(first) not in _RINGS:
             raise TypeError("entries must be group-algebra elements or truncated series")
+        cap = getattr(first, "cap", None)
         for row in matrix:
             for entry in row:
-                if not isinstance(entry, type(first)):
+                if type(entry) is not type(first):
                     raise TypeError("mixed entry types")
                 if entry.rank != rows:
                     raise ValueError("entry rank must equal the matrix size")
-                if representation == TRUNCATED and entry.cap != first.cap:
+                if getattr(entry, "cap", None) != cap:
                     raise ValueError("truncated entries must share one degree cap")
         self.rank = rows
-        self.representation = representation
+        self.cap = cap
         self.matrix = tuple(tuple(row) for row in matrix)
+
+    @property
+    def _ring(self):
+        return _RINGS[type(self.matrix[0][0])]
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, rank: int) -> "FoxPairing":
-        z = GroupAlgebraElement.zero(rank)
-        return cls([[z] * rank for _ in range(rank)])
+        return cls([[GroupAlgebraElement.zero(rank)] * rank for _ in range(rank)])
 
     @classmethod
     def inner(cls, e) -> "FoxPairing":
         """The pairing (a, b) |-> (a - aug a) e (b - aug b)."""
-        rank = e.rank
-        if isinstance(e, TruncatedSeries):
-            x = [TruncatedSeries.variable(rank, e.cap, i + 1) for i in range(rank)]
-            return cls([[x[i] * e * x[j] for j in range(rank)] for i in range(rank)])
-        gens = [GroupAlgebraElement.generator(rank, i + 1) - 1 for i in range(rank)]
-        return cls([[gens[i] * e * gens[j] for j in range(rank)] for i in range(rank)])
+        n, image = e.rank, _RINGS[type(e)].image
+        gens = [image(GroupAlgebraElement.generator(n, i + 1) - 1, e) for i in range(n)]
+        return cls([[gens[i] * e * gens[j] for j in range(n)] for i in range(n)])
 
     # -- basic structure ----------------------------------------------
-
-    @property
-    def cap(self):
-        """Degree cap of the entries; None for the exact representation."""
-        if self.representation == EXACT:
-            return None
-        return self.matrix[0][0].cap
 
     def entry(self, i: int, j: int):
         """Value on the generator pair (x_i, x_j), 1-based."""
@@ -89,23 +116,19 @@ class FoxPairing:
 
     def embedded(self, cap: int) -> "FoxPairing":
         """Truncated copy of an exact pairing, entries embedded at cap."""
-        if self.representation != EXACT:
+        if self.cap is not None:
             raise ValueError("embedded() expects an exact pairing")
         return FoxPairing([[embed(e, cap) for e in row] for row in self.matrix])
 
     def truncate(self, new_cap: int) -> "FoxPairing":
-        if self.representation != TRUNCATED:
+        if self.cap is None:
             raise ValueError("truncate() expects a truncated pairing")
         return FoxPairing([[e.truncate(new_cap) for e in row] for row in self.matrix])
 
     def __add__(self, other: "FoxPairing") -> "FoxPairing":
         self._check_compatible(other)
-        return FoxPairing(
-            [
-                [self.matrix[i][j] + other.matrix[i][j] for j in range(self.rank)]
-                for i in range(self.rank)
-            ]
-        )
+        return FoxPairing([[x + y for x, y in zip(row, other_row)]
+                           for row, other_row in zip(self.matrix, other.matrix)])
 
     def __sub__(self, other: "FoxPairing") -> "FoxPairing":
         return self + other.scale(-1)
@@ -116,106 +139,77 @@ class FoxPairing:
     def __eq__(self, other):
         if not isinstance(other, FoxPairing):
             return NotImplemented
-        return (
-            self.rank == other.rank
-            and self.representation == other.representation
-            and self.matrix == other.matrix
-        )
+        return self.rank == other.rank and self.matrix == other.matrix
 
     def __hash__(self):
         entries = tuple(frozenset(e.terms.items()) for row in self.matrix for e in row)
-        return hash((self.rank, self.representation, self.cap, entries))
+        return hash((self.rank, self.cap, entries))
 
     def _check_compatible(self, other: "FoxPairing"):
-        if self.rank != other.rank or self.representation != other.representation:
+        if self.rank != other.rank or self._ring is not other._ring:
             raise ValueError("pairing mismatch")
-        if self.representation == TRUNCATED and self.cap != other.cap:
+        if self.cap != other.cap:
             raise ValueError("degree cap mismatch")
 
     def __repr__(self):
-        return "FoxPairing(rank=%d, %s%s)" % (
-            self.rank,
-            self.representation,
-            "" if self.cap is None else ", cap=%d" % self.cap,
-        )
+        cap = "" if self.cap is None else ", cap=%d" % self.cap
+        return "FoxPairing(rank=%d, %s%s)" % (self.rank, self._ring.name, cap)
 
     # -- evaluation ----------------------------------------------------
 
     def evaluate(self, a, b):
-        """Pairing value on (a, b) via generator-matrix expansion.
+        """Pairing value sum_i d_i(a) (sum_j rho(x_i, x_j) d^j(b)).
 
-        Truncated operands lose one degree to the derivative strip: the
-        result cap is min(cap(a), cap(b)) - 1, further clipped by the
-        entry cap.
+        Each inner sum over j is formed once, so an evaluation costs at
+        most n^2 + n products.  Truncated operands lose one degree to the
+        derivative strip: derivatives and entries are cut to the result
+        cap min(cap(a) - 1, cap(b) - 1, entry cap).
         """
-        if self.representation == EXACT:
-            if not isinstance(a, GroupAlgebraElement) or not isinstance(b, GroupAlgebraElement):
-                raise TypeError("exact pairing evaluates group-algebra elements")
-            total = {}
-            lefts = [fox_derivative_left(a, i + 1) for i in range(self.rank)]
-            rights = [fox_derivative_right(b, j + 1) for j in range(self.rank)]
-            for i in range(self.rank):
-                if lefts[i].is_zero():
-                    continue
-                for j in range(self.rank):
-                    if rights[j].is_zero():
-                        continue
-                    accumulate(total, (lefts[i] * self.matrix[i][j] * rights[j]).terms.items())
-            return GroupAlgebraElement._raw(self.rank, nonzero(total))
-        if not isinstance(a, TruncatedSeries) or not isinstance(b, TruncatedSeries):
-            raise TypeError("truncated pairing evaluates truncated series")
-        cap = min(a.cap - 1, b.cap - 1, self.cap)
-        if cap < 1:
-            raise ValueError("operand caps too small to evaluate a pairing")
-        total = {}
-        lefts = [fox_left_series(a, i + 1).truncate(cap) for i in range(self.rank)]
-        rights = [fox_right_series(b, j + 1).truncate(cap) for j in range(self.rank)]
-        for i in range(self.rank):
-            if lefts[i].is_zero():
-                continue
-            for j in range(self.rank):
-                if rights[j].is_zero():
-                    continue
-                product = lefts[i] * self.matrix[i][j].truncate(cap) * rights[j]
-                accumulate(total, product.terms.items())
-        return TruncatedSeries._raw(self.rank, cap, nonzero(total))
+        kind = type(self.matrix[0][0])
+        if type(a) is not kind or type(b) is not kind:
+            raise TypeError(f"a {self._ring.name} pairing evaluates {kind.__name__} operands")
+        n, ring, cut = self.rank, self._ring, _as_is
+        if self.cap is not None:
+            cap = min(a.cap - 1, b.cap - 1, self.cap)
+            if cap < 1:
+                raise ValueError("operand caps too small to evaluate a pairing")
+            cut = methodcaller("truncate", cap)
+        lefts = [cut(ring.left(a, i + 1)) for i in range(n)]
+        rights = [cut(ring.right(b, j + 1)) for j in range(n)]
+        live = [j for j in range(n) if not rights[j].is_zero()]
+        zero = lefts[0].scale(0)
+        total = zero
+        for i, left in enumerate(lefts):
+            if not left.is_zero():
+                inner = sum((cut(self.matrix[i][j]) * rights[j] for j in live), zero)
+                total = total + left * inner
+        return total
 
     def t_pairing_value(self, a: GroupWord, b: GroupWord):
         """Value of the companion pairing that is a derivation in both
         slots: on group words it is evaluate(a, b) * b^-1."""
-        if self.representation == EXACT:
-            ea = GroupAlgebraElement.from_word(a)
-            eb = GroupAlgebraElement.from_word(b)
-            return self.evaluate(ea, eb) * GroupAlgebraElement.from_word(b.inverse())
-        cap = self.cap
-        value = self.evaluate(embed(GroupAlgebraElement.from_word(a), cap),
-                              embed(GroupAlgebraElement.from_word(b), cap))
-        return value * embed(GroupAlgebraElement.from_word(b.inverse()), value.cap)
+        image, like = self._ring.image, self.matrix[0][0]
+        value = self.evaluate(image(GroupAlgebraElement.from_word(a), like),
+                              image(GroupAlgebraElement.from_word(b), like))
+        return value * image(GroupAlgebraElement.from_word(b.inverse()), value)
 
     # -- derived structure ----------------------------------------------
 
     def homological_form(self):
         """Matrix of augmentations of the generator values."""
-        if self.representation == EXACT:
-            return [[e.augmentation() for e in row] for row in self.matrix]
-        return [[e.constant_term() for e in row] for row in self.matrix]
+        augmentation = self._ring.augmentation
+        return [[augmentation(e) for e in row] for row in self.matrix]
 
     def is_nondegenerate(self) -> bool:
         return linalg.is_invertible(self.homological_form())
 
     def transpose(self) -> "FoxPairing":
         """The pairing (a, b) |-> a bar(eta(b, a)) b, on generator values."""
-        n = self.rank
-        if self.representation == EXACT:
-            gens = [GroupAlgebraElement.generator(n, i + 1) for i in range(n)]
-            return FoxPairing(
-                [[gens[i] * self.matrix[j][i].bar() * gens[j] for j in range(n)] for i in range(n)]
-            )
-        cap = self.cap
-        gens = [1 + TruncatedSeries.variable(n, cap, i + 1) for i in range(n)]
-        return FoxPairing(
-            [[gens[i] * antipode(self.matrix[j][i]) * gens[j] for j in range(n)] for i in range(n)]
-        )
+        n, ring = self.rank, self._ring
+        gens = [ring.image(GroupAlgebraElement.generator(n, i + 1), self.matrix[0][0])
+                for i in range(n)]
+        return FoxPairing([[gens[i] * ring.involution(self.matrix[j][i]) * gens[j]
+                            for j in range(n)] for i in range(n)])
 
     def is_weakly_skew(self):
         """Whether self + transpose is inner; returns (flag, witness).
@@ -232,15 +226,11 @@ class FoxPairing:
         recovered from any single entry by stripping the frame letters;
         the candidate is then checked against the whole matrix.
         """
-        if self.representation != TRUNCATED:
+        if self.cap is None:
             raise ValueError("inner-witness extraction works on truncated pairings")
-        n, cap = self.rank, self.cap
         candidate = _strip_last(_strip_first(self.matrix[0][0], 1), 1)
-        x = [TruncatedSeries.variable(n, cap, i + 1) for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if x[i] * candidate * x[j] != self.matrix[i][j]:
-                    return False, None
+        if FoxPairing.inner(candidate) != self:
+            return False, None
         return True, candidate
 
 
@@ -293,10 +283,9 @@ def nabla_of_pairing(pairing: FoxPairing) -> NablaElement:
     generator-value matrix: each term m of c_{r,s} becomes the monomial
     (r, *m, s), kept while its degree stays below the cap.  The framed
     monomials are distinct, so nothing is summed.  Output cap equals the
-    entry cap; only the degrees below cap - 2 of a round trip through
-    pairing_of_nabla are recoverable.
+    entry cap (the degree rule above).
     """
-    if pairing.representation != TRUNCATED:
+    if pairing.cap is None:
         raise ValueError("nabla is computed from a truncated pairing")
     if not pairing.is_nondegenerate():
         raise NotNondegenerate("pairing has a singular homological form")

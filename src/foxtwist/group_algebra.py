@@ -16,7 +16,8 @@ Conventions used throughout the package:
 
 The invariant: ``terms`` maps freely reduced words with letters in
 +-1..+-rank to nonzero Fractions.  The public constructor establishes it
-from arbitrary input (coercion, free reduction, merging, range check);
+from arbitrary input (the letter rule of ``words``, coefficient coercion,
+free reduction, merging);
 every operation here keeps it by construction and builds its result
 with ``_raw``.  The seam rule: a product of two reduced words can cancel
 only at the junction, so ``_seam`` reduces a + b by stripping the
@@ -28,8 +29,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import _int_join, _int_split, accumulate, as_fraction, nonzero
-from .words import GroupWord, _free_reduce
+from .series import _int_join, _int_split, _positive_int, accumulate, as_fraction, nonzero
+from .words import GroupWord, _checked_word
 
 
 def _seam(a: tuple, b: tuple) -> tuple:
@@ -47,20 +48,12 @@ class GroupAlgebraElement:
     __slots__ = ("rank", "terms")
 
     def __init__(self, rank: int, terms=None):
-        if not isinstance(rank, int) or rank < 1:
+        if not _positive_int(rank):
             raise ValueError(f"rank must be a positive integer, got {rank!r}")
-        clean = {}
-        for mono, coeff in (terms or {}).items():
-            coeff = as_fraction(coeff)
-            if not coeff:
-                continue
-            mono = _free_reduce(mono)
-            for x in mono:
-                if x == 0 or abs(x) > rank:
-                    raise ValueError(f"letter {x} out of range for rank {rank}")
-            clean[mono] = clean.get(mono, 0) + coeff
         self.rank = rank
-        self.terms = nonzero(clean)
+        self.terms = nonzero(accumulate({}, (
+            (_checked_word(rank, mono), as_fraction(coeff))
+            for mono, coeff in (terms or {}).items())))
 
     @classmethod
     def _raw(cls, rank, terms):

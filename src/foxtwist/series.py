@@ -6,7 +6,7 @@ first discarded degree.  Monomials are tuples of generator indices
 (1-based); coefficients are exact Fractions.
 
 These series model truncated completions of group algebras where
-X_i = x_i - 1; the embedding itself lives in ``completion``.
+X_i = x_i - 1; the embedding itself is ``truncated_completion.embed``.
 
 Every sparse object in the package (group-algebra elements, series,
 tensors) is a dict from keys to coefficients, and every loop that builds

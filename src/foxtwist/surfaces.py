@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .derived_twists import (
     TwistAutomorphism,
@@ -24,9 +25,6 @@ from .group_algebra import GroupAlgebraElement
 from .series import as_fraction
 from .truncated_completion import TruncatedSeries, commutator, embed
 from .words import GroupWord, parse_word
-
-_PAIRING_CACHE = {}
-
 
 @dataclass(frozen=True)
 class SurfaceSpec:
@@ -106,20 +104,13 @@ def boundary_nabla(spec: SurfaceSpec, cap=None) -> NablaElement:
     return NablaElement(embed(nu, cap) - 1)
 
 
+@lru_cache(maxsize=None)
 def surface_pairing(spec: SurfaceSpec) -> FoxPairing:
-    """The intersection pairing, solved from the boundary word.
-
-    Entries are stored two degrees above spec.cap so that downstream
-    derived forms and twists come out complete at spec.cap.  Results are
-    cached per (genus, cap).
-    """
-    key = (spec.genus, spec.cap)
-    pairing = _PAIRING_CACHE.get(key)
-    if pairing is None:
-        pairing = pairing_of_nabla(boundary_nabla(spec, spec.cap + 4))
-        if pairing.homological_form() != intersection_form(spec.genus):
-            raise AssertionError("homological form is not the symplectic matrix")
-        _PAIRING_CACHE[key] = pairing
+    """The intersection pairing, solved from the boundary word and cached
+    per spec; its caps follow the degree rule in ``fox_pairings``."""
+    pairing = pairing_of_nabla(boundary_nabla(spec, spec.cap + 4))
+    if pairing.homological_form() != intersection_form(spec.genus):
+        raise AssertionError("homological form is not the symplectic matrix")
     return pairing
 
 

@@ -2,7 +2,7 @@
 
 H is the degree-1 homology of a genus g surface with basis written
 a1, b1, ..., ag, bg; the completed tensor algebra reuses the sparse
-truncated-series representation, with letter i naming the i-th basis
+truncated-series storage, with letter i naming the i-th basis
 vector of H rather than a shifted group generator.  ``tensor_coproduct``
 makes every letter primitive: it is the primitive rule of the coproduct
 engine in ``truncated_completion``, whose group-like tests take it.

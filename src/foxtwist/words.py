@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .series import _positive_int
+
 
 def _free_reduce(letters) -> tuple:
     out = []
@@ -22,8 +24,21 @@ def _free_reduce(letters) -> tuple:
         if out and out[-1] == -x:
             del out[-1]
         else:
-            out.append(int(x))
+            out.append(x)
     return tuple(out)
+
+
+def _checked_word(rank, letters) -> tuple:
+    """The free reduction of letters, checked first and never coerced: the
+    rank follows ``series._positive_int``, and every letter is an int (not
+    a bool) with 1 <= |x| <= rank."""
+    if not _positive_int(rank):
+        raise ValueError(f"rank must be a positive integer, got {rank!r}")
+    letters = tuple(letters)
+    for x in letters:
+        if type(x) is not int or not 0 < abs(x) <= rank:
+            raise ValueError(f"letter {x!r} is not a nonzero int within rank {rank}")
+    return _free_reduce(letters)
 
 
 def letter_sort_key(letter: int) -> tuple:
@@ -36,13 +51,7 @@ class GroupWord:
     letters: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.rank, int) or self.rank < 1:
-            raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
-        reduced = _free_reduce(self.letters)
-        for x in reduced:
-            if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
-                raise ValueError(f"letter {x!r} out of range for rank {self.rank}")
-        object.__setattr__(self, "letters", reduced)
+        object.__setattr__(self, "letters", _checked_word(self.rank, self.letters))
 
     @classmethod
     def identity(cls, rank: int) -> "GroupWord":

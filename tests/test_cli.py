@@ -125,6 +125,10 @@ def test_exit_2_on_bad_inputs(capsys):
         ("twist", "--surface", "genus:1", "--curve", f"a^{MAX_WORD_LENGTH + 1}"),
         ("twist", "--surface", "genus:1", "--curve", "a", "--k", "one"),
         ("twist", "--surface", "genus:1", "--curve", "a", "--k", "1/0"),
+        # --k is exact fraction text, p or p/q: exponent notation is refused
+        # before Fraction would expand it, and decimals are refused too.
+        ("twist", "--surface", "genus:1", "--curve", "a", "--k", "1e999999999"),
+        ("twist", "--surface", "genus:1", "--curve", "a", "--k", "0.5"),
         ("verify", "--suite", "no-such-suite"),
         ("pairing", "--pairing", "does-not-exist.json"),
     ]

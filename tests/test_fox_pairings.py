@@ -7,10 +7,10 @@ import pytest
 
 from foxtwist.errors import NotNondegenerate
 from foxtwist.fox_pairings import FoxPairing, NablaElement, nabla_of_pairing, pairing_of_nabla
-from foxtwist.group_algebra import GroupAlgebraElement
-from foxtwist.series import TruncatedSeries
+from foxtwist.group_algebra import GroupAlgebraElement, fox_derivative_left, fox_derivative_right
+from foxtwist.series import TruncatedSeries, accumulate, nonzero
 from foxtwist.surfaces import SurfaceSpec, surface_pairing
-from foxtwist.truncated_completion import embed
+from foxtwist.truncated_completion import embed, fox_left_series, fox_right_series
 from foxtwist.words import GroupWord
 
 
@@ -101,7 +101,6 @@ def test_embedded_pairing_matches_exact_values():
     rng = random.Random(76)
     eta = random_exact_pairing(rng)
     truncated = eta.embedded(6)
-    assert truncated.representation == "truncated"
     assert truncated.cap == 6
     for _ in range(8):
         a = word_elem(*(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 3))))
@@ -193,3 +192,131 @@ def test_equal_pairings_hash_equally():
     rng = random.Random(91)
     exact = random_exact_pairing(rng)
     assert hash(FoxPairing([list(row) for row in exact.matrix])) == hash(exact)
+
+
+# -- one evaluate loop for both rings ----------------------------------------
+
+
+def two_branch_evaluate(pairing, a, b):
+    """The former evaluate: one branch per ring, all n^2 triple products."""
+    if pairing.cap is None:
+        total = {}
+        lefts = [fox_derivative_left(a, i + 1) for i in range(pairing.rank)]
+        rights = [fox_derivative_right(b, j + 1) for j in range(pairing.rank)]
+        for i in range(pairing.rank):
+            if lefts[i].is_zero():
+                continue
+            for j in range(pairing.rank):
+                if rights[j].is_zero():
+                    continue
+                accumulate(total, (lefts[i] * pairing.matrix[i][j] * rights[j]).terms.items())
+        return GroupAlgebraElement._raw(pairing.rank, nonzero(total))
+    cap = min(a.cap - 1, b.cap - 1, pairing.cap)
+    total = {}
+    lefts = [fox_left_series(a, i + 1).truncate(cap) for i in range(pairing.rank)]
+    rights = [fox_right_series(b, j + 1).truncate(cap) for j in range(pairing.rank)]
+    for i in range(pairing.rank):
+        if lefts[i].is_zero():
+            continue
+        for j in range(pairing.rank):
+            if rights[j].is_zero():
+                continue
+            product = lefts[i] * pairing.matrix[i][j].truncate(cap) * rights[j]
+            accumulate(total, product.terms.items())
+    return TruncatedSeries._raw(pairing.rank, cap, nonzero(total))
+
+
+def assert_same_value(got, want):
+    assert got == want
+    assert type(got) is type(want)
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def random_ring_element(rng, rank):
+    e = GroupAlgebraElement.zero(rank)
+    letters = [i for i in range(-rank, rank + 1) if i]
+    for _ in range(3):
+        word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
+        e = e + GroupAlgebraElement.from_word(GroupWord(rank, word),
+                                              Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    return e
+
+
+def seeded_exact_pairings():
+    rng = random.Random(131)
+    return [(rng, FoxPairing([[random_ring_element(rng, rank) for _ in range(rank)]
+                              for _ in range(rank)]))
+            for rank in (2, 3) for _ in range(3)]
+
+
+def test_evaluate_matches_the_two_branch_oracle_on_exact_pairings():
+    for rng, eta in seeded_exact_pairings():
+        for _ in range(6):
+            a, b = random_ring_element(rng, eta.rank), random_ring_element(rng, eta.rank)
+            assert_same_value(eta.evaluate(a, b), two_branch_evaluate(eta, a, b))
+
+
+def test_evaluate_matches_the_two_branch_oracle_on_embedded_pairings():
+    for rng, eta in seeded_exact_pairings():
+        for cap in range(2, 7):
+            truncated = eta.embedded(cap)
+            for cap_a, cap_b in ((cap, cap), (cap, cap + 1), (cap + 2, cap), (cap + 1, cap + 3)):
+                a = embed(random_ring_element(rng, eta.rank), cap_a)
+                b = embed(random_ring_element(rng, eta.rank), cap_b)
+                got = truncated.evaluate(a, b)
+                assert got.cap == min(cap_a - 1, cap_b - 1, cap)
+                assert_same_value(got, two_branch_evaluate(truncated, a, b))
+
+
+def test_evaluate_matches_the_two_branch_oracle_on_surface_pairings():
+    rng = random.Random(132)
+    for genus, cap in ((1, 5), (2, 4)):
+        pairing = surface_pairing(SurfaceSpec(genus, cap))
+        n = pairing.rank
+        for _ in range(4):
+            a = embed(random_ring_element(rng, n), pairing.cap)
+            b = embed(random_ring_element(rng, n), pairing.cap - 1)
+            assert_same_value(pairing.evaluate(a, b), two_branch_evaluate(pairing, a, b))
+
+
+def test_truncated_t_pairing_value_is_the_embedded_exact_value():
+    rng = random.Random(133)
+    for _, eta in seeded_exact_pairings():
+        for cap in (3, 5):
+            letters = [i for i in range(-eta.rank, eta.rank + 1) if i]
+            a = GroupWord(eta.rank, tuple(rng.choice(letters) for _ in range(3)))
+            b = GroupWord(eta.rank, tuple(rng.choice(letters) for _ in range(2)))
+            got = eta.embedded(cap).t_pairing_value(a, b)
+            assert got.cap == cap - 1
+            assert got == embed(eta.t_pairing_value(a, b), cap - 1)
+
+
+def test_transpose_inner_and_homological_form_commute_with_embedding():
+    rng = random.Random(134)
+    for _, eta in seeded_exact_pairings():
+        e = random_ring_element(rng, eta.rank)
+        for cap in (2, 4, 6):
+            truncated = eta.embedded(cap)
+            assert truncated.transpose() == eta.transpose().embedded(cap)
+            assert FoxPairing.inner(embed(e, cap)) == FoxPairing.inner(e).embedded(cap)
+            assert truncated.homological_form() == eta.homological_form()
+            assert all(type(v) is Fraction for row in truncated.homological_form() for v in row)
+
+
+def test_operands_from_the_other_ring_raise_type_error():
+    eta = random_exact_pairing(random.Random(135))
+    a, b = word_elem(1, 2), word_elem(-2)
+    truncated = eta.embedded(4)
+    for pairing, x, y in ((eta, embed(a, 4), embed(b, 4)), (eta, a, embed(b, 4)),
+                          (truncated, a, b), (truncated, embed(a, 4), b)):
+        with pytest.raises(TypeError):
+            pairing.evaluate(x, y)
+    with pytest.raises(ValueError):
+        eta + truncated
+
+
+def test_cap_and_repr_of_both_rings():
+    eta = random_exact_pairing(random.Random(136))
+    assert eta.cap is None and repr(eta) == "FoxPairing(rank=2, exact)"
+    assert eta.embedded(5).cap == 5
+    assert repr(eta.embedded(5)) == "FoxPairing(rank=2, truncated, cap=5)"

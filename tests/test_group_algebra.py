@@ -148,3 +148,13 @@ def test_words_iteration_uses_reduced_words():
     [(word, coeff)] = list(a.words())
     assert word.letters == (2,)
     assert coeff == 1
+
+
+def test_float_letters_are_refused_not_truncated():
+    with pytest.raises(ValueError):
+        GroupAlgebraElement(2, {(1.9,): 1})
+
+
+def test_boolean_rank_is_refused():
+    with pytest.raises(ValueError, match="rank must be a positive integer"):
+        GroupAlgebraElement(True, {})

@@ -193,3 +193,13 @@ def test_figure_eight_gap_records_the_blocking_coefficient():
     # the candidate multiple matches through degree 3 and fails at degree 4
     assert gap["witness"] is not None
     assert len(gap["witness"]["word"]) == 4
+
+
+def test_surface_pairing_cache_clears_and_refills():
+    spec = SurfaceSpec(1, 3)
+    first = surface_pairing(spec)
+    surface_pairing.cache_clear()
+    assert surface_pairing.cache_info().currsize == 0
+    again = surface_pairing(spec)
+    assert again == first and again is not first
+    assert surface_pairing.cache_info().currsize == 1

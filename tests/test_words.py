@@ -87,3 +87,20 @@ def test_parse_bounds_the_expanded_length():
     for text in (f"x1^{over}", f"x2^-{over}", f"x1^{MAX_WORD_LENGTH} x2"):
         with pytest.raises(ValueError):
             parse_word(text, 2)
+
+
+def test_float_letters_are_refused_not_truncated():
+    with pytest.raises(ValueError):
+        GroupWord(2, (1.7, 2.2))
+
+
+def test_string_letters_are_refused_not_parsed():
+    with pytest.raises(ValueError):
+        GroupWord(2, ("1",))
+
+
+def test_boolean_rank_and_letters_are_refused():
+    with pytest.raises(ValueError, match="rank must be a positive integer"):
+        GroupWord(True, (1,))
+    with pytest.raises(ValueError):
+        GroupWord(2, (True,))
