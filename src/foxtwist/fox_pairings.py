@@ -34,7 +34,7 @@ from operator import methodcaller
 from . import linalg
 from .errors import NotNondegenerate
 from .group_algebra import GroupAlgebraElement, fox_derivative_left, fox_derivative_right
-from .series import TruncatedSeries, series_matrix_inverse
+from .series import TruncatedSeries, accumulate, nonzero, series_matrix_inverse
 from .truncated_completion import (
     _strip_first,
     _strip_last,
@@ -48,9 +48,10 @@ from .words import GroupWord
 
 
 # Fox derivatives left(a, i) and right(a, i), the involution, the
-# augmentation, and image(e, like): a group-algebra element e in the ring
-# (and at the cap) of like.
-_Ring = namedtuple("_Ring", "name left right involution augmentation image")
+# augmentation, image(e, like): a group-algebra element e in the ring (and
+# at the cap) of like, and raw(terms, like): clean terms as an element of
+# like's ring and cap.
+_Ring = namedtuple("_Ring", "name left right involution augmentation image raw")
 
 
 def _as_is(element, like=None):
@@ -60,9 +61,11 @@ def _as_is(element, like=None):
 _RINGS = {
     GroupAlgebraElement: _Ring("exact", fox_derivative_left, fox_derivative_right,
                                GroupAlgebraElement.bar, GroupAlgebraElement.augmentation,
-                               _as_is),
+                               _as_is,
+                               lambda terms, like: GroupAlgebraElement._raw(like.rank, terms)),
     TruncatedSeries: _Ring("truncated", fox_left_series, fox_right_series, antipode, counit,
-                           lambda element, like: embed(element, like.cap)),
+                           lambda element, like: embed(element, like.cap),
+                           lambda terms, like: TruncatedSeries._raw(like.rank, like.cap, terms)),
 }
 
 
@@ -161,9 +164,10 @@ class FoxPairing:
         """Pairing value sum_i d_i(a) (sum_j rho(x_i, x_j) d^j(b)).
 
         Each inner sum over j is formed once, so an evaluation costs at
-        most n^2 + n products.  Truncated operands lose one degree to the
-        derivative strip: derivatives and entries are cut to the result
-        cap min(cap(a) - 1, cap(b) - 1, entry cap).
+        most n^2 + n products; both sums accumulate in place and drop
+        zeros once (the rule of ``series``).  Truncated operands lose one
+        degree to the derivative strip: derivatives and entries are cut to
+        the result cap min(cap(a) - 1, cap(b) - 1, entry cap).
         """
         kind = type(self.matrix[0][0])
         if type(a) is not kind or type(b) is not kind:
@@ -177,13 +181,14 @@ class FoxPairing:
         lefts = [cut(ring.left(a, i + 1)) for i in range(n)]
         rights = [cut(ring.right(b, j + 1)) for j in range(n)]
         live = [j for j in range(n) if not rights[j].is_zero()]
-        zero = lefts[0].scale(0)
-        total = zero
+        like, total = lefts[0], {}
         for i, left in enumerate(lefts):
             if not left.is_zero():
-                inner = sum((cut(self.matrix[i][j]) * rights[j] for j in live), zero)
-                total = total + left * inner
-        return total
+                inner = {}
+                for j in live:
+                    accumulate(inner, (cut(self.matrix[i][j]) * rights[j]).terms.items())
+                accumulate(total, (left * ring.raw(nonzero(inner), like)).terms.items())
+        return ring.raw(nonzero(total), like)
 
     def t_pairing_value(self, a: GroupWord, b: GroupWord):
         """Value of the companion pairing that is a derivation in both

@@ -29,11 +29,9 @@ def _free_reduce(letters) -> tuple:
 
 
 def _checked_word(rank, letters) -> tuple:
-    """The free reduction of letters, checked first and never coerced: the
-    rank follows ``series._positive_int``, and every letter is an int (not
-    a bool) with 1 <= |x| <= rank."""
-    if not _positive_int(rank):
-        raise ValueError(f"rank must be a positive integer, got {rank!r}")
+    """The free reduction of letters, checked first and never coerced:
+    every letter is an int (not a bool) with 1 <= |x| <= rank.  The caller
+    has already checked rank by ``series._positive_int``."""
     letters = tuple(letters)
     for x in letters:
         if type(x) is not int or not 0 < abs(x) <= rank:
@@ -51,6 +49,8 @@ class GroupWord:
     letters: tuple = ()
 
     def __post_init__(self):
+        if not _positive_int(self.rank):
+            raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
         object.__setattr__(self, "letters", _checked_word(self.rank, self.letters))
 
     @classmethod
