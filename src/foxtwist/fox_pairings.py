@@ -54,14 +54,10 @@ from .words import GroupWord
 _Ring = namedtuple("_Ring", "name left right involution augmentation image raw")
 
 
-def _as_is(element, like=None):
-    return element
-
-
 _RINGS = {
     GroupAlgebraElement: _Ring("exact", fox_derivative_left, fox_derivative_right,
                                GroupAlgebraElement.bar, GroupAlgebraElement.augmentation,
-                               _as_is,
+                               lambda element, like: element,
                                lambda terms, like: GroupAlgebraElement._raw(like.rank, terms)),
     TruncatedSeries: _Ring("truncated", fox_left_series, fox_right_series, antipode, counit,
                            lambda element, like: embed(element, like.cap),
@@ -172,7 +168,7 @@ class FoxPairing:
         kind = type(self.matrix[0][0])
         if type(a) is not kind or type(b) is not kind:
             raise TypeError(f"a {self._ring.name} pairing evaluates {kind.__name__} operands")
-        n, ring, cut = self.rank, self._ring, _as_is
+        n, ring, cut = self.rank, self._ring, lambda element: element
         if self.cap is not None:
             cap = min(a.cap - 1, b.cap - 1, self.cap)
             if cap < 1:

@@ -26,6 +26,7 @@ from .series import as_fraction
 from .truncated_completion import TruncatedSeries, commutator, embed
 from .words import GroupWord, parse_word
 
+
 @dataclass(frozen=True)
 class SurfaceSpec:
     """Genus g surface with one boundary component, computed at a degree cap."""
