@@ -249,6 +249,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a separate negative fraction such as -3/4 as an option.
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--k" and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1:i + 1] = ["--k=" + argv[i]]
     args = parser.parse_args(argv)
     if args.degree not in DEGREES:
         parser.exit(2, f"degree must be in {DEGREES.start}..{DEGREES.stop - 1}\n")

@@ -23,6 +23,10 @@ at cap P is built at P - 2 throughout, with rho(alpha, x_j) evaluated on
 operands at P - 1.  The values have no constant term, so the derivation
 never lowers degree: exp runs at P - 2 as well, and nothing is truncated
 at the end.
+
+Fractions are built where a twist hands a series on: log(alpha), each
+conjugation sum (contracted on ints) and value, and each image.  Between
+them, ``exp_derivation`` runs on ints over one growing denominator.
 """
 
 from __future__ import annotations
@@ -37,17 +41,19 @@ from .group_algebra import GroupAlgebraElement, conjugation_sum
 from .series import (
     Substitution,
     TruncatedSeries,
+    _int_join,
+    _int_split,
     accumulate,
     as_fraction,
-    frame_product,
+    frame_kernel,
     nonzero,
-    power_sum,
+    sum_powers,
 )
 from .truncated_completion import (
     GROUP_LETTER,
     _antipode_coproduct_monomial,
     _coproduct_monomial,
-    antipode_coproduct,
+    _frame_sum,
     conjugation_sum_series,
     embed,
     is_group_like,
@@ -101,25 +107,40 @@ def derived_generator_values(pairing: FoxPairing, u: TruncatedSeries) -> list:
     # its u1 legs.  Splits are enumerated one degree above the cap since
     # the strip refunds a degree; S(stem) has degree >= len(stem), so the
     # room rule drops every leg that would not fit.
+    terms, den = _int_split(work.terms)
     legs = {}
-    for monomial, coeff in work.terms.items():
+    for monomial, coeff in terms.items():
         for (m1, m2), mult in _coproduct_monomial(cap + 1, monomial, GROUP_LETTER).items():
             if m2:
                 filling = legs.setdefault((m2[-1] - 1, m2[:-1]), {})
                 filling[m1] = filling.get(m1, 0) + coeff * mult
-    jobs = [[] for _ in range(n)]
-    for (r, stem), filling in legs.items():
-        jobs[r].append((_antipode_coproduct_monomial(n, cap, stem).terms, filling))
-    kernels = [frame_product(r_jobs, cap) for r_jobs in jobs]
+    stem_frames = lambda stem: _antipode_coproduct_monomial(n, cap, stem)
+    kernels = [frame_kernel([(stem_frames(stem), filling) for (s, stem), filling in legs.items()
+                             if s == r], cap) for r in range(n)]
 
+    # Value j: (1 + X_j) times the G_r inside (S x id)Delta(entry (r, j)).
+    *entries, entry_den = _int_split(*(pairing.entry(r + 1, j + 1).truncate(cap).terms
+                                       for j in range(n) for r in range(n)))
     values = []
     for j in range(n):
-        value = frame_product(
-            [(antipode_coproduct(pairing.entry(r + 1, j + 1).truncate(cap)).terms, kernels[r])
-             for r in range(n) if kernels[r]], cap)
-        values.append((1 + TruncatedSeries.variable(n, cap, j + 1))
-                      * TruncatedSeries._raw(n, cap, value))
+        value = frame_kernel([(_frame_sum(entries[j * n + r], stem_frames), kernels[r])
+                              for r in range(n) if kernels[r]], cap)
+        value = frame_kernel([({((), ()): 1, ((j + 1,), ()): 1}, value)], cap)
+        values.append(TruncatedSeries._raw(n, cap, _int_join(value, den * entry_den)))
     return values
+
+
+def _derive(values, terms, cap):
+    """The one derivation kernel, on ints: values and terms each over their
+    own denominator, the result over the product.  Each term c * m gives,
+    for every position p, the frame (m[:p], m[p+1:]) with coefficient c to
+    the letter m[p], and each letter is one job around its value."""
+    frames = [{} for _ in values]
+    for monomial, coeff in terms.items():
+        if len(monomial) < cap:
+            for p, letter in enumerate(monomial):
+                frames[letter - 1][monomial[:p], monomial[p + 1:]] = coeff
+    return frame_kernel(zip(frames, values), cap)
 
 
 def apply_derivation(values: list, series: TruncatedSeries) -> TruncatedSeries:
@@ -127,25 +148,17 @@ def apply_derivation(values: list, series: TruncatedSeries) -> TruncatedSeries:
 
     values[i] is the image of X_{i+1}.  Result degrees are only complete
     as far as the values are; with values of filtration degree >= 1 the
-    full cap is trustworthy.
-
-    This is the one derivation kernel of the package: twists,
-    ``exp_derivation`` and both sides of the section-9 diagram run
-    through it.  Each term c * m of the series gives, for every position
-    p, the frame (m[:p], m[p+1:]) with coefficient c to the letter m[p];
-    ``frame_product`` then runs one job per letter around its value.
+    full cap is trustworthy.  Twists (through ``exp_derivation``) and
+    both sides of the section-9 diagram run on its kernel ``_derive``.
     """
     n = len(values)
     if series.rank != n:
         raise ValueError("rank mismatch")
     cap = min(series.cap, min((v.cap for v in values), default=series.cap))
-    frames = [{} for _ in range(n)]
-    for monomial, coeff in series.terms.items():
-        if len(monomial) < cap:
-            for p, letter in enumerate(monomial):
-                frames[letter - 1][monomial[:p], monomial[p + 1:]] = coeff
+    *int_values, values_den = _int_split(*(v.terms for v in values))
+    terms, den = _int_split(series.terms)
     return TruncatedSeries._raw(
-        n, cap, frame_product(zip(frames, (v.terms for v in values)), cap))
+        n, cap, _int_join(_derive(int_values, terms, cap), den * values_den))
 
 
 def derived_form_truncated(pairing: FoxPairing, u: TruncatedSeries,
@@ -194,14 +207,22 @@ def exp_derivation(values: list):
         if v.constant_term() != 0:
             raise DomainError("derivation values must have no constant term")
     bound = (max((v.cap for v in values), default=2) + 1) ** 2
+    n, cap = len(values), min((v.cap for v in values), default=0)
+    *int_values, values_den = _int_split(*(v.terms for v in values))
 
     def coefficients():
         for j in range(bound + 1):
             yield Fraction(1, math.factorial(j))
         raise NilpotencyCapExceeded("exp did not stabilize within %d iterations" % bound)
 
-    return lambda series: power_sum(series, lambda term: apply_derivation(values, term),
-                                    coefficients())
+    def mapper(series):
+        if series.rank != n or series.cap > cap:
+            raise ValueError("exp_derivation needs a series of the values' rank and cap or lower")
+        # d^j(series) on ints over den * values_den^j; the 1/j! come in at the end.
+        step = lambda terms, den: (_derive(int_values, terms, series.cap), den * values_den)
+        return sum_powers(series, step, coefficients())
+
+    return mapper
 
 
 class TwistAutomorphism:

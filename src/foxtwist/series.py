@@ -16,22 +16,21 @@ in place with ``accumulate`` (the innermost loops inline the same
 once at the end with ``nonzero``.
 
 Every product that inserts one series into the frames of another runs
-through one kernel, ``frame_product``: concatenation products,
-``truncated_completion.sandwich``, the derivation kernel
-``derived_twists.apply_derivation``, the G_r kernel of
-``derived_generator_values`` and ``symplectic_tensor.contraction``.  It
-accumulates ints over one common denominator and builds each Fraction
-once, on return, and its docstring states the room rule by which all of
-them truncate.  Two loops keep their own int arithmetic:
-``series_matrix_inverse``, which keeps one denominator per degree, and
-``symplectic_tensor.derivation_values``, a rotation scan rather than a
-product.
+through one int kernel, ``frame_kernel``, whose docstring states the room
+rule.  ``frame_product`` wraps it for Fractions (``sandwich``,
+``contraction``); callers holding ints call it directly: the conjugation
+sum on the cached int monomial tensors, ``derived_generator_values``,
+``derived_twists._derive`` (``apply_derivation`` and the steps of
+``exp_derivation``) and ``times``, the right factor of ``*``.  Two loops
+keep their own int arithmetic: ``series_matrix_inverse``, which keeps one
+denominator per degree, and ``symplectic_tensor.derivation_values``.
 
 The functional calculus of the completion is three routines:
-``power_sum`` (exp, log, s(omega) and the map of ``exp_derivation``),
-``Substitution.word`` (``embed``, both ``apply_word`` methods and the
-boundary defect of ``build_symplectic_expansion``) and
-``series_matrix_inverse``, the only inverse.
+``sum_powers`` (exp, log, s(omega), the map of ``exp_derivation``, and
+``power_sum`` for any step on series), ``Substitution.word`` (``embed``,
+both ``apply_word`` methods and the boundary defect of
+``build_symplectic_expansion``) and ``series_matrix_inverse``, the only
+inverse.
 """
 
 from __future__ import annotations
@@ -54,10 +53,11 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"expected an int, str or Fraction, got {type(value).__name__}")
 
 
-def _int_split(terms):
-    """Rewrite {monomial: Fraction} as ({monomial: int}, denominator)."""
-    den = math.lcm(*{c.denominator for c in terms.values()})
-    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+def _int_split(*dicts):
+    """The {key: Fraction} dicts as {key: int} dicts over one denominator."""
+    den = math.lcm(*{c.denominator for terms in dicts for c in terms.values()})
+    return *[{m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+             for terms in dicts], den
 
 
 def _int_join(terms, den):
@@ -86,9 +86,9 @@ def nonzero(terms):
     return {key: c for key, c in terms.items() if c}
 
 
-def frame_product(jobs, cap):
+def frame_kernel(jobs, cap):
     """Sum of c * d * (left + m + right) over the jobs (frames, filling),
-    where frames is {(left, right): c} and filling is {m: d}.
+    where frames is {(left, right): c} and filling is {m: d}, all ints.
 
     The room rule: a term survives when
 
@@ -98,36 +98,36 @@ def frame_product(jobs, cap):
     and a frame at or over the cap takes none.  Every product of the
     package truncates by this rule and no other.
 
-    Each job is split into ints, all jobs are brought to one common
-    denominator, each filling is bucketed by degree, and each Fraction
-    is built once, on return.  The result is a dict of nonzero terms.
+    Each filling is bucketed by degree; the result holds nonzero ints.
     """
-    split = []
-    for frames, filling in jobs:
-        if frames and filling:
-            iframes, frame_den = _int_split(frames)
-            ifilling, filling_den = _int_split(filling)
-            split.append((iframes, ifilling, frame_den * filling_den))
-    den = math.lcm(*(job_den for _, _, job_den in split))
     out = {}
     get = out.get
-    for iframes, ifilling, job_den in split:
-        scale = den // job_den
+    for frames, filling in jobs:
+        if not (frames and filling):
+            continue
         buckets = [[] for _ in range(cap)]
-        for m, d in ifilling.items():
+        for m, d in filling.items():
             if len(m) < cap:
-                buckets[len(m)].append((m, d * scale))
+                buckets[len(m)].append((m, d))
         # fits[room]: the filling terms of degree below room.
         fits = [[]]
         for bucket in buckets:
             fits.append(fits[-1] + bucket if bucket else fits[-1])
-        for (left, right), c in iframes.items():
+        for (left, right), c in frames.items():
             room = cap - len(left) - len(right)
             if room > 0:
                 for m, d in fits[room]:
                     key = left + m + right
                     out[key] = get(key, 0) + c * d
-    return _int_join(out, den)
+    return nonzero(out)
+
+
+def frame_product(jobs, cap):
+    """``frame_kernel`` on Fraction jobs: split, kernel, join."""
+    jobs = list(jobs)
+    *frames, frame_den = _int_split(*[frames for frames, _ in jobs])
+    *fillings, filling_den = _int_split(*[filling for _, filling in jobs])
+    return _int_join(frame_kernel(zip(frames, fillings), cap), frame_den * filling_den)
 
 
 def _positive_int(value) -> bool:
@@ -274,9 +274,8 @@ class TruncatedSeries:
             return self.scale(other)
         if isinstance(other, TruncatedSeries):
             self._check_compatible(other)
-            frames = {(m, ()): c for m, c in self.terms.items()}
-            return TruncatedSeries._raw(
-                self.rank, self.cap, frame_product([(frames, other.terms)], self.cap))
+            terms, den = times(other)(*_int_split(self.terms))
+            return TruncatedSeries._raw(self.rank, self.cap, _int_join(terms, den))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -319,15 +318,14 @@ class TruncatedSeries:
         if self.constant_term() != 1:
             raise DomainError("log needs constant term exactly 1")
         z = self - 1
-        return power_sum(z, lambda power: power * z,
-                         (Fraction((-1) ** k, k + 1) for k in itertools.count()))
+        return sum_powers(z, times(z), (Fraction((-1) ** k, k + 1) for k in itertools.count()))
 
     def exp(self):
         """exp of a series with constant term 0."""
         if self.constant_term():
             raise DomainError("exp needs constant term exactly 0")
-        return power_sum(TruncatedSeries.one(self.rank, self.cap), lambda power: power * self,
-                         (Fraction(1, math.factorial(k)) for k in itertools.count()))
+        return sum_powers(TruncatedSeries.one(self.rank, self.cap), times(self),
+                          (Fraction(1, math.factorial(k)) for k in itertools.count()))
 
     def __repr__(self):
         if not self.terms:
@@ -345,20 +343,41 @@ class TruncatedSeries:
         return f"<series {' + '.join(bits)} (cap {self.cap})>"
 
 
-def power_sum(first, step, coefficients):
-    """Sum of c_k * step^k(first), k = 0, 1, ..., into one dict in place,
-    until a term vanishes or the coefficients run out.  A step that
-    changes the rank or the cap is a ValueError."""
-    out = {}
-    term = first
+def sum_powers(first, step, coefficients):
+    """Sum of c_k * step^k(first), k = 0, 1, ..., until a term vanishes or
+    the coefficients run out, where step maps int terms over a denominator
+    to the next such pair; the c_k come in once, at the end."""
+    terms, den = _int_split(first.terms)
+    kept = []
     for k, c in enumerate(coefficients):
         if k:
-            term = step(term)
-            first._check_compatible(term)
-        if term.is_zero():
+            terms, den = step(terms, den)
+        if not terms:
             break
-        accumulate(out, term.terms.items(), c)
-    return TruncatedSeries._raw(first.rank, first.cap, nonzero(out))
+        kept.append((terms, c.numerator, den * c.denominator))
+    common = math.lcm(*(den for _, _, den in kept))
+    out = {}
+    for terms, num, den in kept:
+        accumulate(out, terms.items(), num * (common // den))
+    return TruncatedSeries._raw(first.rank, first.cap, _int_join(out, common))
+
+
+def times(factor):
+    """The int step terms -> terms * factor, of ``sum_powers`` and ``*``."""
+    right, right_den = _int_split(factor.terms)
+    return lambda terms, den: (frame_kernel([({(m, ()): c for m, c in terms.items()}, right)],
+                                            factor.cap), den * right_den)
+
+
+def power_sum(first, step, coefficients):
+    """``sum_powers`` for a step on series.  A step that changes the rank
+    or the cap is a ValueError."""
+    def int_step(terms, den):
+        term = step(TruncatedSeries._raw(first.rank, first.cap, _int_join(terms, den)))
+        first._check_compatible(term)
+        return _int_split(term.terms)
+
+    return sum_powers(first, int_step, coefficients)
 
 
 class Substitution:

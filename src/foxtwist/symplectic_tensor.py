@@ -25,7 +25,8 @@ from .series import (
     accumulate,
     frame_product,
     nonzero,
-    power_sum,
+    sum_powers,
+    times,
 )
 from .surfaces import (
     SurfaceSpec,
@@ -190,9 +191,8 @@ def derivation_pairing(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSerie
 
 def s_of_omega(genus: int, cap: int) -> TruncatedSeries:
     """The series s(omega) with s(z) = 1/(e^{-z} - 1) + 1/z."""
-    w = omega(genus, cap)
-    return power_sum(TruncatedSeries.one(2 * genus, cap), lambda power: power * w,
-                     S_COEFFICIENTS)
+    return sum_powers(TruncatedSeries.one(2 * genus, cap), times(omega(genus, cap)),
+                      S_COEFFICIENTS)
 
 
 def tensorial_rho(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:

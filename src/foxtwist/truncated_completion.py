@@ -7,11 +7,12 @@ in the m-th power of the augmentation ideal exactly when its image at
 cap m vanishes; that gives an exact membership test.
 
 Tensors here are frames {(m1, m2): c}, truncated by total degree: a pair
-survives when len(m1) + len(m2) < cap.  One engine, ``_coproduct_monomial``,
-builds both coproducts from a rule for one letter X: the group rule
-X x 1 + 1 x X + X x X of ``coproduct``, under which every embedded group
-element is group-like, and the primitive rule X x 1 + 1 x X of the
-tensor algebra over H (``symplectic_tensor.tensor_coproduct``).
+survives when len(m1) + len(m2) < cap.  One int engine,
+``_coproduct_monomial``, builds both coproducts from a rule for one
+letter X: the group rule X x 1 + 1 x X + X x X of ``coproduct``, under
+which every embedded group element is group-like, and the primitive rule
+X x 1 + 1 x X of the tensor algebra over H
+(``symplectic_tensor.tensor_coproduct``).
 """
 
 from __future__ import annotations
@@ -25,8 +26,11 @@ from .series import (
     TruncatedSeries,
     _check_shape,
     _checked_items,
+    _int_join,
+    _int_split,
     accumulate,
     commutator,
+    frame_kernel,
     frame_product,
     nonzero,
     series_matrix_inverse,
@@ -137,7 +141,7 @@ PRIMITIVE_LETTER = ((1, 0), (0, 1))
 @lru_cache(maxsize=None)
 def _coproduct_monomial(cap, monomial, rule):
     """The letter rule extended multiplicatively to one monomial."""
-    pairs = {((), ()): Fraction(1)}
+    pairs = {((), ()): 1}
     for letter in monomial:
         shares = [((letter,) * dl, (letter,) * dr) for dl, dr in rule]
         grown = {}
@@ -150,11 +154,18 @@ def _coproduct_monomial(cap, monomial, rule):
     return pairs
 
 
-def _coproduct(series, rule):
+def _frame_sum(terms, frames_of):
+    """Sum of c * frames_of(m) over int terms {m: c}, as int frames."""
     out = {}
-    for monomial, coeff in series.terms.items():
-        accumulate(out, _coproduct_monomial(series.cap, monomial, rule).items(), coeff)
-    return TruncatedTensor._raw(series.rank, series.cap, nonzero(out))
+    for monomial, coeff in terms.items():
+        accumulate(out, frames_of(monomial).items(), coeff)
+    return nonzero(out)
+
+
+def _coproduct(series, rule):
+    terms, den = _int_split(series.terms)
+    frames = _frame_sum(terms, lambda m: _coproduct_monomial(series.cap, m, rule))
+    return TruncatedTensor._raw(series.rank, series.cap, _int_join(frames, den))
 
 
 def coproduct(series: TruncatedSeries) -> TruncatedTensor:
@@ -185,18 +196,17 @@ def _antipode_coproduct_monomial(rank, cap, monomial):
     out = {}
     for (left, right), mult in _coproduct_monomial(cap, monomial, GROUP_LETTER).items():
         room = cap - len(right)
-        accumulate(out, (((ms, right), cs) for ms, cs in _antipode_monomial(rank, cap, left).items()
+        accumulate(out, (((ms, right), cs.numerator)
+                         for ms, cs in _antipode_monomial(rank, cap, left).items()
                          if len(ms) < room), mult)
-    return TruncatedTensor._raw(rank, cap, nonzero(out))
+    return nonzero(out)
 
 
 def antipode_coproduct(series: TruncatedSeries) -> TruncatedTensor:
     """(S x id) applied to the coproduct of the series."""
-    out = {}
-    for monomial, coeff in series.terms.items():
-        frames = _antipode_coproduct_monomial(series.rank, series.cap, monomial).terms
-        accumulate(out, frames.items(), coeff)
-    return TruncatedTensor._raw(series.rank, series.cap, nonzero(out))
+    terms, den = _int_split(series.terms)
+    frames = _frame_sum(terms, lambda m: _antipode_coproduct_monomial(series.rank, series.cap, m))
+    return TruncatedTensor._raw(series.rank, series.cap, _int_join(frames, den))
 
 
 def sandwich(tensor: TruncatedTensor, filling: TruncatedSeries) -> TruncatedSeries:
@@ -209,8 +219,12 @@ def sandwich(tensor: TruncatedTensor, filling: TruncatedSeries) -> TruncatedSeri
 
 def conjugation_sum_series(v: TruncatedSeries, u: TruncatedSeries) -> TruncatedSeries:
     """Truncated conjugation sum: contract (S x id) of the coproduct of u
-    around v."""
-    return sandwich(antipode_coproduct(u), v)
+    around v, on ints."""
+    u._check_compatible(v)
+    (iu, u_den), (iv, v_den) = _int_split(u.terms), _int_split(v.terms)
+    frames = _frame_sum(iu, lambda m: _antipode_coproduct_monomial(u.rank, u.cap, m))
+    return TruncatedSeries._raw(v.rank, v.cap,
+                                _int_join(frame_kernel([(frames, iv)], v.cap), u_den * v_den))
 
 
 def is_group_like(series: TruncatedSeries, delta=None) -> bool:

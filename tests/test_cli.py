@@ -115,6 +115,21 @@ def test_output_is_byte_identical_across_runs(capsys):
     assert first == second
 
 
+def test_negative_k_after_a_space_reads_as_with_equals(capsys):
+    base = ("twist", "--surface", "genus:1", "--curve", "b", "--degree", "4", "--format", "json")
+    for k in ("-3/4", "-2"):
+        code, spaced, err = run(capsys, *base, "--k", k)
+        assert code == 0, err
+        _, joined, _ = run(capsys, *base, f"--k={k}")
+        _, positive, _ = run(capsys, *base, "--k", k[1:])
+        assert spaced == joined != positive
+    # Only a negative numeral joins --k: an option after it is still an option.
+    with pytest.raises(SystemExit) as exit_info:
+        main([*base, "--k", "--format", "json"])
+    assert exit_info.value.code == 2
+    assert "--k: expected one argument" in capsys.readouterr().err
+
+
 def test_exit_2_on_bad_inputs(capsys):
     cases = [
         ("pairing", "--surface", "genus:zero"),

@@ -2,7 +2,8 @@
 
 ``series.frame_product`` serves the concatenation product, ``sandwich``,
 ``apply_derivation``, the G_r kernel of ``derived_generator_values`` and
-``contraction``.  The loops it replaced are kept here as oracles that
+``contraction``; its int core ``frame_kernel`` also serves callers that
+already hold ints.  The loops it replaced are kept here as oracles that
 accumulate Fractions term by term, and every comparison is exact
 equality on Fraction coefficients.
 """
@@ -14,7 +15,7 @@ import pytest
 
 from foxtwist.derived_twists import apply_derivation, derived_generator_values
 from foxtwist.fox_pairings import FoxPairing
-from foxtwist.series import TruncatedSeries, accumulate, frame_product, nonzero
+from foxtwist.series import TruncatedSeries, accumulate, frame_kernel, frame_product, nonzero
 from foxtwist.surfaces import intersection_form
 from foxtwist.symplectic_tensor import contraction
 from foxtwist.truncated_completion import (
@@ -73,7 +74,7 @@ def derived_generator_values_by_legs(pairing, u):
             room = cap - len(m1)
             kernel = _antipode_coproduct_monomial(n, cap, m2[:-1])
             accumulate(g_terms[m2[-1] - 1], ((s1 + m1 + s2, cs)
-                                             for (s1, s2), cs in kernel.terms.items()
+                                             for (s1, s2), cs in kernel.items()
                                              if len(s1) + len(s2) < room), coeff * mult)
     kernels = [TruncatedSeries._raw(n, cap, nonzero(terms)) for terms in g_terms]
     values = []
@@ -148,6 +149,24 @@ def test_frame_product_matches_the_naive_sum(genus, cap):
             filling = random_series(rng, rank, cap + 1, rng.choice((0, 1, 6, 12))).terms
             jobs.append((frames, filling))
         assert_exact(frame_product(jobs, cap), frame_product_by_fractions(jobs, cap))
+
+
+@pytest.mark.parametrize("rank, cap", [(rank, cap) for rank in (2, 3, 4) for cap in range(2, 7)])
+def test_int_kernel_matches_the_naive_sum(rank, cap):
+    # frame_kernel takes int numerators as they are, with no split.
+    rng = random.Random(820 + 10 * rank + cap)
+    for _ in range(6):
+        jobs = []
+        for _ in range(rng.randint(1, 4)):
+            frames = random_frames(rng, rank, cap, rng.choice((0, 1, 5, 12)))
+            filling = random_series(rng, rank, cap + 1, rng.choice((0, 1, 6, 12))).terms
+            jobs.append(({key: rng.choice((-3, -1, 1, 2, 7)) for key in frames},
+                         {m: rng.choice((-2, 1, 1, 4)) for m in filling}))
+        got = frame_kernel(jobs, cap)
+        assert all(type(c) is int and c for c in got.values())
+        as_fractions = [({key: Fraction(c) for key, c in frames.items()},
+                         {m: Fraction(d) for m, d in filling.items()}) for frames, filling in jobs]
+        assert got == frame_product_by_fractions(as_fractions, cap)
 
 
 @pytest.mark.parametrize("genus, cap", GENERA_AND_CAPS)

@@ -278,14 +278,16 @@ def test_a_non_nilpotent_derivation_stops_at_the_same_bound(cap, monkeypatch):
     x1 = TruncatedSeries.variable(1, cap, 1)
     with pytest.raises(NilpotencyCapExceeded):
         exp_derivation_by_loop([x1])(x1)
+    # Each step of the map is one call of the int derivation kernel.
     from foxtwist import derived_twists
+    derive = derived_twists._derive
     calls = []
 
-    def counted(values, s):
+    def counted(values, terms, cap):
         calls.append(1)
-        return apply_derivation(values, s)
+        return derive(values, terms, cap)
 
-    monkeypatch.setattr(derived_twists, "apply_derivation", counted)
+    monkeypatch.setattr(derived_twists, "_derive", counted)
     with pytest.raises(NilpotencyCapExceeded):
         exp_derivation([x1])(x1)
     assert len(calls) == (cap + 1) ** 2

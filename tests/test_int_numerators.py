@@ -1,0 +1,119 @@
+"""The twist path on int numerators, and Fractions at the public API.
+
+The cached monomial tensors hold ints, ``conjugation_sum_series``
+contracts an int frame sum, and the map of ``exp_derivation`` keeps its
+running term as ints over one growing denominator.  Each is compared by
+``==`` with the route it replaced, and every public result must still
+carry Fraction coefficients, also where a coefficient is exactly 1.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from foxtwist.derived_twists import (
+    apply_derivation,
+    derived_generator_values,
+    exp_derivation,
+    twist,
+)
+from foxtwist.errors import NilpotencyCapExceeded
+from foxtwist.series import TruncatedSeries, power_sum
+from foxtwist.surfaces import SurfaceSpec, surface_pairing
+from foxtwist.symplectic_tensor import tensor_coproduct
+from foxtwist.truncated_completion import (
+    GROUP_LETTER,
+    _antipode_coproduct_monomial,
+    _coproduct_monomial,
+    antipode_coproduct,
+    conjugation_sum_series,
+    coproduct,
+    sandwich,
+)
+from test_derivation_kernel import random_series
+from test_functional_calculus import exp_derivation_by_loop
+
+RANKS_AND_CAPS = [(rank, cap) for rank in (2, 3, 4) for cap in range(2, 7)]
+
+
+def unit_series(rank, cap, monomials):
+    """Every coefficient exactly 1."""
+    return TruncatedSeries(rank, cap, {m: 1 for m in monomials})
+
+
+def coefficients(result):
+    if isinstance(result, list):
+        return [c for item in result for c in coefficients(item)]
+    if hasattr(result, "images"):
+        return coefficients(list(result.images))
+    return list(result.terms.values())
+
+
+def test_cached_monomial_tensors_hold_ints():
+    for frames in (_coproduct_monomial(5, (1, 2, 1), GROUP_LETTER),
+                   _antipode_coproduct_monomial(2, 5, (1, 2))):
+        assert frames and all(type(c) is int and c for c in frames.values())
+
+
+def test_public_results_carry_fractions_where_a_coefficient_is_one():
+    rank, cap = 2, 5
+    s = unit_series(rank, cap, [(), (1,), (1, 2), (2, 2, 1)])
+    x1 = unit_series(rank, cap, [(1,)])
+    values = [unit_series(rank, cap, [(2,)]), unit_series(rank, cap, [(1, 1)])]
+    spec = SurfaceSpec(1, 5)
+    results = {
+        "coproduct": coproduct(s),
+        "tensor_coproduct": tensor_coproduct(s),
+        "antipode_coproduct": antipode_coproduct(s),
+        "sandwich": sandwich(coproduct(s), x1),
+        "conjugation_sum_series": conjugation_sum_series(x1, s),
+        "apply_derivation": apply_derivation(values, s),
+        "exp_derivation": exp_derivation(values)(s),
+        "exp": x1.exp(),
+        "log": (1 + x1).log(),
+        "power_sum": power_sum(s, lambda term: term * x1, [1, 1, 1]),
+        "derived_generator_values": derived_generator_values(surface_pairing(spec), s),
+        "twist": twist(surface_pairing(spec), 1, spec.parse_curve("b")),
+    }
+    for name, result in results.items():
+        found = coefficients(result)
+        assert found, name
+        assert Fraction(1) in found, name
+        assert all(type(c) is Fraction for c in found), name
+
+
+@pytest.mark.parametrize("rank, cap", RANKS_AND_CAPS)
+def test_int_conjugation_sum_matches_the_sandwich_route(rank, cap):
+    rng = random.Random(1300 + 10 * rank + cap)
+    for _ in range(4):
+        u = random_series(rng, rank, cap, rng.randint(0, 8))
+        v = random_series(rng, rank, cap, rng.randint(0, 8))
+        assert conjugation_sum_series(v, u) == sandwich(antipode_coproduct(u), v)
+    ones = unit_series(rank, cap, [(), (1,), (2, 1)][:cap])
+    assert conjugation_sum_series(ones, ones) == sandwich(antipode_coproduct(ones), ones)
+    with pytest.raises(ValueError):
+        conjugation_sum_series(ones, TruncatedSeries.one(rank, cap + 1))
+
+
+def outcome(mapper, series):
+    try:
+        return mapper(series)
+    except NilpotencyCapExceeded:
+        return "not nilpotent"
+
+
+@pytest.mark.parametrize("rank, cap", RANKS_AND_CAPS)
+def test_int_exp_derivation_matches_the_copying_loop(rank, cap):
+    # Values of degree 1 may keep degree, and then both maps must give up.
+    rng = random.Random(1350 + 10 * rank + cap)
+    for min_degree in range(1, min(cap, 3)):
+        values = [random_series(rng, rank, cap, 3, min_degree=min_degree) for _ in range(rank)]
+        mapper, oracle = exp_derivation(values), exp_derivation_by_loop(values)
+        for _ in range(3):
+            s = random_series(rng, rank, cap, 6)
+            got = outcome(mapper, s)
+            assert got == outcome(oracle, s)
+            if min_degree == 2:
+                assert all(type(c) is Fraction for c in got.terms.values())
+        assert mapper(TruncatedSeries.zero(rank, cap)).is_zero()
