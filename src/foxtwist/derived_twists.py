@@ -25,8 +25,8 @@ never lowers degree: exp runs at P - 2 as well, and nothing is truncated
 at the end.
 
 Fractions are built where a twist hands a series on: log(alpha), each
-conjugation sum (contracted on ints) and value, and each image.  Between
-them, ``exp_derivation`` runs on ints over one growing denominator.
+value (x_j and 2k multiply its conjugation sum on ints) and each image.
+Between them, ``exp_derivation`` runs on ints over one growing denominator.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from .truncated_completion import (
     GROUP_LETTER,
     _antipode_coproduct_monomial,
     _coproduct_monomial,
+    _conjugation_sum,
     _frame_sum,
-    conjugation_sum_series,
     embed,
     is_group_like,
 )
@@ -176,7 +176,12 @@ def _sigma_log_squared_closed_form(k: Fraction, log_a: TruncatedSeries,
     Equals sigma(k log^2(a), b) only when a and b are group-like; callers
     either check that or know it by construction.
     """
-    return (b * conjugation_sum_series(log_a, rho_ab)).scale(2 * k)
+    b._check_compatible(log_a)
+    terms, den = _conjugation_sum(log_a, rho_ab)
+    (left, left_den), scale = _int_split(b.terms), 2 * k
+    frames = {(m, ()): c * scale.numerator for m, c in left.items()}
+    return TruncatedSeries._raw(b.rank, b.cap, _int_join(
+        frame_kernel([(frames, terms)], b.cap), den * left_den * scale.denominator))
 
 
 def sigma_log_squared(k, a: TruncatedSeries, b: TruncatedSeries, rho_ab) -> TruncatedSeries:

@@ -18,6 +18,8 @@ The degree rule, stated once for the package.  For entries at cap P:
   a value at min(A - 1, B - 1, P);
 * derived forms and twists lose two: a derived form wanted at cap M takes
   inputs at M + 2, and a twist is built at P - 2 (``derived_twists``);
+* a contraction loses two, and a derivation whose values have constant
+  terms loses one (``symplectic_tensor.verify_section9``);
 * nabla <-> pairing loses two: a nabla at cap N gives a pairing at N - 2,
   and a nabla from a pairing at P keeps only its degrees below P - 2;
 * a pairing file's ``degree_cap`` is P - 2, the degree its twists reach

@@ -3,12 +3,13 @@
 The dense routines work on lists of lists of Fractions and invert the
 small square matrices of homological forms and constant terms.
 ``solve_sparse`` eliminates large, sparse rectangular systems whose rows
-are dicts; its answer is fixed by a pivot rule, not by the elimination
-order, so it is deterministic.
+are dicts on ints, fraction-free; its answer is fixed by a pivot rule,
+not by the elimination order, so it is deterministic.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from fractions import Fraction
 
@@ -50,21 +51,28 @@ def solve_sparse(rows: dict, rhs: dict, columns: int):
     """One exact solution of A x = b, or None if the system is inconsistent.
 
     ``rows`` maps a row key to the nonzero entries {column: value} of that
-    row of A, with columns numbered 0 .. columns - 1; ``rhs`` maps row keys
-    to b (a key missing from ``rows`` is an all-zero row).  The pivot
-    columns are the columns taken left to right that are not combinations
-    of earlier ones, and free variables are 0.  That rule fixes the answer
-    uniquely, whatever row each pivot is eliminated with: here the
-    shortest remaining row holding the column, so fill-in stays small.
+    row of A, with columns numbered 0 .. columns - 1 (others are a
+    ValueError); ``rhs`` maps row keys to b (a key missing from ``rows``
+    is an all-zero row).  The pivot columns are the columns taken left to
+    right that are not combinations of earlier ones, and free variables
+    are 0.  That rule fixes the answer uniquely, whatever row each pivot
+    is eliminated with: here the shortest remaining row holding the
+    column, so fill-in stays small.  Rows are scaled to ints once and
+    eliminated by cross-multiplication, each updated row divided by its
+    content; Fractions appear only in back-substitution.
     """
-    active = {key: {c: Fraction(v) for c, v in row.items() if v}
-              for key, row in rows.items()}
-    b = {key: Fraction(rhs.get(key, 0)) for key in active}
-    if any(v and key not in active for key, v in rhs.items()):
+    if any(not 0 <= c < columns for row in rows.values() for c in row):
+        raise ValueError("column index outside 0..%d" % (columns - 1))
+    if any(v and key not in rows for key, v in rhs.items()):
         return None
+    active, b = {}, {}
     holders = defaultdict(set)  # column -> keys of unpivoted rows using it
-    for key, row in active.items():
-        for c in row:
+    for key, row in rows.items():
+        value = rhs.get(key, 0)
+        den = math.lcm(value.denominator, *(v.denominator for v in row.values()))
+        active[key] = {c: int(v * den) for c, v in row.items() if v}
+        b[key] = int(value * den)
+        for c in active[key]:
             holders[c].add(key)
     pivots = []
     for col in range(columns):
@@ -74,9 +82,7 @@ def solve_sparse(rows: dict, rhs: dict, columns: int):
         pkey = min(keys, key=lambda k: len(active[k]))
         keys.discard(pkey)
         prow = active.pop(pkey)
-        pivot = prow.pop(col)
-        pb = b.pop(pkey) / pivot
-        prow = {c: v / pivot for c, v in prow.items()}
+        pivot, pb = prow.pop(col), b.pop(pkey)
         for c in prow:
             holders[c].discard(pkey)
         # Every unpivoted row now loses column col; earlier columns are
@@ -84,6 +90,8 @@ def solve_sparse(rows: dict, rhs: dict, columns: int):
         for key in keys:
             row = active[key]
             factor = row.pop(col)
+            for c in row:
+                row[c] *= pivot
             for c, v in prow.items():
                 new = row.get(c, 0) - factor * v
                 if new:
@@ -93,11 +101,16 @@ def solve_sparse(rows: dict, rhs: dict, columns: int):
                 else:
                     del row[c]
                     holders[c].discard(key)
-            b[key] -= factor * pb
-        pivots.append((col, prow, pb))
+            b[key] = pivot * b[key] - factor * pb
+            content = math.gcd(b[key], *row.values())
+            if content > 1:
+                b[key] //= content
+                for c in row:
+                    row[c] //= content
+        pivots.append((col, prow, pivot, pb))
     if any(b.values()):
         return None
     x = [Fraction(0)] * columns
-    for col, prow, pb in reversed(pivots):
-        x[col] = pb - sum((v * x[c] for c, v in prow.items()), Fraction(0))
+    for col, prow, pivot, pb in reversed(pivots):
+        x[col] = (pb - sum((v * x[c] for c, v in prow.items()), Fraction(0))) / pivot
     return x

@@ -178,10 +178,8 @@ def derivation_pairing(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSerie
 
     Cap rule: the result has cap = min(u.cap, v.cap) and holds every
     product of a stored term of u with a stored term of v whose degree
-    lands below it.  Degree-1 terms of u give degree-0 values, so the
-    derivation lowers degree by one: when v.cap > cap, terms of v of
-    degree cap still count, and the derivation runs at
-    min(v.cap, cap + 1) and is truncated to cap.
+    lands below it.  Degree-1 terms of u give constants, so the derivation
+    loses a degree: it runs at min(v.cap, cap + 1), truncated to cap.
     """
     if u.rank != v.rank:
         raise ValueError("rank mismatch")
@@ -199,25 +197,27 @@ def tensorial_rho(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
     """(u - eps u) ~> (v - eps v) + (u - eps u) s(omega) (v - eps v)."""
     if u.rank != v.rank:
         raise ValueError("rank mismatch")
-    return _rho_table([u], [v])[0][0]
+    return _rho_table([u], [v], min(u.cap, v.cap))[0][0]
 
 
-def _rho_table(us, vs):
+def _rho_table(us, vs, cap):
     """tensorial_rho(u, v) for u in us (rows) and v in vs (columns), all
-    of one rank, at the least cap among them.
+    of one rank, at a cap no higher than theirs: the contraction runs at
+    their cap and is truncated, s(omega) and the product run at cap.
 
     s(omega) is built once per call, and u - eps u, v - eps v and
     (u - eps u) s(omega) once per input, so each pair costs one
     contraction and one product.
     """
-    cap = min(w.cap for w in [*us, *vs])
-    middle = s_of_omega(_genus_of_rank(us[0].rank), cap)
+    # omega needs cap 3; below it s(omega) is its constant term.
+    middle = s_of_omega(_genus_of_rank(us[0].rank), max(cap, 3)).truncate(cap)
     v1s = [v - v.constant_term() for v in vs]
     rows = []
     for u in us:
         u1 = u - u.constant_term()
         u1_middle = u1.truncate(cap) * middle
-        rows.append([contraction(u1, v1) + u1_middle * v1.truncate(cap) for v1 in v1s])
+        rows.append([contraction(u1, v1).truncate(cap) + u1_middle * v1.truncate(cap)
+                     for v1 in v1s])
     return rows
 
 
@@ -268,35 +268,27 @@ class SymplecticExpansion:
         return self.boundary_image() == (-omega(self.genus, self.cap)).exp()
 
 
+def _bracket_with(letter, bracket):
+    """[h, B] = h B - B h for a basis letter h and int terms B."""
+    out = accumulate({}, (((letter,) + m, c) for m, c in bracket.items()))
+    return nonzero(accumulate(out, ((m + (letter,), -c) for m, c in bracket.items())))
+
+
 def lie_bracket_of_word(rank, cap, letters) -> TruncatedSeries:
     """Right-nested commutator [h_1, [h_2, [..., h_d]...]] of basis letters."""
-    series = TruncatedSeries.variable(rank, cap, letters[-1])
+    bracket = {(letters[-1],): 1}
     for letter in reversed(letters[:-1]):
-        h = TruncatedSeries.variable(rank, cap, letter)
-        series = h * series - series * h
-    return series
-
-
-def _degree_words(rank, degree):
-    if degree == 1:
-        return [(i,) for i in range(1, rank + 1)]
-    return [w + (i,) for w in _degree_words(rank, degree - 1)
-            for i in range(1, rank + 1)]
+        bracket = _bracket_with(letter, bracket)
+    return TruncatedSeries(rank, cap, bracket)
 
 
 def _closed_form_column(slot, bracket):
-    """Degree-d change of the boundary defect when ``bracket`` (degree
-    d - 1) is added to exponent ``slot`` (0-based): [bracket, b_i] for
-    the slot of a_i, [a_i, bracket] for the slot of b_i."""
-    letter = slot + 1
-    if letter % 2:  # a_i: bracket b_i - b_i bracket
-        partner, sign = letter + 1, 1
-    else:  # b_i: a_i bracket - bracket a_i
-        partner, sign = letter - 1, -1
-    out = {}
-    accumulate(out, ((m + (partner,), c) for m, c in bracket.terms.items()), sign)
-    accumulate(out, (((partner,) + m, c) for m, c in bracket.terms.items()), -sign)
-    return nonzero(out)
+    """Degree-d change of the boundary defect when ``bracket`` (int terms
+    of degree d - 1) is added to exponent ``slot`` (0-based): [bracket, b_i]
+    for the slot of a_i, [a_i, bracket] for the slot of b_i."""
+    if slot % 2:
+        return _bracket_with(slot, bracket)
+    return {m: -c for m, c in _bracket_with(slot + 2, bracket).items()}
 
 
 def build_symplectic_expansion(genus: int, cap: int) -> SymplecticExpansion:
@@ -337,13 +329,16 @@ def build_symplectic_expansion(genus: int, cap: int) -> SymplecticExpansion:
     # The boundary word has zero exponent sums, so a degree d correction
     # to the exponents first shows up in the defect at degree d + 1:
     # degree-D defects are cancelled by degree D - 1 brackets.
+    brackets = {(i,): {(i,): 1} for i in range(1, rank + 1)}
     for degree in range(3, cap):
+        # The int brackets of the words of degree - 1, each from its tail's.
+        brackets = {(h,) + w: _bracket_with(h, bracket)
+                    for h in range(1, rank + 1) for w, bracket in brackets.items()}
         defect = defect_series(exponents).degree_part(degree)
         if defect.is_zero():
             continue
-        brackets = [lie_bracket_of_word(rank, cap, w) for w in _degree_words(rank, degree - 1)]
-        corrections = [(slot, bracket) for slot in range(rank) for bracket in brackets
-                       if not bracket.is_zero()]
+        corrections = [(slot, bracket) for slot in range(rank)
+                       for bracket in brackets.values() if bracket]
         rows = defaultdict(dict)
         for column, (slot, bracket) in enumerate(corrections):
             for m, c in _closed_form_column(slot, bracket).items():
@@ -354,7 +349,7 @@ def build_symplectic_expansion(genus: int, cap: int) -> SymplecticExpansion:
             raise SolverError("no degree-%d correction exists" % degree)
         for x, (slot, bracket) in zip(solution, corrections):
             if x:
-                exponents[slot] = exponents[slot] + bracket.scale(x)
+                exponents[slot] += TruncatedSeries(rank, cap, bracket).scale(x)
     if not defect_series(exponents).is_zero():
         raise SolverError("corrections did not close the boundary condition")
     images = [e.exp() for e in exponents]
@@ -367,42 +362,43 @@ def verify_section9(spec: SurfaceSpec, expansion: SymplecticExpansion, cap: int,
 
     For u, v running over generator images and optional extra words,
     compares theta(sigma(u, v)) with <theta u, theta v> and
-    theta(eta(u, v)) with the tensorial rho.  Inputs are embedded two
-    degrees above cap so every compared coefficient is complete.
+    theta(eta(u, v)) with the tensorial rho.  Each stage runs at the
+    least cap its compared coefficients need (degree rule in
+    ``fox_pairings``): u at cap + 2 gives derived generator values kept
+    at cap + 1.  Everything else takes u at cap + 1: theta u, the
+    tensor-side values, and v and theta v in both derivations, whose
+    values have constant terms, so each runs at cap + 1 and is truncated
+    to cap (before theta on the group side).  The Fox pairing of
+    operands at cap + 1 and the tensorial rho both land at cap.
     """
     if expansion.genus != spec.genus:
         raise ValueError("genus mismatch")
     if expansion.cap < cap + 2:
         raise ValueError("expansion cap must be at least cap + 2")
-    work = cap + 2
     pairing = surface_pairing(SurfaceSpec(spec.genus, cap))
     rank = spec.rank
-    inputs = [("x%d" % (i + 1), GroupWord.generator(rank, i + 1))
-              for i in range(rank)]
-    for j, word in enumerate(extra_words or []):
-        inputs.append(("word%d" % (j + 1), word))
-    # Per-input work, done once: the embedding, its image under theta,
-    # its derived generator values sigma(u, 1 + X_j) and the values
-    # <theta u, X_k> of the tensor-side derivation.  The tensorial rho
-    # of every pair comes from one table over the theta images.
+    inputs = [("x%d" % (i + 1), GroupWord.generator(rank, i + 1)) for i in range(rank)]
+    inputs += [("word%d" % (j + 1), word) for j, word in enumerate(extra_words or [])]
+    # Once per input: the embedding, theta u, the derived generator values
+    # sigma(u, 1 + X_j) and the tensor-side values <theta u, X_k>.  The
+    # tensorial rho of every pair comes from one table over the theta u.
     embedded = []
     for label, w in inputs:
-        u = embed(GroupAlgebraElement.from_word(w), work)
+        u = embed(GroupAlgebraElement.from_word(w), cap + 2)
+        values = [value.truncate(cap + 1) for value in derived_generator_values(pairing, u)]
+        u = u.truncate(cap + 1)
         theta_u = expansion.apply_hat(u)
-        embedded.append((label, u, theta_u, derived_generator_values(pairing, u),
-                         derivation_values(theta_u)))
+        embedded.append((label, u, theta_u, values, derivation_values(theta_u)))
     thetas = [theta_u for _, _, theta_u, _, _ in embedded]
     checks = []
     for (label_u, u, _, values_u, tensor_values_u), rho_u in zip(
-            embedded, _rho_table(thetas, thetas)):
+            embedded, _rho_table(thetas, thetas, cap)):
         for (label_v, v, theta_v, _, _), rho_uv in zip(embedded, rho_u):
-            left = expansion.apply_hat(apply_derivation(values_u, v))
-            right = apply_derivation(tensor_values_u, theta_v)
-            checks.append(_agree("derived-diagram-%s-%s" % (label_u, label_v),
-                                 [(left.truncate(cap), right.truncate(cap))]))
+            left = expansion.apply_hat(apply_derivation(values_u, v).truncate(cap))
+            right = apply_derivation(tensor_values_u, theta_v).truncate(cap)
+            checks.append(_agree("derived-diagram-%s-%s" % (label_u, label_v), [(left, right)]))
             left = expansion.apply_hat(pairing.evaluate(u, v))
-            checks.append(_agree("pairing-diagram-%s-%s" % (label_u, label_v),
-                                 [(left.truncate(cap), rho_uv.truncate(cap))]))
+            checks.append(_agree("pairing-diagram-%s-%s" % (label_u, label_v), [(left, rho_uv)]))
     return {
         "scenario": "symplectic-expansion",
         "genus": spec.genus,

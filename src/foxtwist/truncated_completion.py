@@ -217,14 +217,18 @@ def sandwich(tensor: TruncatedTensor, filling: TruncatedSeries) -> TruncatedSeri
                                 frame_product([(tensor.terms, filling.terms)], filling.cap))
 
 
-def conjugation_sum_series(v: TruncatedSeries, u: TruncatedSeries) -> TruncatedSeries:
-    """Truncated conjugation sum: contract (S x id) of the coproduct of u
-    around v, on ints."""
+def _conjugation_sum(v: TruncatedSeries, u: TruncatedSeries):
+    """``conjugation_sum_series`` as int terms over one denominator."""
     u._check_compatible(v)
     (iu, u_den), (iv, v_den) = _int_split(u.terms), _int_split(v.terms)
     frames = _frame_sum(iu, lambda m: _antipode_coproduct_monomial(u.rank, u.cap, m))
-    return TruncatedSeries._raw(v.rank, v.cap,
-                                _int_join(frame_kernel([(frames, iv)], v.cap), u_den * v_den))
+    return frame_kernel([(frames, iv)], v.cap), u_den * v_den
+
+
+def conjugation_sum_series(v: TruncatedSeries, u: TruncatedSeries) -> TruncatedSeries:
+    """Truncated conjugation sum: contract (S x id) of the coproduct of u
+    around v, on ints."""
+    return TruncatedSeries._raw(v.rank, v.cap, _int_join(*_conjugation_sum(v, u)))
 
 
 def is_group_like(series: TruncatedSeries, delta=None) -> bool:

@@ -1,25 +1,57 @@
 """The closed-form symplectic-expansion builder and its sparse solve, each
 against the route it replaced: probing every column through the whole
-boundary exp/log, and dense Gauss-Jordan elimination."""
+boundary exp/log with brackets built from Fraction series products, and
+dense Gauss-Jordan elimination."""
 
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
+from foxtwist import formats
 from foxtwist.errors import SolverError
 from foxtwist.linalg import solve_sparse
-from foxtwist.series import TruncatedSeries
+from foxtwist.series import TruncatedSeries, accumulate, nonzero
 from foxtwist.surfaces import SurfaceSpec
 from foxtwist.symplectic_tensor import (
     SymplecticExpansion,
+    _bracket_with,
     _closed_form_column,
-    _degree_words,
     build_symplectic_expansion,
     lie_bracket_of_word,
     omega,
 )
+
+
+def degree_words(rank, degree):
+    """Every word of the degree in the letters 1..rank, lexicographically."""
+    return list(itertools.product(range(1, rank + 1), repeat=degree))
+
+
+def bracket_by_products(rank, cap, letters):
+    """Oracle: the right-nested bracket by Fraction series products."""
+    series = TruncatedSeries.variable(rank, cap, letters[-1])
+    for letter in reversed(letters[:-1]):
+        h = TruncatedSeries.variable(rank, cap, letter)
+        series = h * series - series * h
+    return series
+
+
+def closed_form_column_by_fractions(slot, bracket):
+    """Oracle: the closed-form column on a Fraction bracket series,
+    bracket b_i - b_i bracket for a_i and a_i bracket - bracket a_i for b_i."""
+    letter = slot + 1
+    if letter % 2:
+        partner, sign = letter + 1, 1
+    else:
+        partner, sign = letter - 1, -1
+    out = {}
+    accumulate(out, ((m + (partner,), c) for m, c in bracket.terms.items()), sign)
+    accumulate(out, (((partner,) + m, c) for m, c in bracket.terms.items()), -sign)
+    return nonzero(out)
 
 
 def solve_consistent(a, b):
@@ -79,8 +111,8 @@ def build_by_probing(genus, cap):
         defect = defect_series(exponents).degree_part(degree)
         if defect.is_zero():
             continue
-        brackets = [lie_bracket_of_word(rank, cap, w)
-                    for w in _degree_words(rank, degree - 1)]
+        brackets = [bracket_by_products(rank, cap, w)
+                    for w in degree_words(rank, degree - 1)]
         columns = []
         probes = []
         for slot in range(rank):
@@ -140,10 +172,64 @@ def test_closed_form_columns_equal_probed_columns(genus, cap):
     assert record, "no degree needed a correction"
     for degree, probes, columns in record:
         for (slot, bracket), probed in zip(probes, columns):
-            assert _closed_form_column(slot, bracket) == probed.terms, (degree, slot)
+            assert _closed_form_column(slot, bracket.terms) == probed.terms, (degree, slot)
 
 
-@pytest.mark.parametrize("genus,cap", [(2, 6), (3, 5)])
+@pytest.mark.parametrize("rank", [2, 4, 6])
+def test_int_brackets_match_fraction_products(rank):
+    # build_symplectic_expansion's route: each degree's brackets from the
+    # previous degree's, every word in lexicographic order.  The oracle
+    # expands each by series products, its tails cached likewise.
+    brackets = {(i,): {(i,): 1} for i in range(1, rank + 1)}
+    oracle = {word: TruncatedSeries.variable(rank, 7, word[0]) for word in brackets}
+    for degree in range(1, 6):
+        if degree > 1:
+            brackets = {(h,) + w: _bracket_with(h, bracket)
+                        for h in range(1, rank + 1) for w, bracket in brackets.items()}
+        assert list(brackets) == degree_words(rank, degree)
+        for word, bracket in brackets.items():
+            if degree > 1:
+                h, tail = TruncatedSeries.variable(rank, 7, word[0]), oracle[word[1:]]
+                oracle[word] = h * tail - tail * h
+            want = oracle[word]
+            assert bracket == want.terms, word
+            assert all(type(c) is int for c in bracket.values())
+            if degree == 5:
+                continue  # degree 6 columns would triple the test's time at rank 6
+            assert lie_bracket_of_word(rank, 7, word) == want
+            for slot in range(rank):
+                assert _closed_form_column(slot, bracket) == \
+                    closed_form_column_by_fractions(slot, want), (word, slot)
+
+
+def test_lie_bracket_of_word_wraps_the_int_brackets():
+    rng = random.Random(2015)
+    for rank in (2, 4):
+        for _ in range(20):
+            word = tuple(rng.randint(1, rank) for _ in range(rng.randint(1, 5)))
+            for cap in (len(word), len(word) + 1, 7):
+                got = lie_bracket_of_word(rank, cap, word)
+                assert got == bracket_by_products(rank, cap, word), (word, cap)
+                assert all(type(c) is Fraction for c in got.terms.values())
+
+
+# SHA-256 of the expansion JSON as built with Fraction-series brackets and solve.
+EXPANSION_SHA256 = {
+    (1, 7): "d2e55ff14c56037d953e5e2c01aa540953ffa3608931ead63a4f10a0694b6262",
+    (2, 5): "c581241caf7aae8781f27df6229707368bb8f19c54bdd30b2de0117a88dc5e0a",
+    (2, 6): "7a61ea7c16f8dc25e143458fd495d1d9c3ec04a3f66306c0fc1e604d7ba4f513",
+    (3, 4): "341c7380110b64cf2e95b5716f1759a77ad834e5e38e2d0ffadd954fa7f6072b",
+    (3, 5): "83f9201177712e22a64c385549452e5675a13fda8ee3c3b20d69bbba7a3fb201",
+}
+
+
+@pytest.mark.parametrize("genus,cap", sorted(EXPANSION_SHA256))
+def test_expansion_bytes_are_pinned(genus, cap):
+    document = formats.dumps(formats.expansion_to_dict(build_symplectic_expansion(genus, cap)))
+    assert hashlib.sha256(document.encode("utf-8")).hexdigest() == EXPANSION_SHA256[genus, cap]
+
+
+@pytest.mark.parametrize("genus,cap", [(2, 6), (3, 5), (2, 7)])
 def test_larger_builds_are_group_like_and_symplectic(genus, cap):
     e = build_symplectic_expansion(genus, cap)
     assert e.is_group_like()
@@ -215,6 +301,42 @@ def test_sparse_solve_reads_missing_rows_as_zero():
     assert solve_sparse({}, {"r": Fraction(1)}, 2) is None
     assert solve_sparse({"r": {1: 2}}, {"r": 3, "s": 0}, 2) == [0, Fraction(3, 2)]
     assert solve_sparse({"r": {}}, {"r": 1}, 1) is None
+
+
+def test_sparse_solve_matches_dense_on_rational_entries():
+    # Rows with different denominators exercise the per-row int scaling.
+    rng = random.Random(2016)
+    for _ in range(150):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        matrix = [[0 if rng.random() < 0.5 else rational(rng) for _ in range(cols)]
+                  for _ in range(rows)]
+        if rng.random() < 0.5:
+            x0 = [rational(rng) for _ in range(cols)]
+            rhs = [sum(a * x for a, x in zip(row, x0)) for row in matrix]
+            assert solve_both(matrix, rhs) is not None
+        else:
+            solve_both(matrix, [rational(rng) for _ in range(rows)])
+
+
+def test_sparse_solve_on_a_dense_system_with_coefficient_growth():
+    # Cross-multiplication without the content division would square the
+    # entry sizes at every pivot; the answer must still be the dense one.
+    rng = random.Random(2017)
+    matrix = [[Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 3))
+               for _ in range(10)] for _ in range(10)]
+    x0 = [Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 9)) for _ in range(10)]
+    rhs = [sum(a * x for a, x in zip(row, x0)) for row in matrix]
+    assert solve_both(matrix, rhs) == x0
+    hilbert = [[Fraction(1, i + j + 1) for j in range(10)] for i in range(10)]
+    ones = [sum(row) for row in hilbert]
+    assert solve_both(hilbert, ones) == [1] * 10
+
+
+def test_sparse_solve_rejects_columns_out_of_range():
+    for rows in ({"r": {0: 1, 5: 1}}, {"r": {5: 1}}, {"r": {-1: 1}}, {"r": {2: 0}}):
+        with pytest.raises(ValueError, match="column index"):
+            solve_sparse(rows, {"r": 1}, 2)
+    assert solve_sparse({"r": {0: 1, 1: 1}}, {"r": 1}, 2) == [1, 0]
 
 
 def test_builder_raises_when_no_correction_exists(monkeypatch):

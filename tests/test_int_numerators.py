@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from foxtwist.derived_twists import (
+    _sigma_log_squared_closed_form,
     apply_derivation,
     derived_generator_values,
     exp_derivation,
@@ -20,6 +21,7 @@ from foxtwist.derived_twists import (
 )
 from foxtwist.errors import NilpotencyCapExceeded
 from foxtwist.series import TruncatedSeries, power_sum
+from foxtwist.group_algebra import GroupAlgebraElement
 from foxtwist.surfaces import SurfaceSpec, surface_pairing
 from foxtwist.symplectic_tensor import tensor_coproduct
 from foxtwist.truncated_completion import (
@@ -29,10 +31,11 @@ from foxtwist.truncated_completion import (
     antipode_coproduct,
     conjugation_sum_series,
     coproduct,
+    embed,
     sandwich,
 )
 from test_derivation_kernel import random_series
-from test_functional_calculus import exp_derivation_by_loop
+from test_functional_calculus import TWISTS, exp_derivation_by_loop
 
 RANKS_AND_CAPS = [(rank, cap) for rank in (2, 3, 4) for cap in range(2, 7)]
 
@@ -94,6 +97,45 @@ def test_int_conjugation_sum_matches_the_sandwich_route(rank, cap):
     assert conjugation_sum_series(ones, ones) == sandwich(antipode_coproduct(ones), ones)
     with pytest.raises(ValueError):
         conjugation_sum_series(ones, TruncatedSeries.one(rank, cap + 1))
+
+
+def sigma_closed_form_by_fractions(k, log_a, b, rho_ab):
+    """Oracle: the Fraction expression 2k * b * (log a)^rho(a, b)."""
+    return (b * conjugation_sum_series(log_a, rho_ab)).scale(2 * k)
+
+
+def assert_same_terms(got, want):
+    assert got == want
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@pytest.mark.parametrize("rank, cap", RANKS_AND_CAPS)
+def test_sigma_closed_form_matches_the_fraction_expression(rank, cap):
+    rng = random.Random(1380 + 10 * rank + cap)
+    for k in (Fraction(1, 3), Fraction(-5, 2), Fraction(0)):
+        log_a, b, rho = (random_series(rng, rank, cap, rng.randint(0, 8)) for _ in range(3))
+        assert_same_terms(_sigma_log_squared_closed_form(k, log_a, b, rho),
+                          sigma_closed_form_by_fractions(k, log_a, b, rho))
+    with pytest.raises(ValueError):
+        _sigma_log_squared_closed_form(1, log_a, TruncatedSeries.one(rank, cap + 1), rho)
+
+
+@pytest.mark.parametrize("genus, degree, curve", TWISTS)
+def test_sigma_closed_form_matches_the_fraction_expression_on_twist_values(
+        genus, degree, curve):
+    # The values twist() builds: x_j, and rho(alpha, x_j) from a surface pairing.
+    spec = SurfaceSpec(genus, degree)
+    pairing = surface_pairing(spec)
+    n, cap = pairing.rank, pairing.cap - 2
+    iota_alpha = embed(GroupAlgebraElement.from_word(spec.parse_curve(curve)), cap + 1)
+    log_alpha = iota_alpha.truncate(cap).log()
+    for j in range(n):
+        x_j = 1 + TruncatedSeries.variable(n, cap + 1, j + 1)
+        rho = pairing.evaluate(iota_alpha, x_j)
+        args = (Fraction(1, 3), log_alpha, x_j.truncate(cap), rho)
+        assert_same_terms(_sigma_log_squared_closed_form(*args),
+                          sigma_closed_form_by_fractions(*args))
 
 
 def outcome(mapper, series):

@@ -232,7 +232,7 @@ def test_rho_table_matches_tensorial_rho_per_pair(genus, cap):
     words += [GroupWord(rank, tuple(rng.choice((1, -1)) * rng.randint(1, rank)
                                     for _ in range(3))) for _ in range(2)]
     thetas = [expansion.apply_hat(embed(GroupAlgebraElement.from_word(w), cap)) for w in words]
-    table = _rho_table(thetas, thetas)
+    table = _rho_table(thetas, thetas, cap)
     for theta_u, row in zip(thetas, table):
         for theta_v, got in zip(thetas, row):
             assert got == tensorial_rho(theta_u, theta_v)
