@@ -4,7 +4,8 @@ Coefficients travel as exact fraction text ("p/q" or "p", never a
 decimal) and every writer emits terms in one fixed order, so equal
 objects serialize to identical bytes.  Series payloads carry no rank:
 enclosing documents supply it, and standalone loaders infer the
-smallest alphabet that fits.
+smallest alphabet that fits.  ``series_from_dict`` checks each term in
+one pass and parses each distinct coefficient text once per payload.
 """
 
 from __future__ import annotations
@@ -58,19 +59,29 @@ def series_from_dict(data, rank=None) -> TruncatedSeries:
     raw = data.get("terms")
     _require(isinstance(raw, list), "terms must be a list")
     terms = {}
+    parsed = {}  # str text -> Fraction; other values fail in _coefficient
     top = 0
     for item in raw:
-        _require(isinstance(item, dict), "each term must be an object")
+        if not isinstance(item, dict):
+            raise FormatError("each term must be an object")
         word = item.get("word")
-        _require(isinstance(word, list), "term word must be a list of letters")
-        _require(all(map(_positive_int, word)),
-                 "letters must be positive integers")
-        _require(len(word) < cap, "term degree reaches the cap")
-        coeff = _coefficient(item.get("coeff"))
+        if not isinstance(word, list):
+            raise FormatError("term word must be a list of letters")
+        for letter in word:
+            if type(letter) is not int or letter < 1:  # the _positive_int rule
+                raise FormatError("letters must be positive integers")
+            if letter > top:
+                top = letter
+        if len(word) >= cap:
+            raise FormatError("term degree reaches the cap")
+        text = item.get("coeff")
+        coeff = parsed.get(text) if type(text) is str else None
+        if coeff is None:
+            coeff = parsed[text] = _coefficient(text)
         key = tuple(word)
-        _require(key not in terms, "duplicate term word")
+        if key in terms:
+            raise FormatError("duplicate term word")
         terms[key] = coeff
-        top = max(top, max(word, default=0))
     if rank is None:
         rank = max(top, 1)
     _require(_positive_int(rank), "rank must be a positive integer")

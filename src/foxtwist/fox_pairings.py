@@ -34,7 +34,7 @@ from collections import namedtuple
 from operator import methodcaller
 
 from . import linalg
-from .errors import NotNondegenerate
+from .errors import NotInvertible, NotNondegenerate
 from .group_algebra import GroupAlgebraElement, fox_derivative_left, fox_derivative_right
 from .series import TruncatedSeries, accumulate, nonzero, series_matrix_inverse
 from .truncated_completion import (
@@ -303,18 +303,22 @@ def nabla_of_pairing(pairing: FoxPairing) -> NablaElement:
 def pairing_of_nabla(nabla: NablaElement) -> FoxPairing:
     """The nondegenerate pairing whose characteristic element is nabla.
 
-    One pass over nabla: a monomial X_r m X_s (length L >= 2) puts its
-    coefficient at m in the middle factor c_{r,s}.  Since L < cap, m has
-    degree L - 2 < cap - 2, so every c_{r,s} is complete two degrees
-    below nabla's cap; the returned pairing is the inverse of the
-    c-matrix (``series_matrix_inverse``) at cap - 2.
+    One pass over nabla, which rejects a degree-one term: a monomial
+    X_r m X_s (length L >= 2) puts its coefficient at m in the middle
+    factor c_{r,s}.  Since L < cap, m has degree L - 2 < cap - 2, so every
+    c_{r,s} is complete two degrees below nabla's cap; the returned
+    pairing is the inverse of the c-matrix at cap - 2, one solve
+    (``series_matrix_inverse``) that also finds a singular degree-two matrix.
     """
-    if not nabla.is_nondegenerate():
-        raise NotNondegenerate("degree-two coefficient matrix is singular")
     n, cap = nabla.rank, nabla.cap
     c = [[{} for _ in range(n)] for _ in range(n)]
     for m, coeff in nabla.series.terms.items():
-        if 2 <= len(m) < cap:
-            c[m[0] - 1][m[-1] - 1][m[1:-1]] = coeff
-    return FoxPairing(series_matrix_inverse(
-        [[TruncatedSeries._raw(n, cap - 2, e) for e in row] for row in c]))
+        if len(m) == 1:
+            raise NotNondegenerate("degree-two coefficient matrix is singular")
+        c[m[0] - 1][m[-1] - 1][m[1:-1]] = coeff
+    try:
+        inverse = series_matrix_inverse(
+            [[TruncatedSeries._raw(n, cap - 2, e) for e in row] for row in c])
+    except NotInvertible:
+        raise NotNondegenerate("degree-two coefficient matrix is singular") from None
+    return FoxPairing(inverse)

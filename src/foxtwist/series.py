@@ -468,7 +468,9 @@ def series_matrix_inverse(matrix):
     where (h delta)^(j-1) brings the term of A_j B_{d-j} to the common
     denominator of degree d.  Each K_j has degree exactly j, so nothing
     is truncated on the way; the solve runs on ints and builds each
-    Fraction once, on return.
+    Fraction once, on return.  Most blocks of the P_d are empty, so each
+    K_j[i][k] multiplies only the nonzero entries (l, items) of row k of
+    P_{d-j}, collected once per (d, j).
 
     Raises ValueError on an empty or ragged matrix or on entries of
     mixed rank or cap, NotInvertible if H is singular over Q.
@@ -509,15 +511,17 @@ def series_matrix_inverse(matrix):
     for d in range(1, cap):
         part = [[{} for _ in range(n)] for _ in range(n)]
         for j in range(1, d + 1):
-            kernel, prev = kernels[j], solved[d - j]
+            kernel = kernels[j]
+            prev = [[(l, e.items()) for l, e in enumerate(row) if e] for row in solved[d - j]]
             for i in range(n):
                 for k in range(n):
                     left = kernel[i][k]
                     if not left:
                         continue
-                    for out, right in zip(part[i], prev[k]):
+                    for l, right in prev[k]:
+                        out = part[i][l]
                         for ma, ca in left.items():
-                            for mb, cb in right.items():
+                            for mb, cb in right:
                                 key = ma + mb
                                 out[key] = out.get(key, 0) + ca * cb
         solved.append([[nonzero(e) for e in row] for row in part])

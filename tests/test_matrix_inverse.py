@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from foxtwist import linalg
+from foxtwist import linalg, series
+from foxtwist.errors import NotNondegenerate
 from foxtwist.fox_pairings import FoxPairing, NablaElement, nabla_of_pairing, pairing_of_nabla
 from foxtwist.group_algebra import GroupAlgebraElement
 from foxtwist.series import TruncatedSeries, accumulate, nonzero, series_matrix_inverse
@@ -90,17 +91,52 @@ def random_matrix(rng, n, cap, terms=5):
     return matrix
 
 
+def conjugated_nabla(genus, cap, conjugator):
+    """iota(w nu w^-1) - 1 for the genus boundary word nu."""
+    spec = SurfaceSpec(genus, cap)
+    w = GroupWord(spec.rank, conjugator)
+    conj = GroupAlgebraElement.from_word(w * spec.boundary_word() * w.inverse())
+    return NablaElement(embed(conj, cap) - 1)
+
+
 def boundary_and_conjugated_nablas():
     """Boundary nabla iota(nu) - 1 at genus 1-3, and iota(w nu w^-1) - 1."""
     out = []
     for genus, cap in ((1, 7), (2, 6), (3, 5)):
-        spec = SurfaceSpec(genus, cap)
-        out.append(boundary_nabla(spec, cap))
-        nu = spec.boundary_word()
-        w = GroupWord(spec.rank, (2, -1, spec.rank))
-        conj = GroupAlgebraElement.from_word(w * nu * w.inverse())
-        out.append(NablaElement(embed(conj, cap) - 1))
+        out.append(boundary_nabla(SurfaceSpec(genus, cap), cap))
+        out.append(conjugated_nabla(genus, cap, (2, -1, 2 * genus)))
     return out
+
+
+def bench_shaped_nablas():
+    """Conjugated nablas the size of the genus 2 cap 8 and genus 3 cap 7
+    nabla-cli files (1449 and 1040 terms)."""
+    return [conjugated_nabla(2, 8, (2, 1, 2)), conjugated_nabla(3, 7, (2, -5))]
+
+
+def sparse_matrix(rng, n, cap, live=0.2):
+    """n x n series of rank 2 whose entries off the diagonal of the
+    constant part, and whose higher-degree parts, are each nonzero with
+    probability live, so most blocks of the matrix and its inverse are
+    empty."""
+    while True:
+        head = [[Fraction(rng.randint(1, 3) * rng.choice((-1, 1)), rng.randint(1, 3))
+                 if i == j or rng.random() < live else Fraction(0) for j in range(n)]
+                for i in range(n)]
+        if linalg.is_invertible(head):
+            break
+    matrix = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            data = {(): head[i][j]}
+            if cap > 1 and rng.random() < live:
+                for _ in range(rng.randint(1, 3)):
+                    mono = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, cap - 1)))
+                    data[mono] = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+            row.append(TruncatedSeries(2, cap, data))
+        matrix.append(row)
+    return matrix
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -111,6 +147,30 @@ def test_inverse_matches_the_neumann_oracle_on_random_matrices(n):
             matrix = random_matrix(rng, n, cap, terms=6 if n < 4 else 3)
             got = series_matrix_inverse(matrix)
             assert got == series_matrix_inverse_neumann(matrix)
+            assert_fraction_coefficients(got)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_inverse_matches_the_neumann_oracle_on_mostly_empty_blocks(n):
+    rng = random.Random(500 + n)
+    empty = 0
+    for cap in (2, 4, 5):
+        matrix = sparse_matrix(rng, n, cap)
+        got = series_matrix_inverse(matrix)
+        assert got == series_matrix_inverse_neumann(matrix)
+        assert_fraction_coefficients(got)
+        empty += sum(entry.is_zero() for row in got for entry in row)
+    assert empty
+
+
+def test_one_by_one_inverse_matches_the_neumann_oracle():
+    rng = random.Random(61)
+    for cap in range(1, 7):
+        for live in (0.0, 1.0):
+            matrix = sparse_matrix(rng, 1, cap, live)
+            got = series_matrix_inverse(matrix)
+            assert got == series_matrix_inverse_neumann(matrix)
+            assert got[0][0] * matrix[0][0] == TruncatedSeries.one(2, cap)
             assert_fraction_coefficients(got)
 
 
@@ -125,7 +185,7 @@ def test_inverse_matches_the_neumann_oracle_on_c_matrices():
 def test_pairing_of_nabla_matches_the_fox_strip_route():
     noise = TruncatedSeries(2, 6, {(1, 2, 1): Fraction(1, 3), (2, 2, 2, 1): -2, (1, 1): 1,
                                    (2, 1): Fraction(-1, 2), (1, 2): 2, (2,): 0})
-    for nabla in boundary_and_conjugated_nablas() + [NablaElement(noise)]:
+    for nabla in boundary_and_conjugated_nablas() + bench_shaped_nablas() + [NablaElement(noise)]:
         expected = FoxPairing(series_matrix_inverse_neumann(c_matrix_by_fox_series(nabla)))
         got = pairing_of_nabla(nabla)
         assert got == expected
@@ -141,3 +201,39 @@ def test_nabla_of_pairing_matches_the_product_route():
         got = nabla_of_pairing(pairing)
         assert got.series == nabla_by_products(pairing)
         assert all(type(c) is Fraction for c in got.series.terms.values())
+
+
+DEGENERATE = "degree-two coefficient matrix is singular"
+
+
+def test_a_degree_one_term_is_degenerate():
+    nabla = NablaElement(TruncatedSeries(2, 6, {(1, 2): 1, (2, 1): -1, (2,): Fraction(1, 3)}))
+    assert not nabla.is_nondegenerate()
+    with pytest.raises(NotNondegenerate, match=f"^{DEGENERATE}$"):
+        pairing_of_nabla(nabla)
+
+
+def test_a_singular_degree_two_matrix_is_degenerate():
+    nabla = NablaElement(TruncatedSeries(2, 6, {(1, 1): 2, (1, 2): 1, (2, 1): 4, (2, 2): 2,
+                                                (1, 2, 1): Fraction(1, 2)}))
+    assert not nabla.is_nondegenerate()
+    with pytest.raises(NotNondegenerate, match=f"^{DEGENERATE}$"):
+        pairing_of_nabla(nabla)
+
+
+def test_pairing_of_nabla_inverts_the_degree_two_matrix_once(monkeypatch):
+    calls = []
+    invert = linalg.mat_inverse
+
+    def spy(a):
+        calls.append(len(a))
+        return invert(a)
+
+    # series holds its own reference to mat_inverse; linalg.is_invertible
+    # calls it through the linalg module.
+    monkeypatch.setattr(linalg, "mat_inverse", spy)
+    monkeypatch.setattr(series, "mat_inverse", spy)
+    for nabla in boundary_and_conjugated_nablas() + bench_shaped_nablas():
+        calls.clear()
+        pairing_of_nabla(nabla)
+        assert calls == [nabla.rank]
