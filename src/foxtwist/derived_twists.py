@@ -37,16 +37,14 @@ from fractions import Fraction
 from . import linalg
 from .errors import DomainError, IsotropyError, NilpotencyCapExceeded
 from .fox_pairings import FoxPairing
-from .group_algebra import GroupAlgebraElement, conjugation_sum
+from .group_algebra import GroupAlgebraElement, _seam_product, conjugation_sum
 from .series import (
     Substitution,
     TruncatedSeries,
     _int_join,
     _int_split,
-    accumulate,
     as_fraction,
     frame_kernel,
-    nonzero,
     sum_powers,
 )
 from .truncated_completion import (
@@ -66,22 +64,28 @@ def derived_form_exact(pairing: FoxPairing, a: GroupAlgebraElement,
     """sigma(a, b) = b * a^rho(a,b), extended bilinearly over word pairs.
 
     With left=True returns the companion form b^bar(rho(a,b)) * a, which
-    is the plain derived form of the transposed pairing at (b, a).
+    is the plain derived form of the transposed pairing at (b, a).  On ints,
+    the Fox derivatives of each word ma of a and the inner sums
+    sum_j rho(x_i, x_j) d^j(mb) of each word mb of b are formed once.
     """
     if pairing.cap is not None:
         raise ValueError("derived_form_exact needs an exact pairing")
+    n, ring = pairing.rank, pairing._ring
+    if a.rank != n or b.rank != n:
+        raise ValueError(f"a rank-{n} pairing takes rank-{n} operands")
     if left:
         return derived_form_exact(pairing.transpose(), b, a)
-    total = {}
-    for ma, ca in a.terms.items():
-        ea = GroupAlgebraElement._raw(a.rank, {ma: Fraction(1)})
-        for mb, cb in b.terms.items():
-            eb = GroupAlgebraElement._raw(b.rank, {mb: Fraction(1)})
-            value = pairing.evaluate(ea, eb)
-            if value.is_zero():
-                continue
-            accumulate(total, (eb * conjugation_sum(ea, value)).terms.items(), ca * cb)
-    return GroupAlgebraElement._raw(pairing.rank, nonzero(total))
+    entries, entry_den = pairing._int_entries(None)
+    (ia, den_a), (ib, den_b) = _int_split(a.terms), _int_split(b.terms)
+    # Int terms: the Fox calculus of one word with coefficient 1 stays on ints.
+    word = lambda letters: GroupAlgebraElement._raw(n, {letters: 1})
+    lefts = {ma: [ring.left(word(ma), i + 1).terms for i in range(n)] for ma in ia}
+    rights = {mb: [ring.right(word(mb), j + 1).terms for j in range(n)] for mb in ib}
+    inners = {mb: [_seam_product(zip(row, rights[mb])) for row in entries] for mb in ib}
+    rho = lambda ma, mb: GroupAlgebraElement._raw(n, _seam_product(zip(lefts[ma], inners[mb])))
+    total = _seam_product(({mb: ca * cb}, conjugation_sum(word(ma), rho(ma, mb)).terms)
+                          for ma, ca in ia.items() for mb, cb in ib.items())
+    return GroupAlgebraElement._raw(n, _int_join(total, den_a * den_b * entry_den))
 
 
 def derived_generator_values(pairing: FoxPairing, u: TruncatedSeries) -> list:
@@ -119,11 +123,10 @@ def derived_generator_values(pairing: FoxPairing, u: TruncatedSeries) -> list:
                              if s == r], cap) for r in range(n)]
 
     # Value j: (1 + X_j) times the G_r inside (S x id)Delta(entry (r, j)).
-    *entries, entry_den = _int_split(*(pairing.entry(r + 1, j + 1).truncate(cap).terms
-                                       for j in range(n) for r in range(n)))
+    entries, entry_den = pairing._int_entries(cap)
     values = []
     for j in range(n):
-        value = frame_kernel([(_frame_sum(entries[j * n + r], stem_frames), kernels[r])
+        value = frame_kernel([(_frame_sum(entries[r][j], stem_frames), kernels[r])
                               for r in range(n) if kernels[r]], cap)
         value = frame_kernel([({((), ()): 1, ((j + 1,), ()): 1}, value)], cap)
         values.append(TruncatedSeries._raw(n, cap, _int_join(value, den * entry_den)))

@@ -31,12 +31,16 @@ The degree rule, stated once for the package.  For entries at cap P:
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import methodcaller
 
 from . import linalg
 from .errors import NotInvertible, NotNondegenerate
-from .group_algebra import GroupAlgebraElement, fox_derivative_left, fox_derivative_right
-from .series import TruncatedSeries, accumulate, nonzero, series_matrix_inverse
+from .group_algebra import (
+    GroupAlgebraElement,
+    _seam_product,
+    fox_derivative_left,
+    fox_derivative_right,
+)
+from .series import TruncatedSeries, _int_join, _int_split, frame_kernel, series_matrix_inverse
 from .truncated_completion import (
     _strip_first,
     _strip_last,
@@ -51,26 +55,30 @@ from .words import GroupWord
 
 # Fox derivatives left(a, i) and right(a, i), the involution, the
 # augmentation, image(e, like): a group-algebra element e in the ring (and
-# at the cap) of like, and raw(terms, like): clean terms as an element of
-# like's ring and cap.
-_Ring = namedtuple("_Ring", "name left right involution augmentation image raw")
+# at the cap) of like, product(pairs, cap): the sum of left * right over
+# pairs of int term dicts, and raw(terms, rank, cap): a clean element.
+_Ring = namedtuple("_Ring", "name left right involution augmentation image product raw")
 
 
 _RINGS = {
     GroupAlgebraElement: _Ring("exact", fox_derivative_left, fox_derivative_right,
                                GroupAlgebraElement.bar, GroupAlgebraElement.augmentation,
                                lambda element, like: element,
-                               lambda terms, like: GroupAlgebraElement._raw(like.rank, terms)),
+                               lambda pairs, cap: _seam_product(pairs),
+                               lambda terms, rank, cap: GroupAlgebraElement._raw(rank, terms)),
     TruncatedSeries: _Ring("truncated", fox_left_series, fox_right_series, antipode, counit,
                            lambda element, like: embed(element, like.cap),
-                           lambda terms, like: TruncatedSeries._raw(like.rank, like.cap, terms)),
+                           lambda pairs, cap: frame_kernel(
+                               (({(m, ()): c for m, c in left.items()}, right)
+                                for left, right in pairs), cap),
+                           lambda terms, rank, cap: TruncatedSeries._raw(rank, cap, terms)),
 }
 
 
 class FoxPairing:
     """A pairing given by its generator-pair value matrix."""
 
-    __slots__ = ("rank", "cap", "matrix")
+    __slots__ = ("rank", "cap", "matrix", "_split")
 
     def __init__(self, matrix):
         rows = len(matrix)
@@ -91,6 +99,7 @@ class FoxPairing:
         self.rank = rows
         self.cap = cap
         self.matrix = tuple(tuple(row) for row in matrix)
+        self._split = {}
 
     @property
     def _ring(self):
@@ -158,35 +167,44 @@ class FoxPairing:
 
     # -- evaluation ----------------------------------------------------
 
+    def _int_entries(self, cap):
+        """The entries cut to cap (None: exact) as int rows over one denominator."""
+        if cap not in self._split:
+            n = self.rank
+            *flat, den = _int_split(*(e.terms if cap is None else e.truncate(cap).terms
+                                      for row in self.matrix for e in row))
+            self._split[cap] = [flat[i * n:i * n + n] for i in range(n)], den
+        return self._split[cap]
+
     def evaluate(self, a, b):
         """Pairing value sum_i d_i(a) (sum_j rho(x_i, x_j) d^j(b)).
 
-        Each inner sum over j is formed once, so an evaluation costs at
-        most n^2 + n products; both sums accumulate in place and drop
-        zeros once (the rule of ``series``).  Truncated operands lose one
-        degree to the derivative strip: derivatives and entries are cut to
-        the result cap min(cap(a) - 1, cap(b) - 1, entry cap).
+        One int body for both rings: the derivatives of a and of b and the
+        entries (once per cap, kept) are split once each, the ring's int
+        product forms each inner sum over j once (n^2 + n products), and
+        the value is joined once.  Truncated operands lose one degree to the
+        strip: all is cut to min(cap(a) - 1, cap(b) - 1, entry cap).
         """
         kind = type(self.matrix[0][0])
         if type(a) is not kind or type(b) is not kind:
             raise TypeError(f"a {self._ring.name} pairing evaluates {kind.__name__} operands")
-        n, ring, cut = self.rank, self._ring, lambda element: element
+        n, ring, cap = self.rank, self._ring, None
+        if a.rank != n or b.rank != n:
+            raise ValueError(f"a rank-{n} pairing evaluates rank-{n} operands")
         if self.cap is not None:
             cap = min(a.cap - 1, b.cap - 1, self.cap)
             if cap < 1:
                 raise ValueError("operand caps too small to evaluate a pairing")
-            cut = methodcaller("truncate", cap)
-        lefts = [cut(ring.left(a, i + 1)) for i in range(n)]
-        rights = [cut(ring.right(b, j + 1)) for j in range(n)]
-        live = [j for j in range(n) if not rights[j].is_zero()]
-        like, total = lefts[0], {}
-        for i, left in enumerate(lefts):
-            if not left.is_zero():
-                inner = {}
-                for j in live:
-                    accumulate(inner, (cut(self.matrix[i][j]) * rights[j]).terms.items())
-                accumulate(total, (left * ring.raw(nonzero(inner), like)).terms.items())
-        return ring.raw(nonzero(total), like)
+            # A derivative drops one degree, so the operands are cut one above.
+            a, b = a.truncate(cap + 1), b.truncate(cap + 1)
+        *lefts, left_den = _int_split(*(ring.left(a, i + 1).terms for i in range(n)))
+        *rights, right_den = _int_split(*(ring.right(b, j + 1).terms for j in range(n)))
+        entries, entry_den = self._int_entries(cap)
+        live = [j for j in range(n) if rights[j]]
+        inners = [ring.product([(entries[i][j], rights[j]) for j in live], cap) if left else {}
+                  for i, left in enumerate(lefts)]
+        total = ring.product(zip(lefts, inners), cap)
+        return ring.raw(_int_join(total, left_den * right_den * entry_den), n, cap)
 
     def t_pairing_value(self, a: GroupWord, b: GroupWord):
         """Value of the companion pairing that is a derivation in both

@@ -23,6 +23,8 @@ with ``_raw``.  The seam rule: a product of two reduced words can cancel
 only at the junction, so ``_seam`` reduces a + b by stripping the
 letters that meet there and never rescans either word.  Prefixes,
 suffixes and inverses of reduced words are reduced as they stand.
+``*``, ``FoxPairing.evaluate`` and ``derived_form_exact`` run on one int
+kernel, ``_seam_product``, the seam-rule analogue of ``series.frame_kernel``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,19 @@ def _seam(a: tuple, b: tuple) -> tuple:
     while k < limit and a[-1 - k] == -b[k]:
         k += 1
     return a[:len(a) - k] + b[k:] if k else a + b
+
+
+def _seam_product(pairs):
+    """Sum of left * right over the pairs of {word: int} dicts, each
+    product reduced by the seam rule; the result holds nonzero ints."""
+    out = {}
+    get = out.get
+    for left, right in pairs:
+        for ma, ca in left.items():
+            for mb, cb in right.items():
+                key = _seam(ma, mb) if ma and mb and ma[-1] == -mb[0] else ma + mb
+                out[key] = get(key, 0) + ca * cb
+    return nonzero(out)
 
 
 class GroupAlgebraElement:
@@ -141,15 +156,8 @@ class GroupAlgebraElement:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         self._check_rank(other)
-        ia, den_a = _int_split(self.terms)
-        ib, den_b = _int_split(other.terms)
-        out = {}
-        get = out.get
-        for ma, ca in ia.items():
-            for mb, cb in ib.items():
-                key = _seam(ma, mb)
-                out[key] = get(key, 0) + ca * cb
-        return GroupAlgebraElement._raw(self.rank, _int_join(out, den_a * den_b))
+        ia, ib, den = _int_split(self.terms, other.terms)
+        return GroupAlgebraElement._raw(self.rank, _int_join(_seam_product([(ia, ib)]), den * den))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

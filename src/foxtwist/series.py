@@ -21,16 +21,17 @@ rule.  ``frame_product`` wraps it for Fractions (``sandwich``,
 ``contraction``); callers holding ints call it directly: the conjugation
 sum on the cached int monomial tensors, ``derived_generator_values``,
 ``derived_twists._derive`` (``apply_derivation`` and the steps of
-``exp_derivation``) and ``times``, the right factor of ``*``.  Two loops
-keep their own int arithmetic: ``series_matrix_inverse``, which keeps one
-denominator per degree, and ``symplectic_tensor.derivation_values``.
+``exp_derivation``), ``times`` (the right factor of ``*``) and the
+truncated ring product of ``FoxPairing.evaluate``.  ``series_matrix_inverse``
+(one denominator per degree) and ``symplectic_tensor.derivation_values``
+keep their own int arithmetic.
 
 The functional calculus of the completion is three routines:
 ``sum_powers`` (exp, log, s(omega), the map of ``exp_derivation``, and
-``power_sum`` for any step on series), ``Substitution.word`` (``embed``,
-both ``apply_word`` methods and the boundary defect of
-``build_symplectic_expansion``) and ``series_matrix_inverse``, the only
-inverse.
+``power_sum`` for any step on series), ``Substitution.word`` (both
+``apply_word`` methods and the boundary defect of
+``build_symplectic_expansion``; ``embed`` builds its word images on ints
+of its own) and ``series_matrix_inverse``, the only inverse.
 """
 
 from __future__ import annotations

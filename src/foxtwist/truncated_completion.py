@@ -1,7 +1,8 @@
 """Truncated completion of a free-group algebra and its Hopf structure.
 
 The completion map sends x_i to 1 + X_i and x_i^-1 to its inverse, the
-geometric series sum (-1)^k X_i^k, then cuts at the degree cap.  Because the
+geometric series sum (-1)^k X_i^k, then cuts at the degree cap; ``embed``
+builds word images on ints and joins once.  Because the
 degree filtration of a free-group algebra is faithful, an element lies
 in the m-th power of the augmentation ideal exactly when its image at
 cap m vanishes; that gives an exact membership test.
@@ -22,8 +23,8 @@ from functools import lru_cache
 
 from .group_algebra import GroupAlgebraElement
 from .series import (
-    Substitution,
     TruncatedSeries,
+    _check_cap,
     _check_shape,
     _checked_items,
     _int_join,
@@ -58,19 +59,28 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _identity_substitution(rank, cap):
-    """X_i -> X_i, whose ``word`` is the completion map on group words."""
-    return Substitution([1 + TruncatedSeries.variable(rank, cap, i + 1) for i in range(rank)])
+def _word_image(letters, cap):
+    """A word's image as {monomial: int}, letter by letter: x_i appends
+    X_i, x_i^-1 appends sum_k (-1)^k X_i^k, all below the cap."""
+    terms = {(): 1}
+    for x in letters:
+        grown = dict(terms)
+        for m, c in terms.items():
+            for k in range(1, min(2 if x > 0 else cap, cap - len(m))):
+                key = m + (abs(x),) * k
+                grown[key] = grown.get(key, 0) + (-c if x < 0 and k % 2 else c)
+        terms = grown
+    return terms
 
 
 def embed(element: GroupAlgebraElement, cap: int) -> TruncatedSeries:
-    """Image of a group-algebra element in the cap-truncated completion."""
-    word = _identity_substitution(element.rank, cap).word
+    """Image of a group-algebra element at a positive int cap, on ints."""
+    _check_cap(cap)
+    terms, den = _int_split(element.terms)
     out = {}
-    for letters, coeff in element.terms.items():
-        accumulate(out, word(letters).terms.items(), coeff)
-    return TruncatedSeries._raw(element.rank, cap, nonzero(out))
+    for letters, coeff in terms.items():
+        accumulate(out, _word_image(letters, cap).items(), coeff)
+    return TruncatedSeries._raw(element.rank, cap, _int_join(out, den))
 
 
 def counit(series: TruncatedSeries) -> Fraction:
