@@ -39,12 +39,13 @@ from .errors import DomainError, IsotropyError, NilpotencyCapExceeded
 from .fox_pairings import FoxPairing
 from .group_algebra import GroupAlgebraElement, _seam_product, conjugation_sum
 from .series import (
-    Substitution,
     TruncatedSeries,
     _int_join,
     _int_split,
+    accumulate,
     as_fraction,
     frame_kernel,
+    nonzero,
     sum_powers,
 )
 from .truncated_completion import (
@@ -234,9 +235,16 @@ def exp_derivation(values: list):
 
 
 class TwistAutomorphism:
-    """A filtered algebra automorphism stored by its generator images."""
+    """A filtered algebra automorphism X_i -> images[i] - 1, stored by its
+    generator images (one rank and cap, constant term 1).
 
-    __slots__ = ("rank", "cap", "images", "_substitution")
+    A monomial's image is the image of its longest proper prefix times
+    the image of its last letter; both are cached, so a dense series
+    costs one product per new monomial.  Twists and symplectic
+    expansions (``symplectic_tensor``) are both of this type.
+    """
+
+    __slots__ = ("rank", "cap", "images", "_prefix_cache", "_word_cache")
 
     def __init__(self, rank: int, cap: int, images):
         images = tuple(images)
@@ -250,23 +258,60 @@ class TwistAutomorphism:
         self.rank = rank
         self.cap = cap
         self.images = images
-        self._substitution = Substitution(images)
+        self._prefix_cache = {(): TruncatedSeries.one(rank, cap)}
+        self._word_cache = {(): self._prefix_cache[()]}
+        self._word_cache.update(((i + 1,), image) for i, image in enumerate(images))
 
     @classmethod
     def identity(cls, rank: int, cap: int) -> "TwistAutomorphism":
         return cls(rank, cap,
                    [1 + TruncatedSeries.variable(rank, cap, i + 1) for i in range(rank)])
 
+    def _monomial_image(self, monomial):
+        cached = self._prefix_cache.get(monomial)
+        if cached is None:
+            if len(monomial) == 1:
+                cached = self.images[monomial[0] - 1] - 1
+            else:
+                cached = self._monomial_image(monomial[:-1]) * self._monomial_image(monomial[-1:])
+            self._prefix_cache[monomial] = cached
+        return cached
+
     def apply(self, series: TruncatedSeries) -> TruncatedSeries:
-        """Substitute generator images multiplicatively."""
-        return self._substitution(series)
+        """Substitute generator images multiplicatively: the sum of
+        coeff * image over the terms of series, at cap
+        min(series.cap, self.cap)."""
+        if series.rank != self.rank:
+            raise ValueError("rank mismatch")
+        cap = min(series.cap, self.cap)
+        out = {}
+        for monomial, coeff in series.terms.items():
+            if len(monomial) >= cap:
+                continue
+            image = self._monomial_image(monomial)
+            if cap < self.cap:
+                image = image.truncate(cap)
+            accumulate(out, image.terms.items(), coeff)
+        return TruncatedSeries._raw(self.rank, cap, nonzero(out))
 
     def apply_word(self, word: GroupWord) -> TruncatedSeries:
-        """Image of the embedded group word; negative letters go through
-        series inversion of the corresponding image."""
+        """Image of the embedded group word: images[i - 1] for a letter i
+        and its inverse for -i.  Every prefix is cached, inverses
+        included, so each inverse is solved once."""
         if word.rank != self.rank:
             raise ValueError("rank mismatch")
-        return self._substitution.word(word.letters)
+        letters, cache = word.letters, self._word_cache
+        known = len(letters)
+        while letters[:known] not in cache:
+            known -= 1
+        image = cache[letters[:known]]
+        for end in range(known + 1, len(letters) + 1):
+            letter = letters[end - 1:end]
+            factor = cache.get(letter)
+            if factor is None:
+                factor = cache[letter] = self.images[-letter[0] - 1].inverse()
+            image = cache[letters[:end]] = factor if end == 1 else image * factor
+        return image
 
     def compose(self, other: "TwistAutomorphism") -> "TwistAutomorphism":
         """self after other."""
@@ -362,7 +407,7 @@ class TwistAutomorphism:
         return (self.rank, self.cap, self.images) == (other.rank, other.cap, other.images)
 
     def __repr__(self):
-        return "TwistAutomorphism(rank=%d, cap=%d)" % (self.rank, self.cap)
+        return "%s(rank=%d, cap=%d)" % (type(self).__name__, self.rank, self.cap)
 
 
 def homological_self_pairing(pairing: FoxPairing, word: GroupWord) -> Fraction:

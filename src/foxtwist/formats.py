@@ -143,21 +143,28 @@ def twist_to_dict(automorphism) -> dict:
     }
 
 
-def twist_from_dict(data) -> TwistAutomorphism:
-    _require(isinstance(data, dict), "twist payload must be an object")
-    rank = data.get("rank")
-    _require(_positive_int(rank), "rank must be a positive integer")
+def _automorphism_from_dict(data, rank, count_message, build):
+    """build(cap, images) from the degree_cap and images of a twist or
+    expansion payload, with its ValueError as a FormatError."""
     cap = data.get("degree_cap")
     _require(_positive_int(cap), "degree_cap must be a positive integer")
     raw = data.get("images")
-    _require(isinstance(raw, list) and len(raw) == rank, "need one image per generator")
+    _require(isinstance(raw, list) and len(raw) == rank, count_message)
     images = [series_from_dict(item, rank=rank) for item in raw]
     for image in images:
         _require(image.cap == cap, "image cap must equal degree_cap")
     try:
-        return TwistAutomorphism(rank, cap, images)
+        return build(cap, images)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+
+
+def twist_from_dict(data) -> TwistAutomorphism:
+    _require(isinstance(data, dict), "twist payload must be an object")
+    rank = data.get("rank")
+    _require(_positive_int(rank), "rank must be a positive integer")
+    return _automorphism_from_dict(data, rank, "need one image per generator",
+                                   lambda cap, images: TwistAutomorphism(rank, cap, images))
 
 
 # -- symplectic expansions ----------------------------------------------
@@ -175,18 +182,8 @@ def expansion_from_dict(data) -> SymplecticExpansion:
     _require(isinstance(data, dict), "expansion payload must be an object")
     genus = data.get("genus")
     _require(_positive_int(genus), "genus must be a positive integer")
-    cap = data.get("degree_cap")
-    _require(_positive_int(cap), "degree_cap must be a positive integer")
-    raw = data.get("images")
-    _require(isinstance(raw, list) and len(raw) == 2 * genus,
-             "need one image per basis direction")
-    images = [series_from_dict(item, rank=2 * genus) for item in raw]
-    for image in images:
-        _require(image.cap == cap, "image cap must equal degree_cap")
-    try:
-        return SymplecticExpansion(genus, cap, images)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return _automorphism_from_dict(data, 2 * genus, "need one image per basis direction",
+                                   lambda cap, images: SymplecticExpansion(genus, cap, images))
 
 
 # -- files --------------------------------------------------------------

@@ -28,10 +28,11 @@ keep their own int arithmetic.
 
 The functional calculus of the completion is three routines:
 ``sum_powers`` (exp, log, s(omega), the map of ``exp_derivation``, and
-``power_sum`` for any step on series), ``Substitution.word`` (both
-``apply_word`` methods and the boundary defect of
-``build_symplectic_expansion``; ``embed`` builds its word images on ints
-of its own) and ``series_matrix_inverse``, the only inverse.
+``power_sum`` for any step on series), ``TwistAutomorphism.apply_word``
+in ``derived_twists`` (signed words under twists and expansions, and the
+boundary defect of ``build_symplectic_expansion``; ``embed`` builds its
+word images on ints of its own) and ``series_matrix_inverse``, the only
+inverse.
 """
 
 from __future__ import annotations
@@ -379,70 +380,6 @@ def power_sum(first, step, coefficients):
         return _int_split(term.terms)
 
     return sum_powers(first, int_step, coefficients)
-
-
-class Substitution:
-    """The algebra map X_i -> images[i] - 1 on truncated series.
-
-    The images share one rank and cap.  A monomial's image is the image
-    of its longest proper prefix times the image of its last letter; both
-    are cached, so a dense series costs one product per new monomial.
-    ``word`` maps signed group words the same way, with x_i -> images[i]
-    and x_i^-1 -> its inverse.
-    """
-
-    __slots__ = ("rank", "cap", "_images", "_prefix_cache", "_word_cache")
-
-    def __init__(self, images):
-        self.rank = images[0].rank
-        self.cap = images[0].cap
-        self._images = images
-        self._prefix_cache = {(): TruncatedSeries.one(self.rank, self.cap)}
-        self._word_cache = {(): self._prefix_cache[()]}
-        self._word_cache.update(((i + 1,), image) for i, image in enumerate(images))
-
-    def monomial_image(self, monomial):
-        cached = self._prefix_cache.get(monomial)
-        if cached is None:
-            if len(monomial) == 1:
-                cached = self._images[monomial[0] - 1] - 1
-            else:
-                cached = self.monomial_image(monomial[:-1]) * self.monomial_image(monomial[-1:])
-            self._prefix_cache[monomial] = cached
-        return cached
-
-    def word(self, letters):
-        """Image of the signed word: images[i - 1] for a letter i and its
-        inverse for -i.  Every prefix is cached, inverses included, so
-        each inverse is solved once."""
-        cache = self._word_cache
-        known = len(letters)
-        while letters[:known] not in cache:
-            known -= 1
-        image = cache[letters[:known]]
-        for end in range(known + 1, len(letters) + 1):
-            letter = letters[end - 1:end]
-            factor = cache.get(letter)
-            if factor is None:
-                factor = cache[letter] = self._images[-letter[0] - 1].inverse()
-            image = cache[letters[:end]] = factor if end == 1 else image * factor
-        return image
-
-    def __call__(self, series):
-        """Sum of coeff * image over the terms of series, at cap
-        min(series.cap, self.cap)."""
-        if series.rank != self.rank:
-            raise ValueError("rank mismatch")
-        cap = min(series.cap, self.cap)
-        out = {}
-        for monomial, coeff in series.terms.items():
-            if len(monomial) >= cap:
-                continue
-            image = self.monomial_image(monomial)
-            if cap < self.cap:
-                image = image.truncate(cap)
-            accumulate(out, image.terms.items(), coeff)
-        return TruncatedSeries._raw(self.rank, cap, nonzero(out))
 
 
 def commutator(a, b):

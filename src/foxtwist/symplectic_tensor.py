@@ -14,11 +14,10 @@ from collections import defaultdict
 from fractions import Fraction
 
 from . import linalg
-from .derived_twists import apply_derivation, derived_generator_values
+from .derived_twists import TwistAutomorphism, apply_derivation, derived_generator_values
 from .errors import DomainError, SolverError
 from .group_algebra import GroupAlgebraElement
 from .series import (
-    Substitution,
     TruncatedSeries,
     _int_join,
     _int_split,
@@ -221,42 +220,23 @@ def _rho_table(us, vs, cap):
     return rows
 
 
-class SymplecticExpansion:
-    """Group-like generator images sending the boundary word to e^{-omega}."""
+class SymplecticExpansion(TwistAutomorphism):
+    """Group-like generator images with the basis vectors as degree-1
+    parts, sending the boundary word to e^{-omega}.  ``apply_hat`` is
+    theta-hat of section 9: ``apply`` on truncated group-algebra series.
+    """
 
-    __slots__ = ("genus", "cap", "images", "exponents", "_substitution")
+    __slots__ = ("genus", "exponents")
 
     def __init__(self, genus, cap, images, exponents=None):
-        rank = 2 * genus
-        if len(images) != rank:
-            raise ValueError("need one image per basis direction")
-        for i, image in enumerate(images):
-            if image.rank != rank or image.cap != cap:
-                raise ValueError("image shape mismatch")
-            if image.constant_term() != 1:
-                raise ValueError("images must have constant term 1")
+        super().__init__(2 * genus, cap, images)
+        for i, image in enumerate(self.images):
             if image.degree_part(1) != basis_vector(genus, i + 1, cap):
                 raise ValueError("degree-1 part of image %d is not the basis vector" % (i + 1))
         self.genus = genus
-        self.cap = cap
-        self.images = tuple(images)
         self.exponents = None if exponents is None else tuple(exponents)
-        self._substitution = Substitution(self.images)
 
-    @property
-    def rank(self):
-        return 2 * self.genus
-
-    def apply_word(self, word: GroupWord) -> TruncatedSeries:
-        return self._substitution.word(word.letters)
-
-    def apply_hat(self, series: TruncatedSeries) -> TruncatedSeries:
-        """Extend the expansion to truncated group-algebra series.
-
-        Substitutes X_i -> theta(x_i) - 1 multiplicatively; the result is
-        capped at min(series.cap, self.cap).
-        """
-        return self._substitution(series)
+    apply_hat = TwistAutomorphism.apply
 
     def boundary_image(self) -> TruncatedSeries:
         return self.apply_word(SurfaceSpec(self.genus, self.cap).boundary_word())
@@ -320,8 +300,8 @@ def build_symplectic_expansion(genus: int, cap: int) -> SymplecticExpansion:
     target = omega(genus, cap)
 
     def defect_series(exponents):
-        theta = Substitution([e.exp() for e in exponents])
-        return theta.word(boundary.letters).log() + target
+        theta = TwistAutomorphism(rank, cap, [e.exp() for e in exponents])
+        return theta.apply_word(boundary).log() + target
 
     exponents = [TruncatedSeries.variable(rank, cap, i + 1) for i in range(rank)]
     if not defect_series(exponents).degree_part(2).is_zero():

@@ -75,18 +75,6 @@ from .truncated_completion import (
 )
 from .words import GroupWord
 
-SUITE_NAMES = (
-    "fox-laws",
-    "hopf",
-    "dehn-compare",
-    "figure-eight",
-    "nabla",
-    "twist-laws",
-    "symplectic",
-    "appendix-identities",
-)
-
-
 def _random_word(rng, rank, max_len, min_len=0) -> GroupWord:
     length = rng.randint(min_len, max_len)
     letters = []
@@ -609,6 +597,7 @@ _SUITES = {
     "symplectic": symplectic_suite,
     "appendix-identities": appendix_suite,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, degree: int = 5) -> dict:

@@ -4,8 +4,8 @@
 each word of a, the inner sums of each word of b) and joins once;
 ``embed`` builds each word's image on ints, one letter at a time, with
 no cache.  The oracles below are the former per-pair derived form and
-the former embedding through the identity ``Substitution.word``; both
-are compared by ``==``.  The rank and cap guards that the int routes
+the former embedding through the identity automorphism's
+``apply_word``; both are compared by ``==``.  The rank and cap guards that the int routes
 need are tested here too.
 """
 
@@ -14,12 +14,13 @@ from fractions import Fraction
 
 import pytest
 
-from foxtwist.derived_twists import derived_form_exact
+from foxtwist.derived_twists import TwistAutomorphism, derived_form_exact
 from foxtwist.fox_pairings import FoxPairing
 from foxtwist.group_algebra import GroupAlgebraElement, _seam_product, conjugation_sum
-from foxtwist.series import Substitution, TruncatedSeries, _int_split, accumulate, nonzero
+from foxtwist.series import TruncatedSeries, _int_split, accumulate, nonzero
 from foxtwist.surfaces import SurfaceSpec, surface_pairing
 from foxtwist.truncated_completion import embed, fundamental_power_contains
+from foxtwist.words import GroupWord
 from test_group_algebra_kernel import (
     assert_exact,
     mul_oracle,
@@ -49,13 +50,12 @@ def derived_form_per_pair(pairing, a, b, left=False):
 
 
 def embed_by_substitution(element, cap):
-    """The former embedding: the identity substitution's word images."""
+    """The former embedding: the identity automorphism's word images."""
     rank = element.rank
-    word = Substitution([1 + TruncatedSeries.variable(rank, cap, i + 1)
-                         for i in range(rank)]).word
+    identity = TwistAutomorphism.identity(rank, cap)
     out = {}
     for letters, coeff in element.terms.items():
-        accumulate(out, word(letters).terms.items(), coeff)
+        accumulate(out, identity.apply_word(GroupWord(rank, letters)).terms.items(), coeff)
     return TruncatedSeries._raw(rank, cap, nonzero(out))
 
 

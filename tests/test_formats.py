@@ -218,6 +218,20 @@ def test_expansion_validation():
         expansion_from_dict(scrambled)
 
 
+def test_automorphism_loaders_keep_their_error_texts():
+    doc = expansion_to_dict(build_symplectic_expansion(1, 4))
+    with pytest.raises(FormatError, match="^need one image per basis direction$"):
+        expansion_from_dict({**doc, "images": doc["images"][:1]})
+    scrambled = {**doc, "images": [doc["images"][1], doc["images"][0]]}
+    with pytest.raises(FormatError, match="^degree-1 part of image 1 is not the basis vector$"):
+        expansion_from_dict(scrambled)
+    doc = twist_to_dict(TwistAutomorphism.identity(2, 3))
+    with pytest.raises(FormatError, match="^need one image per generator$"):
+        twist_from_dict({**doc, "images": doc["images"][:1]})
+    with pytest.raises(FormatError, match="^image cap must equal degree_cap$"):
+        twist_from_dict({**doc, "degree_cap": 4})
+
+
 def test_dumps_is_byte_deterministic():
     pairing = surface_pairing(SurfaceSpec(1, 3))
     assert dumps(pairing_to_dict(pairing)) == dumps(pairing_to_dict(pairing))

@@ -1,8 +1,8 @@
 """Differential tests for the functional calculus of the completion.
 
 ``series.power_sum`` serves exp, log, ``s_of_omega`` and the map of
-``exp_derivation``; ``Substitution.word`` serves ``embed``, both
-``apply_word`` methods and the boundary defect of
+``exp_derivation``; ``TwistAutomorphism.apply_word`` serves twists,
+symplectic expansions and the boundary defect of
 ``build_symplectic_expansion``; ``series_matrix_inverse`` is the only
 inverse.  The loops they replaced are kept here as Fraction oracles,
 and every comparison is exact equality on Fraction coefficients.
@@ -11,6 +11,7 @@ and every comparison is exact equality on Fraction coefficients.
 import functools
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from foxtwist.derived_twists import (
 )
 from foxtwist.errors import DomainError, NilpotencyCapExceeded, NotInvertible
 from foxtwist.group_algebra import GroupAlgebraElement
-from foxtwist.series import Substitution, TruncatedSeries
+from foxtwist.series import TruncatedSeries
 from foxtwist.surfaces import SurfaceSpec, surface_pairing
 from foxtwist.symplectic_tensor import (
     S_COEFFICIENTS,
@@ -319,7 +320,7 @@ def test_power_sum_stops_when_the_coefficients_run_out():
     assert len(steps) == 2
 
 
-# -- Substitution.word: embed, apply_word, the boundary defect ---------------
+# -- apply_word: embed, twists, expansions, the boundary defect -------------
 
 
 @pytest.mark.parametrize("rank, cap", RANKS_AND_CAPS)
@@ -357,12 +358,15 @@ def test_word_images_cancel_and_solve_each_inverse_once(monkeypatch):
         return solve(matrix)
 
     monkeypatch.setattr(series, "series_matrix_inverse", counted)
-    words = Substitution(t.images)
+    fresh = TwistAutomorphism(t.rank, t.cap, t.images)
+    # Letters as given: a GroupWord would cancel them before the images do.
+    word = lambda letters: types.SimpleNamespace(rank=t.rank, letters=letters)
     for _ in range(2):
         letters = alpha.letters + alpha.inverse().letters
-        assert_exact(words.word(letters), TruncatedSeries.one(t.rank, t.cap))
-        assert_exact(words.word((-1, -2, 2, 1)), TruncatedSeries.one(t.rank, t.cap))
-        assert_exact(words.word((-2, -1, -2)), twist_apply_word_by_loop(t, (-2, -1, -2)))
+        assert_exact(fresh.apply_word(word(letters)), TruncatedSeries.one(t.rank, t.cap))
+        assert_exact(fresh.apply_word(word((-1, -2, 2, 1))), TruncatedSeries.one(t.rank, t.cap))
+        assert_exact(fresh.apply_word(word((-2, -1, -2))),
+                     twist_apply_word_by_loop(t, (-2, -1, -2)))
     assert len(calls) == 2
 
 
@@ -392,7 +396,8 @@ def test_expansion_words_and_boundary_defect_match_the_replaced_loops(genus, cap
     assert (old_defect + target).is_zero()
     for _ in range(3):
         exponents = [x + random_series(rng, e.rank, cap, 3, min_degree=2) for x in e.exponents]
-        assert_exact(Substitution([x.exp() for x in exponents]).word(boundary.letters),
+        assert_exact(TwistAutomorphism(e.rank, cap, [x.exp() for x in exponents])
+                     .apply_word(boundary),
                      boundary_product_by_letter_exps(exponents, boundary.letters))
 
 

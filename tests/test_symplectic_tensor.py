@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from foxtwist.derived_twists import TwistAutomorphism, twist
 from foxtwist.errors import DomainError, SolverError
 from foxtwist.series import TruncatedSeries
-from foxtwist.surfaces import SurfaceSpec
+from foxtwist.surfaces import SurfaceSpec, surface_pairing
 from foxtwist.symplectic_tensor import (
     S_COEFFICIENTS,
     SymplecticExpansion,
@@ -287,6 +288,30 @@ def test_apply_hat_extends_multiplicatively():
     x2 = TruncatedSeries.variable(2, 4, 2)
     assert e.apply_hat(1 + x1) == e.images[0]
     assert e.apply_hat((1 + x1) * (1 + x2)) == e.images[0] * e.images[1]
+
+
+@pytest.mark.parametrize("genus, cap", [(1, 5), (2, 4)])
+def test_expansion_inverts_as_an_automorphism(genus, cap):
+    e = build_symplectic_expansion(genus, cap)
+    assert e.inverse().compose(e) == TwistAutomorphism.identity(e.rank, e.cap)
+
+
+def test_expansion_after_a_twist_is_group_like_on_the_tensor_side():
+    # theta-hat carries the group coproduct to the tensor one, so the
+    # images of theta after t are group-like for tensor_coproduct only.
+    spec = SurfaceSpec(1, 5)
+    t = twist(surface_pairing(spec), Fraction(1, 3), spec.parse_curve("a b a b^-1"))
+    composite = build_symplectic_expansion(1, 5).compose(t)
+    assert all(is_group_like(image, tensor_coproduct) for image in composite.images)
+    assert t.is_hopf()
+    assert not composite.is_hopf()
+
+
+def test_apply_hat_is_the_inherited_apply():
+    # The bench tracer and the section-9 call count replace apply_hat in
+    # the subclass's own namespace, so it must be defined there.
+    assert SymplecticExpansion.__dict__["apply_hat"] is TwistAutomorphism.__dict__["apply"]
+    assert not {"apply", "apply_word"} & set(SymplecticExpansion.__dict__)
 
 
 def test_lie_bracket_of_word_is_right_nested():
