@@ -24,9 +24,10 @@ operands at P - 1.  The values have no constant term, so the derivation
 never lowers degree: exp runs at P - 2 as well, and nothing is truncated
 at the end.
 
-Fractions are built where a twist hands a series on: log(alpha), each
-value (x_j and 2k multiply its conjugation sum on ints) and each image.
-Between them, ``exp_derivation`` runs on ints over one growing denominator.
+Every step of a twist stays on int numerators (the storage rule of
+``series._IntTerms``): log(alpha), each value (x_j and 2k multiply its
+conjugation sum) and each image are handed on as ints over one reduced
+denominator, and ``exp_derivation`` runs over one growing denominator.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from .fox_pairings import FoxPairing
 from .group_algebra import GroupAlgebraElement, _seam_product, conjugation_sum
 from .series import (
     TruncatedSeries,
-    _int_join,
-    _int_split,
+    _over_one_den,
     accumulate,
     as_fraction,
     frame_kernel,
@@ -52,8 +52,8 @@ from .truncated_completion import (
     GROUP_LETTER,
     _antipode_coproduct_monomial,
     _coproduct_monomial,
-    _conjugation_sum,
     _frame_sum,
+    conjugation_sum_series,
     embed,
     is_group_like,
 )
@@ -77,16 +77,15 @@ def derived_form_exact(pairing: FoxPairing, a: GroupAlgebraElement,
     if left:
         return derived_form_exact(pairing.transpose(), b, a)
     entries, entry_den = pairing._int_entries(None)
-    (ia, den_a), (ib, den_b) = _int_split(a.terms), _int_split(b.terms)
-    # Int terms: the Fox calculus of one word with coefficient 1 stays on ints.
+    # The Fox calculus of one word with coefficient 1 stays over denominator 1.
     word = lambda letters: GroupAlgebraElement._raw(n, {letters: 1})
-    lefts = {ma: [ring.left(word(ma), i + 1).terms for i in range(n)] for ma in ia}
-    rights = {mb: [ring.right(word(mb), j + 1).terms for j in range(n)] for mb in ib}
-    inners = {mb: [_seam_product(zip(row, rights[mb])) for row in entries] for mb in ib}
+    lefts = {ma: [ring.left(word(ma), i + 1).num for i in range(n)] for ma in a.num}
+    rights = {mb: [ring.right(word(mb), j + 1).num for j in range(n)] for mb in b.num}
+    inners = {mb: [_seam_product(zip(row, rights[mb])) for row in entries] for mb in b.num}
     rho = lambda ma, mb: GroupAlgebraElement._raw(n, _seam_product(zip(lefts[ma], inners[mb])))
-    total = _seam_product(({mb: ca * cb}, conjugation_sum(word(ma), rho(ma, mb)).terms)
-                          for ma, ca in ia.items() for mb, cb in ib.items())
-    return GroupAlgebraElement._raw(n, _int_join(total, den_a * den_b * entry_den))
+    total = _seam_product(({mb: ca * cb}, conjugation_sum(word(ma), rho(ma, mb)).num)
+                          for ma, ca in a.num.items() for mb, cb in b.num.items())
+    return GroupAlgebraElement._raw(n, total, a.den * b.den * entry_den)
 
 
 def derived_generator_values(pairing: FoxPairing, u: TruncatedSeries) -> list:
@@ -112,9 +111,8 @@ def derived_generator_values(pairing: FoxPairing, u: TruncatedSeries) -> list:
     # its u1 legs.  Splits are enumerated one degree above the cap since
     # the strip refunds a degree; S(stem) has degree >= len(stem), so the
     # room rule drops every leg that would not fit.
-    terms, den = _int_split(work.terms)
     legs = {}
-    for monomial, coeff in terms.items():
+    for monomial, coeff in work.num.items():
         for (m1, m2), mult in _coproduct_monomial(cap + 1, monomial, GROUP_LETTER).items():
             if m2:
                 filling = legs.setdefault((m2[-1] - 1, m2[:-1]), {})
@@ -130,7 +128,7 @@ def derived_generator_values(pairing: FoxPairing, u: TruncatedSeries) -> list:
         value = frame_kernel([(_frame_sum(entries[r][j], stem_frames), kernels[r])
                               for r in range(n) if kernels[r]], cap)
         value = frame_kernel([({((), ()): 1, ((j + 1,), ()): 1}, value)], cap)
-        values.append(TruncatedSeries._raw(n, cap, _int_join(value, den * entry_den)))
+        values.append(TruncatedSeries._raw(n, cap, value, work.den * entry_den))
     return values
 
 
@@ -159,10 +157,9 @@ def apply_derivation(values: list, series: TruncatedSeries) -> TruncatedSeries:
     if series.rank != n:
         raise ValueError("rank mismatch")
     cap = min(series.cap, min((v.cap for v in values), default=series.cap))
-    *int_values, values_den = _int_split(*(v.terms for v in values))
-    terms, den = _int_split(series.terms)
-    return TruncatedSeries._raw(
-        n, cap, _int_join(_derive(int_values, terms, cap), den * values_den))
+    *int_values, values_den = _over_one_den(*values)
+    return TruncatedSeries._raw(n, cap, _derive(int_values, series.num, cap),
+                                series.den * values_den)
 
 
 def derived_form_truncated(pairing: FoxPairing, u: TruncatedSeries,
@@ -181,11 +178,7 @@ def _sigma_log_squared_closed_form(k: Fraction, log_a: TruncatedSeries,
     either check that or know it by construction.
     """
     b._check_compatible(log_a)
-    terms, den = _conjugation_sum(log_a, rho_ab)
-    (left, left_den), scale = _int_split(b.terms), 2 * k
-    frames = {(m, ()): c * scale.numerator for m, c in left.items()}
-    return TruncatedSeries._raw(b.rank, b.cap, _int_join(
-        frame_kernel([(frames, terms)], b.cap), den * left_den * scale.denominator))
+    return (b * conjugation_sum_series(log_a, rho_ab)).scale(2 * k)
 
 
 def sigma_log_squared(k, a: TruncatedSeries, b: TruncatedSeries, rho_ab) -> TruncatedSeries:
@@ -217,7 +210,7 @@ def exp_derivation(values: list):
             raise DomainError("derivation values must have no constant term")
     bound = (max((v.cap for v in values), default=2) + 1) ** 2
     n, cap = len(values), min((v.cap for v in values), default=0)
-    *int_values, values_den = _int_split(*(v.terms for v in values))
+    *int_values, values_den = _over_one_den(*values)
 
     def coefficients():
         for j in range(bound + 1):
@@ -262,10 +255,11 @@ class TwistAutomorphism:
         self._word_cache = {(): self._prefix_cache[()]}
         self._word_cache.update(((i + 1,), image) for i, image in enumerate(images))
 
-    @classmethod
-    def identity(cls, rank: int, cap: int) -> "TwistAutomorphism":
-        return cls(rank, cap,
-                   [1 + TruncatedSeries.variable(rank, cap, i + 1) for i in range(rank)])
+    @staticmethod
+    def identity(rank: int, cap: int) -> "TwistAutomorphism":
+        """The identity, a plain ``TwistAutomorphism`` on every subclass."""
+        return TwistAutomorphism(rank, cap, [1 + TruncatedSeries.variable(rank, cap, i + 1)
+                                             for i in range(rank)])
 
     def _monomial_image(self, monomial):
         cached = self._prefix_cache.get(monomial)
@@ -284,15 +278,15 @@ class TwistAutomorphism:
         if series.rank != self.rank:
             raise ValueError("rank mismatch")
         cap = min(series.cap, self.cap)
+        monomials = [m for m in series.num if len(m) < cap]
+        images = [self._monomial_image(m) for m in monomials]
+        if cap < self.cap:
+            images = [image.truncate(cap) for image in images]
+        *nums, den = _over_one_den(*images)
         out = {}
-        for monomial, coeff in series.terms.items():
-            if len(monomial) >= cap:
-                continue
-            image = self._monomial_image(monomial)
-            if cap < self.cap:
-                image = image.truncate(cap)
-            accumulate(out, image.terms.items(), coeff)
-        return TruncatedSeries._raw(self.rank, cap, nonzero(out))
+        for monomial, num in zip(monomials, nums):
+            accumulate(out, num.items(), series.num[monomial])
+        return TruncatedSeries._raw(self.rank, cap, nonzero(out), den * series.den)
 
     def apply_word(self, word: GroupWord) -> TruncatedSeries:
         """Image of the embedded group word: images[i - 1] for a letter i
@@ -355,16 +349,12 @@ class TwistAutomorphism:
             preimages.append(candidate)
         return TwistAutomorphism(self.rank, self.cap, preimages)
 
-    @classmethod
-    def _linear(cls, rank, cap, matrix) -> "TwistAutomorphism":
-        images = []
-        for i in range(rank):
-            im = TruncatedSeries.one(rank, cap)
-            for j in range(rank):
-                if matrix[j][i]:
-                    im = im + TruncatedSeries.variable(rank, cap, j + 1).scale(matrix[j][i])
-            images.append(im)
-        return cls(rank, cap, images)
+    @staticmethod
+    def _linear(rank, cap, matrix) -> "TwistAutomorphism":
+        """X_i -> sum_j matrix[j][i] X_j, a plain ``TwistAutomorphism``."""
+        return TwistAutomorphism(rank, cap, [
+            TruncatedSeries(rank, cap, {(): 1, **{(j + 1,): matrix[j][i] for j in range(rank)}})
+            for i in range(rank)])
 
     def homology_matrix(self) -> list:
         """Degree-one action: column i holds the image of generator i."""

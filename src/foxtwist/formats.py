@@ -5,7 +5,8 @@ decimal) and every writer emits terms in one fixed order, so equal
 objects serialize to identical bytes.  Series payloads carry no rank:
 enclosing documents supply it, and standalone loaders infer the
 smallest alphabet that fits.  ``series_from_dict`` checks each term in
-one pass and parses each distinct coefficient text once per payload.
+one pass, parses each distinct coefficient text once per payload and
+builds the int numerators over one denominator from those parses.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from .derived_twists import TwistAutomorphism
 from .fox_pairings import FoxPairing
-from .series import TruncatedSeries, _positive_int, nonzero
+from .series import TruncatedSeries, _int_split, _positive_int, nonzero
 from .symplectic_tensor import SymplecticExpansion
 
 # Numerator and optional nonzero denominator of exact fraction text.
@@ -58,7 +59,7 @@ def series_from_dict(data, rank=None) -> TruncatedSeries:
     _require(_positive_int(cap), "degree_cap must be a positive integer")
     raw = data.get("terms")
     _require(isinstance(raw, list), "terms must be a list")
-    terms = {}
+    terms = {}  # word -> coefficient text
     parsed = {}  # str text -> Fraction; other values fail in _coefficient
     top = 0
     for item in raw:
@@ -75,20 +76,21 @@ def series_from_dict(data, rank=None) -> TruncatedSeries:
         if len(word) >= cap:
             raise FormatError("term degree reaches the cap")
         text = item.get("coeff")
-        coeff = parsed.get(text) if type(text) is str else None
-        if coeff is None:
-            coeff = parsed[text] = _coefficient(text)
+        if type(text) is not str or text not in parsed:
+            parsed[text] = _coefficient(text)
         key = tuple(word)
         if key in terms:
             raise FormatError("duplicate term word")
-        terms[key] = coeff
+        terms[key] = text
     if rank is None:
         rank = max(top, 1)
     _require(_positive_int(rank), "rank must be a positive integer")
     _require(top <= rank, "letters exceed the rank")
     # Every letter, degree and coefficient is checked above, so the
     # validating constructor would only repeat the work.
-    return TruncatedSeries._raw(rank, cap, nonzero(terms))
+    scaled, den = _int_split(parsed)
+    return TruncatedSeries._raw(rank, cap, nonzero({key: scaled[text]
+                                                    for key, text in terms.items()}), den)
 
 
 # -- pairings ----------------------------------------------------------

@@ -40,7 +40,7 @@ from .group_algebra import (
     fox_derivative_left,
     fox_derivative_right,
 )
-from .series import TruncatedSeries, _int_join, _int_split, frame_kernel, series_matrix_inverse
+from .series import TruncatedSeries, _over_one_den, frame_kernel, series_matrix_inverse
 from .truncated_completion import (
     _strip_first,
     _strip_last,
@@ -56,7 +56,7 @@ from .words import GroupWord
 # Fox derivatives left(a, i) and right(a, i), the involution, the
 # augmentation, image(e, like): a group-algebra element e in the ring (and
 # at the cap) of like, product(pairs, cap): the sum of left * right over
-# pairs of int term dicts, and raw(terms, rank, cap): a clean element.
+# pairs of int term dicts, and raw(rank, cap, num, den): a clean element.
 _Ring = namedtuple("_Ring", "name left right involution augmentation image product raw")
 
 
@@ -65,13 +65,13 @@ _RINGS = {
                                GroupAlgebraElement.bar, GroupAlgebraElement.augmentation,
                                lambda element, like: element,
                                lambda pairs, cap: _seam_product(pairs),
-                               lambda terms, rank, cap: GroupAlgebraElement._raw(rank, terms)),
+                               lambda rank, _, num, den: GroupAlgebraElement._raw(rank, num, den)),
     TruncatedSeries: _Ring("truncated", fox_left_series, fox_right_series, antipode, counit,
                            lambda element, like: embed(element, like.cap),
                            lambda pairs, cap: frame_kernel(
                                (({(m, ()): c for m, c in left.items()}, right)
                                 for left, right in pairs), cap),
-                           lambda terms, rank, cap: TruncatedSeries._raw(rank, cap, terms)),
+                           TruncatedSeries._raw),
 }
 
 
@@ -152,7 +152,7 @@ class FoxPairing:
         return self.rank == other.rank and self.matrix == other.matrix
 
     def __hash__(self):
-        entries = tuple(frozenset(e.terms.items()) for row in self.matrix for e in row)
+        entries = tuple((e.den, frozenset(e.num.items())) for row in self.matrix for e in row)
         return hash((self.rank, self.cap, entries))
 
     def _check_compatible(self, other: "FoxPairing"):
@@ -171,19 +171,20 @@ class FoxPairing:
         """The entries cut to cap (None: exact) as int rows over one denominator."""
         if cap not in self._split:
             n = self.rank
-            *flat, den = _int_split(*(e.terms if cap is None else e.truncate(cap).terms
-                                      for row in self.matrix for e in row))
+            *flat, den = _over_one_den(*(e if cap is None else e.truncate(cap)
+                                         for row in self.matrix for e in row))
             self._split[cap] = [flat[i * n:i * n + n] for i in range(n)], den
         return self._split[cap]
 
     def evaluate(self, a, b):
         """Pairing value sum_i d_i(a) (sum_j rho(x_i, x_j) d^j(b)).
 
-        One int body for both rings: the derivatives of a and of b and the
-        entries (once per cap, kept) are split once each, the ring's int
-        product forms each inner sum over j once (n^2 + n products), and
-        the value is joined once.  Truncated operands lose one degree to the
-        strip: all is cut to min(cap(a) - 1, cap(b) - 1, entry cap).
+        One int body for both rings: the derivatives of a, those of b and
+        the entries (once per cap, kept) each come over one denominator, the
+        ring's int product forms each inner sum over j once (n^2 + n
+        products), and the value is stored over the product of the three.
+        Truncated operands lose one degree to the strip: all is cut to
+        min(cap(a) - 1, cap(b) - 1, entry cap).
         """
         kind = type(self.matrix[0][0])
         if type(a) is not kind or type(b) is not kind:
@@ -197,14 +198,14 @@ class FoxPairing:
                 raise ValueError("operand caps too small to evaluate a pairing")
             # A derivative drops one degree, so the operands are cut one above.
             a, b = a.truncate(cap + 1), b.truncate(cap + 1)
-        *lefts, left_den = _int_split(*(ring.left(a, i + 1).terms for i in range(n)))
-        *rights, right_den = _int_split(*(ring.right(b, j + 1).terms for j in range(n)))
+        *lefts, left_den = _over_one_den(*(ring.left(a, i + 1) for i in range(n)))
+        *rights, right_den = _over_one_den(*(ring.right(b, j + 1) for j in range(n)))
         entries, entry_den = self._int_entries(cap)
         live = [j for j in range(n) if rights[j]]
         inners = [ring.product([(entries[i][j], rights[j]) for j in live], cap) if left else {}
                   for i, left in enumerate(lefts)]
         total = ring.product(zip(lefts, inners), cap)
-        return ring.raw(_int_join(total, left_den * right_den * entry_den), n, cap)
+        return ring.raw(n, cap, total, left_den * right_den * entry_den)
 
     def t_pairing_value(self, a: GroupWord, b: GroupWord):
         """Value of the companion pairing that is a derivation in both
@@ -311,11 +312,12 @@ def nabla_of_pairing(pairing: FoxPairing) -> NablaElement:
     if not pairing.is_nondegenerate():
         raise NotNondegenerate("pairing has a singular homological form")
     n, cap = pairing.rank, pairing.cap
-    c = series_matrix_inverse([list(row) for row in pairing.matrix])
+    inverse = series_matrix_inverse(pairing.matrix)
+    *c, den = _over_one_den(*(e for row in inverse for e in row))
     total = {(r + 1,) + m + (s + 1,): coeff
              for r in range(n) for s in range(n)
-             for m, coeff in c[r][s].terms.items() if len(m) + 2 < cap}
-    return NablaElement(TruncatedSeries._raw(n, cap, total))
+             for m, coeff in c[r * n + s].items() if len(m) + 2 < cap}
+    return NablaElement(TruncatedSeries._raw(n, cap, total, den))
 
 
 def pairing_of_nabla(nabla: NablaElement) -> FoxPairing:
@@ -330,13 +332,13 @@ def pairing_of_nabla(nabla: NablaElement) -> FoxPairing:
     """
     n, cap = nabla.rank, nabla.cap
     c = [[{} for _ in range(n)] for _ in range(n)]
-    for m, coeff in nabla.series.terms.items():
+    for m, coeff in nabla.series.num.items():
         if len(m) == 1:
             raise NotNondegenerate("degree-two coefficient matrix is singular")
         c[m[0] - 1][m[-1] - 1][m[1:-1]] = coeff
     try:
         inverse = series_matrix_inverse(
-            [[TruncatedSeries._raw(n, cap - 2, e) for e in row] for row in c])
+            [[TruncatedSeries._raw(n, cap - 2, e, nabla.series.den) for e in row] for row in c])
     except NotInvertible:
         raise NotNondegenerate("degree-two coefficient matrix is singular") from None
     return FoxPairing(inverse)

@@ -1,6 +1,6 @@
 """The rational group algebra of a free group, with exact arithmetic.
 
-Elements are finite linear combinations of reduced words with Fraction
+Elements are finite linear combinations of reduced words with rational
 coefficients.  On top of the ring structure this module provides the
 augmentation, the bar involution (reverse and invert every word), left
 and right Fox derivatives, conjugation sums, and the projection onto
@@ -14,14 +14,15 @@ Conventions used throughout the package:
   a = aug(a) + sum_i (x_i - 1) d^i(a);
 * conjugation sum:       v^u = sum_x k_x x^-1 v x  for u = sum_x k_x x.
 
-The invariant: ``terms`` maps freely reduced words with letters in
-+-1..+-rank to nonzero Fractions.  The public constructor establishes it
-from arbitrary input (the letter rule of ``words``, coefficient coercion,
-free reduction, merging);
-every operation here keeps it by construction and builds its result
-with ``_raw``.  The seam rule: a product of two reduced words can cancel
-only at the junction, so ``_seam`` reduces a + b by stripping the
-letters that meet there and never rescans either word.  Prefixes,
+The invariant: ``num`` maps freely reduced words with letters in
++-1..+-rank to nonzero ints over ``den``, by the storage rule of
+``series._IntTerms``.  The public constructor establishes it from
+arbitrary input (the letter rule of ``words``, coefficient coercion,
+free reduction, merging); every operation here keeps it by construction
+and hands its int result and denominator to ``_raw``.  The seam rule: a
+product of two reduced words can cancel only at the junction, so
+``_seam`` reduces a + b by stripping the letters that meet there and
+never rescans either word.  Prefixes,
 suffixes and inverses of reduced words are reduced as they stand.
 ``*``, ``FoxPairing.evaluate`` and ``derived_form_exact`` run on one int
 kernel, ``_seam_product``, the seam-rule analogue of ``series.frame_kernel``.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import _int_join, _int_split, _positive_int, accumulate, as_fraction, nonzero
+from .series import _IntTerms, _over_one_den, _positive_int, accumulate, as_fraction, nonzero
 from .words import GroupWord, _checked_word
 
 
@@ -57,26 +58,24 @@ def _seam_product(pairs):
     return nonzero(out)
 
 
-class GroupAlgebraElement:
+class GroupAlgebraElement(_IntTerms):
     """A finite Q-linear combination of free-group words of a fixed rank."""
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ("rank",)
 
     def __init__(self, rank: int, terms=None):
         if not _positive_int(rank):
             raise ValueError(f"rank must be a positive integer, got {rank!r}")
         self.rank = rank
-        self.terms = nonzero(accumulate({}, (
-            (_checked_word(rank, mono), as_fraction(coeff))
-            for mono, coeff in (terms or {}).items())))
+        self._store_fractions((_checked_word(rank, mono), as_fraction(coeff))
+                              for mono, coeff in (terms or {}).items())
 
     @classmethod
-    def _raw(cls, rank, terms):
-        # Internal constructor: terms must already keep the invariant.
+    def _raw(cls, rank, num, den=1):
+        # Internal constructor: num holds nonzero ints on reduced words.
         self = object.__new__(cls)
         self.rank = rank
-        self.terms = terms
-        return self
+        return self._store(num, den)
 
     # -- constructors ------------------------------------------------------
 
@@ -86,12 +85,11 @@ class GroupAlgebraElement:
 
     @classmethod
     def one(cls, rank: int) -> "GroupAlgebraElement":
-        return cls(rank, {(): Fraction(1)})
+        return cls(rank, {(): 1})
 
     @classmethod
     def from_word(cls, word: GroupWord, coeff=1) -> "GroupAlgebraElement":
-        coeff = as_fraction(coeff)
-        return cls._raw(word.rank, {word.letters: coeff} if coeff else {})
+        return cls._raw(word.rank, {word.letters: 1}).scale(coeff)
 
     @classmethod
     def generator(cls, rank: int, i: int, sign: int = 1) -> "GroupAlgebraElement":
@@ -104,16 +102,14 @@ class GroupAlgebraElement:
         for mono, coeff in self.terms.items():
             yield GroupWord(self.rank, mono), coeff
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def augmentation(self) -> Fraction:
-        return sum(self.terms.values(), Fraction(0))
+        return Fraction(sum(self.num.values()), self.den)
 
     def bar(self) -> "GroupAlgebraElement":
         """The involution sending every word to its inverse."""
         return GroupAlgebraElement._raw(self.rank, {
-            tuple(-x for x in reversed(mono)): coeff for mono, coeff in self.terms.items()})
+            tuple(-x for x in reversed(mono)): coeff for mono, coeff in self.num.items()},
+            self.den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -127,13 +123,14 @@ class GroupAlgebraElement:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         self._check_rank(other)
-        return GroupAlgebraElement._raw(
-            self.rank, nonzero(accumulate(dict(self.terms), other.terms.items())))
+        a, b, den = _over_one_den(self, other)
+        return GroupAlgebraElement._raw(self.rank, nonzero(accumulate(dict(a), b.items())), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GroupAlgebraElement._raw(self.rank, {m: -c for m, c in self.terms.items()})
+        return GroupAlgebraElement._raw(self.rank, {m: -c for m, c in self.num.items()},
+                                        self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -146,9 +143,9 @@ class GroupAlgebraElement:
         return (-self) + other
 
     def scale(self, k) -> "GroupAlgebraElement":
-        k = as_fraction(k)
-        return GroupAlgebraElement._raw(
-            self.rank, {m: k * c for m, c in self.terms.items()} if k else {})
+        p, q = as_fraction(k).as_integer_ratio()
+        num = {m: p * c for m, c in self.num.items()} if p else {}
+        return GroupAlgebraElement._raw(self.rank, num, self.den * q)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -156,8 +153,8 @@ class GroupAlgebraElement:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         self._check_rank(other)
-        ia, ib, den = _int_split(self.terms, other.terms)
-        return GroupAlgebraElement._raw(self.rank, _int_join(_seam_product([(ia, ib)]), den * den))
+        return GroupAlgebraElement._raw(self.rank, _seam_product([(self.num, other.num)]),
+                                        self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -169,17 +166,16 @@ class GroupAlgebraElement:
             other = GroupAlgebraElement(self.rank, {(): as_fraction(other)})
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
-        return self.rank == other.rank and self.terms == other.terms
+        return self.rank == other.rank and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
+        return hash((self.rank, self.den, frozenset(self.num.items())))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "<0>"
         parts = []
-        for mono in sorted(self.terms, key=lambda m: (len(m), m)):
-            coeff = self.terms[mono]
+        for mono, coeff in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
             word = ".".join(f"x{x}" if x > 0 else f"x{-x}'" for x in mono) or "1"
             parts.append(f"{coeff}*{word}")
         return "<" + " + ".join(parts) + ">"
@@ -188,19 +184,19 @@ class GroupAlgebraElement:
 def fox_derivative_left(a: GroupAlgebraElement, i: int) -> GroupAlgebraElement:
     """Left Fox derivative: d(ab) = d(a) aug(b) + a d(b), d_i(x_j) = delta_ij."""
     out = {}
-    for mono, coeff in a.terms.items():
+    for mono, coeff in a.num.items():
         accumulate(out, ((mono[:p], coeff) if x == i else (mono[:p + 1], -coeff)
                          for p, x in enumerate(mono) if abs(x) == i))
-    return GroupAlgebraElement._raw(a.rank, nonzero(out))
+    return GroupAlgebraElement._raw(a.rank, nonzero(out), a.den)
 
 
 def fox_derivative_right(a: GroupAlgebraElement, i: int) -> GroupAlgebraElement:
     """Right Fox derivative: d(ab) = d(a) b + aug(a) d(b)."""
     out = {}
-    for mono, coeff in a.terms.items():
+    for mono, coeff in a.num.items():
         accumulate(out, ((mono[p + 1:], coeff) if x == i else (mono[p:], -coeff)
                          for p, x in enumerate(mono) if abs(x) == i))
-    return GroupAlgebraElement._raw(a.rank, nonzero(out))
+    return GroupAlgebraElement._raw(a.rank, nonzero(out), a.den)
 
 
 def fox_derivative(side: str, i: int, a: GroupAlgebraElement) -> GroupAlgebraElement:
@@ -215,15 +211,15 @@ def conjugation_sum(v: GroupAlgebraElement, u: GroupAlgebraElement) -> GroupAlge
     """v^u = sum_x k_x x^-1 v x, where u = sum_x k_x x.  Linear in both."""
     v._check_rank(u)
     out = {}
-    for mono, coeff in u.terms.items():
+    for mono, coeff in u.num.items():
         inv = tuple(-x for x in reversed(mono))
-        accumulate(out, ((_seam(_seam(inv, mv), mono), cv) for mv, cv in v.terms.items()),
+        accumulate(out, ((_seam(_seam(inv, mv), mono), cv) for mv, cv in v.num.items()),
                    coeff)
-    return GroupAlgebraElement._raw(v.rank, nonzero(out))
+    return GroupAlgebraElement._raw(v.rank, nonzero(out), u.den * v.den)
 
 
 def cyclic_projection(a: GroupAlgebraElement) -> GroupAlgebraElement:
     """Replace every word by the canonical representative of its conjugacy class."""
     return GroupAlgebraElement._raw(a.rank, nonzero(accumulate({}, (
         (GroupWord(a.rank, mono).cyclic_normal_form().letters, coeff)
-        for mono, coeff in a.terms.items()))))
+        for mono, coeff in a.num.items()))), a.den)

@@ -3,28 +3,28 @@
 A series lives in the quotient of the free associative Q-algebra on
 X_1 .. X_n by the ideal of terms of degree >= cap, so ``cap`` is the
 first discarded degree.  Monomials are tuples of generator indices
-(1-based); coefficients are exact Fractions.
+(1-based); coefficients are exact rationals.
 
 These series model truncated completions of group algebras where
 X_i = x_i - 1; the embedding itself is ``truncated_completion.embed``.
 
 Every sparse object in the package (group-algebra elements, series,
-tensors) is a dict from keys to coefficients, and every loop that builds
-one follows a single accumulation rule: add ``scale * c`` into the dict
-in place with ``accumulate`` (the innermost loops inline the same
-``out[key] = get(key, 0) + c`` line), let zeros stand, and drop them
-once at the end with ``nonzero``.
+tensors) stores int numerators ``num`` over one reduced denominator
+``den``, the rule of ``_IntTerms``; ``terms`` is their Fraction view.
+Every loop that builds a numerator dict follows a single accumulation
+rule: add ``scale * c`` into the dict in place with ``accumulate`` (the
+innermost loops inline the same ``out[key] = get(key, 0) + c`` line),
+let zeros stand, and drop them once at the end with ``nonzero``.
 
 Every product that inserts one series into the frames of another runs
 through one int kernel, ``frame_kernel``, whose docstring states the room
-rule.  ``frame_product`` wraps it for Fractions (``sandwich``,
-``contraction``); callers holding ints call it directly: the conjugation
-sum on the cached int monomial tensors, ``derived_generator_values``,
-``derived_twists._derive`` (``apply_derivation`` and the steps of
-``exp_derivation``), ``times`` (the right factor of ``*``) and the
-truncated ring product of ``FoxPairing.evaluate``.  ``series_matrix_inverse``
-(one denominator per degree) and ``symplectic_tensor.derivation_values``
-keep their own int arithmetic.
+rule: ``sandwich``, ``contraction``, the conjugation sum on the cached int
+monomial tensors, ``derived_generator_values``, ``derived_twists._derive``
+(``apply_derivation`` and the steps of ``exp_derivation``), ``times`` (the
+right factor of ``*``) and the truncated ring product of
+``FoxPairing.evaluate``.  ``series_matrix_inverse`` (one denominator per
+degree) and ``symplectic_tensor.derivation_values`` keep their own int
+arithmetic.
 
 The functional calculus of the completion is three routines:
 ``sum_powers`` (exp, log, s(omega), the map of ``exp_derivation``, and
@@ -124,14 +124,6 @@ def frame_kernel(jobs, cap):
     return nonzero(out)
 
 
-def frame_product(jobs, cap):
-    """``frame_kernel`` on Fraction jobs: split, kernel, join."""
-    jobs = list(jobs)
-    *frames, frame_den = _int_split(*[frames for frames, _ in jobs])
-    *fillings, filling_den = _int_split(*[filling for _, filling in jobs])
-    return _int_join(frame_kernel(zip(frames, fillings), cap), frame_den * filling_den)
-
-
 def _positive_int(value) -> bool:
     """The rule for ranks, caps and letters: an int >= 1, and never a bool."""
     return type(value) is int and value >= 1
@@ -160,23 +152,64 @@ def _checked_items(rank, cap, terms):
         yield monomial, as_fraction(coeff)
 
 
-class TruncatedSeries:
-    __slots__ = ("rank", "cap", "terms")
+class _IntTerms:
+    """The one storage rule for series, tensors and group-algebra elements:
+    ``num`` maps each key to a nonzero int and ``den`` is an int >= 1, in
+    lowest terms, gcd(den, *num.values()) == 1, so zero is {} over 1.  It
+    is ``_int_split`` of the coefficients, so == and hash compare it as it
+    stands.  Kernels hand an int result and its denominator to ``_raw``,
+    which reduces them once; operands over several denominators meet over
+    their least common one (``_over_one_den``)."""
+
+    __slots__ = ("num", "den")
+
+    def _store(self, num, den=1):
+        """Keep num (nonzero ints) over den, reduced to lowest terms."""
+        g = math.gcd(den, *num.values()) if den > 1 else 1
+        if g != 1:
+            num = {key: c // g for key, c in num.items()}
+            den //= g
+        self.num = num
+        self.den = den
+        return self
+
+    def _store_fractions(self, items):
+        """Keep the sum of the (key, Fraction) items."""
+        return self._store(*_int_split(nonzero(accumulate({}, items))))
+
+    @property
+    def terms(self):
+        """The coefficients as {key: Fraction}, built on each read."""
+        return _int_join(self.num, self.den)
+
+    def is_zero(self):
+        return not self.num
+
+
+def _over_one_den(*elements):
+    """The num dicts of the stored elements over their least common
+    denominator, then that denominator; a dict already over it is shared."""
+    den = math.lcm(*(e.den for e in elements))
+    return *[e.num if e.den == den else {key: c * (den // e.den) for key, c in e.num.items()}
+             for e in elements], den
+
+
+class TruncatedSeries(_IntTerms):
+    __slots__ = ("rank", "cap")
 
     def __init__(self, rank, cap, terms=None):
         _check_shape(rank, cap)
         self.rank = rank
         self.cap = cap
-        self.terms = nonzero(accumulate({}, _checked_items(rank, cap, terms or {})))
+        self._store_fractions(_checked_items(rank, cap, terms or {}))
 
     @classmethod
-    def _raw(cls, rank, cap, terms):
-        # Internal constructor: terms must already be clean.
+    def _raw(cls, rank, cap, num, den=1):
+        # Internal constructor: num holds nonzero ints below the cap.
         self = object.__new__(cls)
         self.rank = rank
         self.cap = cap
-        self.terms = terms
-        return self
+        return self._store(num, den)
 
     @classmethod
     def zero(cls, rank, cap):
@@ -184,12 +217,11 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, rank, cap):
-        return cls._raw(rank, cap, {(): Fraction(1)})
+        return cls._raw(rank, cap, {(): 1})
 
     @classmethod
     def scalar(cls, rank, cap, value):
-        value = as_fraction(value)
-        return cls._raw(rank, cap, {(): value} if value else {})
+        return cls.one(rank, cap).scale(value)
 
     @classmethod
     def variable(cls, rank, cap, index):
@@ -197,36 +229,33 @@ class TruncatedSeries:
             raise ValueError(f"variable index {index} outside 1..{rank}")
         if cap < 2:
             return cls.zero(rank, cap)
-        return cls._raw(rank, cap, {(index,): Fraction(1)})
-
-    def is_zero(self):
-        return not self.terms
+        return cls._raw(rank, cap, {(index,): 1})
 
     def constant_term(self):
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.num.get((), 0), self.den)
 
     def coefficient(self, monomial):
-        return self.terms.get(tuple(monomial), Fraction(0))
+        return Fraction(self.num.get(tuple(monomial), 0), self.den)
 
     def items(self):
         return self.terms.items()
 
     def filtration_degree(self):
         """Smallest degree carrying a term; cap when the series is zero."""
-        if not self.terms:
+        if not self.num:
             return self.cap
-        return min(len(m) for m in self.terms)
+        return min(len(m) for m in self.num)
 
     def degree_part(self, degree):
-        kept = {m: c for m, c in self.terms.items() if len(m) == degree}
-        return TruncatedSeries._raw(self.rank, self.cap, kept)
+        kept = {m: c for m, c in self.num.items() if len(m) == degree}
+        return TruncatedSeries._raw(self.rank, self.cap, kept, self.den)
 
     def truncate(self, new_cap):
         _check_cap(new_cap)
         if new_cap > self.cap:
             raise ValueError("cannot raise a degree cap; missing terms are unknown")
-        kept = {m: c for m, c in self.terms.items() if len(m) < new_cap}
-        return TruncatedSeries._raw(self.rank, new_cap, kept)
+        kept = {m: c for m, c in self.num.items() if len(m) < new_cap}
+        return TruncatedSeries._raw(self.rank, new_cap, kept, self.den)
 
     def _check_compatible(self, other):
         if self.rank != other.rank:
@@ -246,14 +275,15 @@ class TruncatedSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = accumulate(dict(self.terms), other.terms.items())
-        return TruncatedSeries._raw(self.rank, self.cap, nonzero(out))
+        a, b, den = _over_one_den(self, other)
+        return TruncatedSeries._raw(self.rank, self.cap,
+                                    nonzero(accumulate(dict(a), b.items())), den)
 
     __radd__ = __add__
 
     def __neg__(self):
         return TruncatedSeries._raw(self.rank, self.cap,
-                                    {m: -c for m, c in self.terms.items()})
+                                    {m: -c for m, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -265,19 +295,16 @@ class TruncatedSeries:
         return (-self) + other
 
     def scale(self, value):
-        value = as_fraction(value)
-        if not value:
-            return TruncatedSeries.zero(self.rank, self.cap)
-        return TruncatedSeries._raw(self.rank, self.cap,
-                                    {m: c * value for m, c in self.terms.items()})
+        p, q = as_fraction(value).as_integer_ratio()
+        num = {m: c * p for m, c in self.num.items()} if p else {}
+        return TruncatedSeries._raw(self.rank, self.cap, num, self.den * q)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if isinstance(other, TruncatedSeries):
             self._check_compatible(other)
-            terms, den = times(other)(*_int_split(self.terms))
-            return TruncatedSeries._raw(self.rank, self.cap, _int_join(terms, den))
+            return TruncatedSeries._raw(self.rank, self.cap, *times(other)(self.num, self.den))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -307,7 +334,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return (self.rank == other.rank and self.cap == other.cap
-                and self.terms == other.terms)
+                and self.den == other.den and self.num == other.num)
 
     def inverse(self):
         """Multiplicative inverse; needs an invertible constant term."""
@@ -330,7 +357,7 @@ class TruncatedSeries:
                           (Fraction(1, math.factorial(k)) for k in itertools.count()))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return f"<series 0 (cap {self.cap})>"
         bits = []
         for m, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
@@ -349,7 +376,7 @@ def sum_powers(first, step, coefficients):
     """Sum of c_k * step^k(first), k = 0, 1, ..., until a term vanishes or
     the coefficients run out, where step maps int terms over a denominator
     to the next such pair; the c_k come in once, at the end."""
-    terms, den = _int_split(first.terms)
+    terms, den = first.num, first.den
     kept = []
     for k, c in enumerate(coefficients):
         if k:
@@ -361,23 +388,22 @@ def sum_powers(first, step, coefficients):
     out = {}
     for terms, num, den in kept:
         accumulate(out, terms.items(), num * (common // den))
-    return TruncatedSeries._raw(first.rank, first.cap, _int_join(out, common))
+    return TruncatedSeries._raw(first.rank, first.cap, nonzero(out), common)
 
 
 def times(factor):
     """The int step terms -> terms * factor, of ``sum_powers`` and ``*``."""
-    right, right_den = _int_split(factor.terms)
-    return lambda terms, den: (frame_kernel([({(m, ()): c for m, c in terms.items()}, right)],
-                                            factor.cap), den * right_den)
+    return lambda terms, den: (frame_kernel([({(m, ()): c for m, c in terms.items()}, factor.num)],
+                                            factor.cap), den * factor.den)
 
 
 def power_sum(first, step, coefficients):
     """``sum_powers`` for a step on series.  A step that changes the rank
     or the cap is a ValueError."""
     def int_step(terms, den):
-        term = step(TruncatedSeries._raw(first.rank, first.cap, _int_join(terms, den)))
+        term = step(TruncatedSeries._raw(first.rank, first.cap, terms, den))
         first._check_compatible(term)
-        return _int_split(term.terms)
+        return term.num, term.den
 
     return sum_powers(first, int_step, coefficients)
 
@@ -405,10 +431,10 @@ def series_matrix_inverse(matrix):
 
     where (h delta)^(j-1) brings the term of A_j B_{d-j} to the common
     denominator of degree d.  Each K_j has degree exactly j, so nothing
-    is truncated on the way; the solve runs on ints and builds each
-    Fraction once, on return.  Most blocks of the P_d are empty, so each
-    K_j[i][k] multiplies only the nonzero entries (l, items) of row k of
-    P_{d-j}, collected once per (d, j).
+    is truncated on the way; the solve runs on ints, and each entry is
+    returned over the denominator of the top degree.  Most blocks of the
+    P_d are empty, so each K_j[i][k] multiplies only the nonzero entries
+    (l, items) of row k of P_{d-j}, collected once per (d, j).
 
     Raises ValueError on an empty or ragged matrix or on entries of
     mixed rank or cap, NotInvertible if H is singular over Q.
@@ -422,16 +448,15 @@ def series_matrix_inverse(matrix):
     head_inv = mat_inverse([[e.constant_term() for e in row] for row in matrix])
     h = math.lcm(*(q.denominator for row in head_inv for q in row))
     m = [[q.numerator * (h // q.denominator) for q in row] for row in head_inv]
-    delta = math.lcm(1, *(c.denominator for row in matrix for e in row
-                          for mono, c in e.terms.items() if mono))
+    *nums, delta = _over_one_den(*(e for row in matrix for e in row))
 
     # parts[j][t][k]: numerators of delta * (degree-j part of A[t][k])
     parts = [[[{} for _ in range(n)] for _ in range(n)] for _ in range(cap)]
-    for t, row in enumerate(matrix):
-        for k, entry in enumerate(row):
-            for mono, c in entry.terms.items():
-                if mono:
-                    parts[len(mono)][t][k][mono] = c.numerator * (delta // c.denominator)
+    for index, num in enumerate(nums):
+        t, k = divmod(index, n)
+        for mono, c in num.items():
+            if mono:
+                parts[len(mono)][t][k][mono] = c
     kernels = [None]
     for j in range(1, cap):
         weight = -(h * delta) ** (j - 1)
@@ -464,8 +489,9 @@ def series_matrix_inverse(matrix):
                                 out[key] = out.get(key, 0) + ca * cb
         solved.append([[nonzero(e) for e in row] for row in part])
 
-    dens = [h ** (d + 1) * delta ** d for d in range(cap)]
+    top = h ** cap * delta ** (cap - 1)
+    lifts = [top // (h ** (d + 1) * delta ** d) for d in range(cap)]
     return [[TruncatedSeries._raw(rank, cap, {
-                mono: Fraction(num, dens[d])
-                for d in range(cap) for mono, num in solved[d][i][l].items()})
+                mono: num * lifts[d] for d in range(cap) for mono, num in solved[d][i][l].items()},
+                top)
              for l in range(n)] for i in range(n)]

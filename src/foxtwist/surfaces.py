@@ -149,13 +149,13 @@ def include_series(series: TruncatedSeries, new_rank: int) -> TruncatedSeries:
     """Reinterpret a series over a larger alphabet (letters keep their index)."""
     if new_rank < series.rank:
         raise ValueError("cannot shrink the alphabet")
-    return TruncatedSeries._raw(new_rank, series.cap, dict(series.terms))
+    return TruncatedSeries._raw(new_rank, series.cap, series.num, series.den)
 
 
 def _sorted_monomials(*series_list):
     seen = set()
     for s in series_list:
-        seen.update(s.terms)
+        seen.update(s.num)
     return sorted(seen, key=lambda m: (len(m), m))
 
 
@@ -260,7 +260,7 @@ def figure_eight_scenario(k, cap: int = 5) -> dict:
         }
     else:
         lead = half_twist_sq.filtration_degree()
-        mono = min((m for m in half_twist_sq.terms if len(m) == lead))
+        mono = min((m for m in half_twist_sq.num if len(m) == lead))
         scale = twist_log.coefficient(mono) / half_twist_sq.coefficient(mono)
         candidate = half_twist_sq.scale(scale)
         residual = first_difference(twist_log.truncate(5), candidate.truncate(5))

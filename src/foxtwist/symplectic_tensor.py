@@ -17,16 +17,7 @@ from . import linalg
 from .derived_twists import TwistAutomorphism, apply_derivation, derived_generator_values
 from .errors import DomainError, SolverError
 from .group_algebra import GroupAlgebraElement
-from .series import (
-    TruncatedSeries,
-    _int_join,
-    _int_split,
-    accumulate,
-    frame_product,
-    nonzero,
-    sum_powers,
-    times,
-)
+from .series import TruncatedSeries, accumulate, frame_kernel, nonzero, sum_powers, times
 from .surfaces import (
     SurfaceSpec,
     _agree,
@@ -79,8 +70,8 @@ def omega(genus: int, cap: int) -> TruncatedSeries:
     for i in range(genus):
         a = 2 * i + 1
         b = 2 * i + 2
-        terms[(b, a)] = Fraction(1)
-        terms[(a, b)] = Fraction(-1)
+        terms[(b, a)] = 1
+        terms[(a, b)] = -1
     return TruncatedSeries._raw(2 * genus, cap, terms)
 
 
@@ -91,7 +82,7 @@ def tensor_coproduct(series: TruncatedSeries) -> TruncatedTensor:
 
 def cyclicize(series: TruncatedSeries) -> TruncatedSeries:
     """Sum of all cyclic rotations; defined on homogeneous input of degree >= 1."""
-    degrees = {len(m) for m in series.terms}
+    degrees = {len(m) for m in series.num}
     if not degrees:
         return TruncatedSeries.zero(series.rank, series.cap)
     if len(degrees) != 1:
@@ -100,9 +91,9 @@ def cyclicize(series: TruncatedSeries) -> TruncatedSeries:
     if degree < 1:
         raise ValueError("cyclicization needs degree at least 1")
     terms = {}
-    for monomial, coeff in series.terms.items():
+    for monomial, coeff in series.num.items():
         accumulate(terms, ((monomial[r:] + monomial[:r], coeff) for r in range(degree)))
-    return TruncatedSeries._raw(series.rank, series.cap, nonzero(terms))
+    return TruncatedSeries._raw(series.rank, series.cap, nonzero(terms), series.den)
 
 
 def contraction(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
@@ -120,16 +111,16 @@ def contraction(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
     # One job per first letter k of v: the frames are u's terms without
     # their last letter h, weighted by h . k, around v's tails after k.
     frames = [{} for _ in range(n)]
-    for mu, cu in u.terms.items():
+    for mu, cu in u.num.items():
         row = form[mu[-1] - 1]
         for k in range(n):
             if row[k]:
-                accumulate(frames[k], [((mu[:-1], ()), cu * row[k])])
+                accumulate(frames[k], [((mu[:-1], ()), cu * int(row[k]))])
     fillings = [{} for _ in range(n)]
-    for mv, cv in v.terms.items():
+    for mv, cv in v.num.items():
         fillings[mv[0] - 1][mv[1:]] = cv
     cap = min(u.cap, v.cap)
-    return TruncatedSeries._raw(n, cap, frame_product(zip(frames, fillings), cap))
+    return TruncatedSeries._raw(n, cap, frame_kernel(zip(frames, fillings), cap), u.den * v.den)
 
 
 def derivation_values(u: TruncatedSeries, cap=None) -> list:
@@ -149,9 +140,8 @@ def derivation_values(u: TruncatedSeries, cap=None) -> list:
     cap = u.cap if cap is None else cap
     # partners[l - 1]: (k - 1, k . l) for every k pairing nontrivially with l
     partners = [[(k, int(form[k][l])) for k in range(n) if form[k][l]] for l in range(n)]
-    iu, den = _int_split(u.terms)
     out = [{} for _ in range(n)]
-    for mu, cu in iu.items():
+    for mu, cu in u.num.items():
         if not 0 < len(mu) <= cap:
             continue
         for r, letter in enumerate(mu):
@@ -159,7 +149,7 @@ def derivation_values(u: TruncatedSeries, cap=None) -> list:
             for k, entry in partners[letter - 1]:
                 value = out[k]
                 value[tail] = value.get(tail, 0) - cu * entry
-    return [TruncatedSeries._raw(n, cap, _int_join(value, den)) for value in out]
+    return [TruncatedSeries._raw(n, cap, nonzero(value), u.den) for value in out]
 
 
 def derivation_pairing(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
@@ -323,13 +313,14 @@ def build_symplectic_expansion(genus: int, cap: int) -> SymplecticExpansion:
         for column, (slot, bracket) in enumerate(corrections):
             for m, c in _closed_form_column(slot, bracket).items():
                 rows[m][column] = c
-        rhs = {m: -c for m, c in defect.terms.items()}
+        # Solved for the numerators of the defect, so x / defect.den is the correction.
+        rhs = {m: -c for m, c in defect.num.items()}
         solution = linalg.solve_sparse(rows, rhs, len(corrections))
         if solution is None:
             raise SolverError("no degree-%d correction exists" % degree)
         for x, (slot, bracket) in zip(solution, corrections):
             if x:
-                exponents[slot] += TruncatedSeries(rank, cap, bracket).scale(x)
+                exponents[slot] += TruncatedSeries(rank, cap, bracket).scale(x / defect.den)
     if not defect_series(exponents).is_zero():
         raise SolverError("corrections did not close the boundary condition")
     images = [e.exp() for e in exponents]

@@ -24,15 +24,13 @@ from functools import lru_cache
 from .group_algebra import GroupAlgebraElement
 from .series import (
     TruncatedSeries,
+    _IntTerms,
     _check_cap,
     _check_shape,
     _checked_items,
-    _int_join,
-    _int_split,
     accumulate,
     commutator,
     frame_kernel,
-    frame_product,
     nonzero,
     series_matrix_inverse,
 )
@@ -76,11 +74,10 @@ def _word_image(letters, cap):
 def embed(element: GroupAlgebraElement, cap: int) -> TruncatedSeries:
     """Image of a group-algebra element at a positive int cap, on ints."""
     _check_cap(cap)
-    terms, den = _int_split(element.terms)
     out = {}
-    for letters, coeff in terms.items():
+    for letters, coeff in element.num.items():
         accumulate(out, _word_image(letters, cap).items(), coeff)
-    return TruncatedSeries._raw(element.rank, cap, _int_join(out, den))
+    return TruncatedSeries._raw(element.rank, cap, nonzero(out), element.den)
 
 
 def counit(series: TruncatedSeries) -> Fraction:
@@ -94,11 +91,12 @@ def fundamental_power_contains(element: GroupAlgebraElement, m: int) -> bool:
     return embed(element, m).is_zero()
 
 
-class TruncatedTensor:
+class TruncatedTensor(_IntTerms):
     """Frames {(left, right): c} of the completed tensor square, cut by
-    total degree; ``frame_product`` consumes them."""
+    total degree and stored by the rule of ``series._IntTerms``;
+    ``frame_kernel`` takes their ``num`` as its frames."""
 
-    __slots__ = ("rank", "cap", "terms")
+    __slots__ = ("rank", "cap")
 
     def __init__(self, rank, cap, terms=None):
         _check_shape(rank, cap)
@@ -109,24 +107,23 @@ class TruncatedTensor:
                  for right, _ in _checked_items(rank, cap - len(left), {right: c}))
         self.rank = rank
         self.cap = cap
-        self.terms = nonzero(accumulate({}, items))
+        self._store_fractions(items)
 
     @classmethod
-    def _raw(cls, rank, cap, terms):
+    def _raw(cls, rank, cap, num, den=1):
         self = object.__new__(cls)
         self.rank = rank
         self.cap = cap
-        self.terms = terms
-        return self
+        return self._store(num, den)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedTensor):
             return NotImplemented
         return (self.rank == other.rank and self.cap == other.cap
-                and self.terms == other.terms)
+                and self.den == other.den and self.num == other.num)
 
     def __repr__(self):
-        n = len(self.terms)
+        n = len(self.num)
         return f"<tensor with {n} term{'s' if n != 1 else ''} (cap {self.cap})>"
 
 
@@ -134,13 +131,13 @@ def tensor_outer(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedTensor:
     if a.rank != b.rank or a.cap != b.cap:
         raise ValueError("tensor factors need matching rank and degree cap")
     out = {}
-    for ma, ca in a.terms.items():
+    for ma, ca in a.num.items():
         room = a.cap - len(ma)
-        for mb, cb in b.terms.items():
+        for mb, cb in b.num.items():
             if len(mb) >= room:
                 continue
             out[(ma, mb)] = ca * cb
-    return TruncatedTensor._raw(a.rank, a.cap, out)
+    return TruncatedTensor._raw(a.rank, a.cap, out, a.den * b.den)
 
 
 # A letter rule lists the (left, right) copies of X in each term of Delta(X).
@@ -173,9 +170,8 @@ def _frame_sum(terms, frames_of):
 
 
 def _coproduct(series, rule):
-    terms, den = _int_split(series.terms)
-    frames = _frame_sum(terms, lambda m: _coproduct_monomial(series.cap, m, rule))
-    return TruncatedTensor._raw(series.rank, series.cap, _int_join(frames, den))
+    frames = _frame_sum(series.num, lambda m: _coproduct_monomial(series.cap, m, rule))
+    return TruncatedTensor._raw(series.rank, series.cap, frames, series.den)
 
 
 def coproduct(series: TruncatedSeries) -> TruncatedTensor:
@@ -189,16 +185,15 @@ def _antipode_monomial(rank, cap, monomial):
         return TruncatedSeries.one(rank, cap)
     # Antipode is an anti-automorphism: S(m' X_i) = S(X_i) S(m').
     i = monomial[-1]
-    letter = TruncatedSeries(rank, cap,
-                             {(i,) * k: Fraction((-1) ** k) for k in range(1, cap)})
+    letter = TruncatedSeries._raw(rank, cap, {(i,) * k: (-1) ** k for k in range(1, cap)})
     return letter * _antipode_monomial(rank, cap, monomial[:-1])
 
 
 def antipode(series: TruncatedSeries) -> TruncatedSeries:
     out = {}
-    for monomial, coeff in series.terms.items():
-        accumulate(out, _antipode_monomial(series.rank, series.cap, monomial).terms.items(), coeff)
-    return TruncatedSeries._raw(series.rank, series.cap, nonzero(out))
+    for monomial, coeff in series.num.items():
+        accumulate(out, _antipode_monomial(series.rank, series.cap, monomial).num.items(), coeff)
+    return TruncatedSeries._raw(series.rank, series.cap, nonzero(out), series.den)
 
 
 @lru_cache(maxsize=None)
@@ -206,17 +201,17 @@ def _antipode_coproduct_monomial(rank, cap, monomial):
     out = {}
     for (left, right), mult in _coproduct_monomial(cap, monomial, GROUP_LETTER).items():
         room = cap - len(right)
-        accumulate(out, (((ms, right), cs.numerator)
-                         for ms, cs in _antipode_monomial(rank, cap, left).items()
+        accumulate(out, (((ms, right), cs)
+                         for ms, cs in _antipode_monomial(rank, cap, left).num.items()
                          if len(ms) < room), mult)
     return nonzero(out)
 
 
 def antipode_coproduct(series: TruncatedSeries) -> TruncatedTensor:
     """(S x id) applied to the coproduct of the series."""
-    terms, den = _int_split(series.terms)
-    frames = _frame_sum(terms, lambda m: _antipode_coproduct_monomial(series.rank, series.cap, m))
-    return TruncatedTensor._raw(series.rank, series.cap, _int_join(frames, den))
+    frames = _frame_sum(series.num,
+                        lambda m: _antipode_coproduct_monomial(series.rank, series.cap, m))
+    return TruncatedTensor._raw(series.rank, series.cap, frames, series.den)
 
 
 def sandwich(tensor: TruncatedTensor, filling: TruncatedSeries) -> TruncatedSeries:
@@ -224,21 +219,17 @@ def sandwich(tensor: TruncatedTensor, filling: TruncatedSeries) -> TruncatedSeri
     if tensor.rank != filling.rank or tensor.cap != filling.cap:
         raise ValueError("sandwich needs matching rank and degree cap")
     return TruncatedSeries._raw(filling.rank, filling.cap,
-                                frame_product([(tensor.terms, filling.terms)], filling.cap))
-
-
-def _conjugation_sum(v: TruncatedSeries, u: TruncatedSeries):
-    """``conjugation_sum_series`` as int terms over one denominator."""
-    u._check_compatible(v)
-    (iu, u_den), (iv, v_den) = _int_split(u.terms), _int_split(v.terms)
-    frames = _frame_sum(iu, lambda m: _antipode_coproduct_monomial(u.rank, u.cap, m))
-    return frame_kernel([(frames, iv)], v.cap), u_den * v_den
+                                frame_kernel([(tensor.num, filling.num)], filling.cap),
+                                tensor.den * filling.den)
 
 
 def conjugation_sum_series(v: TruncatedSeries, u: TruncatedSeries) -> TruncatedSeries:
     """Truncated conjugation sum: contract (S x id) of the coproduct of u
     around v, on ints."""
-    return TruncatedSeries._raw(v.rank, v.cap, _int_join(*_conjugation_sum(v, u)))
+    u._check_compatible(v)
+    frames = _frame_sum(u.num, lambda m: _antipode_coproduct_monomial(u.rank, u.cap, m))
+    return TruncatedSeries._raw(v.rank, v.cap, frame_kernel([(frames, v.num)], v.cap),
+                                u.den * v.den)
 
 
 def is_group_like(series: TruncatedSeries, delta=None) -> bool:
@@ -252,23 +243,24 @@ def is_primitive(series: TruncatedSeries, delta=None) -> bool:
     """delta(series) == series x 1 + 1 x series; delta as in ``is_group_like``."""
     if series.constant_term():
         return False
-    expected = {(m, ()): c for m, c in series.terms.items()}
-    expected.update((((), m), c) for m, c in series.terms.items())
-    return (delta or coproduct)(series).terms == expected
+    expected = {(m, ()): c for m, c in series.num.items()}
+    expected.update((((), m), c) for m, c in series.num.items())
+    return (delta or coproduct)(series) == TruncatedTensor._raw(series.rank, series.cap,
+                                                                expected, series.den)
 
 
 def _strip_last(series: TruncatedSeries, index: int) -> TruncatedSeries:
     """The monomials ending with X_index, with that letter removed, at the
     same cap; only callers that know the stripped degrees are complete
     may keep that cap."""
-    kept = {m[:-1]: c for m, c in series.terms.items() if m and m[-1] == index}
-    return TruncatedSeries._raw(series.rank, series.cap, kept)
+    kept = {m[:-1]: c for m, c in series.num.items() if m and m[-1] == index}
+    return TruncatedSeries._raw(series.rank, series.cap, kept, series.den)
 
 
 def _strip_first(series: TruncatedSeries, index: int) -> TruncatedSeries:
     """The monomials starting with X_index, with that letter removed."""
-    kept = {m[1:]: c for m, c in series.terms.items() if m and m[0] == index}
-    return TruncatedSeries._raw(series.rank, series.cap, kept)
+    kept = {m[1:]: c for m, c in series.num.items() if m and m[0] == index}
+    return TruncatedSeries._raw(series.rank, series.cap, kept, series.den)
 
 
 def fox_left_series(series: TruncatedSeries, index: int) -> TruncatedSeries:

@@ -39,7 +39,7 @@ from .group_algebra import (
     fox_derivative_left,
     fox_derivative_right,
 )
-from .series import TruncatedSeries, accumulate, commutator, nonzero, power_sum
+from .series import TruncatedSeries, accumulate, commutator, power_sum
 from .surfaces import (
     CurveSpec,
     SurfaceSpec,
@@ -89,7 +89,7 @@ def _random_element(rng, rank, terms=3, max_len=3) -> GroupAlgebraElement:
     for _ in range(terms):
         coeff = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2, 3]))
         draws.append((_random_word(rng, rank, max_len).letters, coeff))
-    return GroupAlgebraElement._raw(rank, nonzero(accumulate({}, draws)))
+    return GroupAlgebraElement(rank, accumulate({}, draws))
 
 
 def _random_exact_pairing(rng, rank) -> FoxPairing:

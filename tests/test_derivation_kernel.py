@@ -43,7 +43,7 @@ def derivation_pairing_by_rotations(u, v):
             accumulate(terms, ((mv[:j] + rot[1:] + mv[j + 1:], form[letter - 1][rot[0] - 1])
                                for j, letter in enumerate(mv) for rot in rotations
                                if form[letter - 1][rot[0] - 1]), -cu * cv)
-    return TruncatedSeries._raw(u.rank, cap, nonzero(terms))
+    return TruncatedSeries(u.rank, cap, nonzero(terms))
 
 
 def apply_derivation_by_fractions(values, series):
@@ -68,7 +68,7 @@ def apply_derivation_by_fractions(values, series):
                 for dm, dc in buckets[degree]:
                     key = head + dm + tail
                     out[key] = out.get(key, 0) + coeff * dc
-    return TruncatedSeries._raw(n, cap, nonzero(out))
+    return TruncatedSeries(n, cap, nonzero(out))
 
 
 def random_series(rng, rank, cap, terms, min_degree=0):

@@ -39,14 +39,14 @@ def derived_form_per_pair(pairing, a, b, left=False):
         return derived_form_per_pair(pairing.transpose(), b, a)
     total = {}
     for ma, ca in a.terms.items():
-        ea = GroupAlgebraElement._raw(a.rank, {ma: Fraction(1)})
+        ea = GroupAlgebraElement(a.rank, {ma: Fraction(1)})
         for mb, cb in b.terms.items():
-            eb = GroupAlgebraElement._raw(b.rank, {mb: Fraction(1)})
+            eb = GroupAlgebraElement(b.rank, {mb: Fraction(1)})
             value = pairing.evaluate(ea, eb)
             if value.is_zero():
                 continue
             accumulate(total, (eb * conjugation_sum(ea, value)).terms.items(), ca * cb)
-    return GroupAlgebraElement._raw(pairing.rank, nonzero(total))
+    return GroupAlgebraElement(pairing.rank, nonzero(total))
 
 
 def embed_by_substitution(element, cap):
@@ -56,7 +56,7 @@ def embed_by_substitution(element, cap):
     out = {}
     for letters, coeff in element.terms.items():
         accumulate(out, identity.apply_word(GroupWord(rank, letters)).terms.items(), coeff)
-    return TruncatedSeries._raw(rank, cap, nonzero(out))
+    return TruncatedSeries(rank, cap, nonzero(out))
 
 
 def assert_same_series(got, want):

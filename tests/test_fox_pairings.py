@@ -210,7 +210,7 @@ def two_branch_evaluate(pairing, a, b):
                 if rights[j].is_zero():
                     continue
                 accumulate(total, (lefts[i] * pairing.matrix[i][j] * rights[j]).terms.items())
-        return GroupAlgebraElement._raw(pairing.rank, nonzero(total))
+        return GroupAlgebraElement(pairing.rank, nonzero(total))
     cap = min(a.cap - 1, b.cap - 1, pairing.cap)
     total = {}
     lefts = [fox_left_series(a, i + 1).truncate(cap) for i in range(pairing.rank)]
@@ -223,7 +223,7 @@ def two_branch_evaluate(pairing, a, b):
                 continue
             product = lefts[i] * pairing.matrix[i][j].truncate(cap) * rights[j]
             accumulate(total, product.terms.items())
-    return TruncatedSeries._raw(pairing.rank, cap, nonzero(total))
+    return TruncatedSeries(pairing.rank, cap, nonzero(total))
 
 
 def assert_same_value(got, want):

@@ -1,11 +1,12 @@
 """Differential tests for the one frame-product kernel.
 
-``series.frame_product`` serves the concatenation product, ``sandwich``,
+``series.frame_kernel`` serves the concatenation product, ``sandwich``,
 ``apply_derivation``, the G_r kernel of ``derived_generator_values`` and
-``contraction``; its int core ``frame_kernel`` also serves callers that
-already hold ints.  The loops it replaced are kept here as oracles that
-accumulate Fractions term by term, and every comparison is exact
-equality on Fraction coefficients.
+``contraction``, all on int numerators.  The loops it replaced are kept
+here as oracles that accumulate Fractions term by term, and so is the
+former Fraction wrapper ``frame_product`` (split, kernel, join), against
+which ``sandwich`` and ``contraction`` are compared too; every comparison
+is exact equality on Fraction coefficients.
 """
 
 import random
@@ -15,7 +16,14 @@ import pytest
 
 from foxtwist.derived_twists import apply_derivation, derived_generator_values
 from foxtwist.fox_pairings import FoxPairing
-from foxtwist.series import TruncatedSeries, accumulate, frame_kernel, frame_product, nonzero
+from foxtwist.series import (
+    TruncatedSeries,
+    _int_join,
+    _int_split,
+    accumulate,
+    frame_kernel,
+    nonzero,
+)
 from foxtwist.surfaces import intersection_form
 from foxtwist.symplectic_tensor import contraction
 from foxtwist.truncated_completion import (
@@ -29,6 +37,15 @@ from foxtwist.truncated_completion import (
 from test_derivation_kernel import apply_derivation_by_fractions, random_series
 
 GENERA_AND_CAPS = [(genus, cap) for genus in (1, 2, 3) for cap in range(3, 8)]
+
+
+def frame_product(jobs, cap):
+    """Oracle: the former Fraction wrapper of ``frame_kernel``: split the
+    frames and the fillings over one denominator each, run the kernel, join."""
+    jobs = list(jobs)
+    *frames, frame_den = _int_split(*[frames for frames, _ in jobs])
+    *fillings, filling_den = _int_split(*[filling for _, filling in jobs])
+    return _int_join(frame_kernel(zip(frames, fillings), cap), frame_den * filling_den)
 
 
 def frame_product_by_fractions(jobs, cap):
@@ -47,7 +64,7 @@ def mul_by_fractions(a, b):
     for ma, ca in a.terms.items():
         accumulate(out, ((ma + mb, cb) for mb, cb in b.terms.items()
                          if len(ma) + len(mb) < a.cap), ca)
-    return TruncatedSeries._raw(a.rank, a.cap, nonzero(out))
+    return TruncatedSeries(a.rank, a.cap, nonzero(out))
 
 
 def sandwich_by_fractions(tensor, filling):
@@ -57,7 +74,7 @@ def sandwich_by_fractions(tensor, filling):
         room = tensor.cap - len(left) - len(right)
         accumulate(out, ((left + mf + right, cf) for mf, cf in filling.terms.items()
                          if len(mf) < room), ct)
-    return TruncatedSeries._raw(filling.rank, filling.cap, nonzero(out))
+    return TruncatedSeries(filling.rank, filling.cap, nonzero(out))
 
 
 def derived_generator_values_by_legs(pairing, u):
@@ -76,7 +93,7 @@ def derived_generator_values_by_legs(pairing, u):
             accumulate(g_terms[m2[-1] - 1], ((s1 + m1 + s2, cs)
                                              for (s1, s2), cs in kernel.items()
                                              if len(s1) + len(s2) < room), coeff * mult)
-    kernels = [TruncatedSeries._raw(n, cap, nonzero(terms)) for terms in g_terms]
+    kernels = [TruncatedSeries(n, cap, nonzero(terms)) for terms in g_terms]
     values = []
     for j in range(n):
         acc = TruncatedSeries.zero(n, cap)
@@ -98,7 +115,25 @@ def contraction_by_fractions(u, v):
         accumulate(terms, ((mu[:-1] + mv[1:], cv * row[mv[0] - 1])
                            for mv, cv in v.terms.items()
                            if len(mv) < room and row[mv[0] - 1]), cu)
-    return TruncatedSeries._raw(u.rank, cap, nonzero(terms))
+    return TruncatedSeries(u.rank, cap, nonzero(terms))
+
+
+def contraction_by_frame_product(u, v):
+    """Oracle: the former contraction, one Fraction job per first letter k
+    of v through ``frame_product``."""
+    n = u.rank
+    form = intersection_form(n // 2)
+    frames = [{} for _ in range(n)]
+    for mu, cu in u.terms.items():
+        row = form[mu[-1] - 1]
+        for k in range(n):
+            if row[k]:
+                accumulate(frames[k], [((mu[:-1], ()), cu * row[k])])
+    fillings = [{} for _ in range(n)]
+    for mv, cv in v.terms.items():
+        fillings[mv[0] - 1][mv[1:]] = cv
+    cap = min(u.cap, v.cap)
+    return TruncatedSeries(n, cap, frame_product(zip(frames, fillings), cap))
 
 
 def random_word(rng, rank, degree):
@@ -187,6 +222,8 @@ def test_sandwich_matches_the_old_loop(genus, cap):
         tensor = random_tensor(rng, rank, cap, rng.randint(0, 10))
         filling = random_series(rng, rank, cap, rng.randint(0, 10))
         assert_exact(sandwich(tensor, filling), sandwich_by_fractions(tensor, filling))
+        assert sandwich(tensor, filling).terms == frame_product([(tensor.terms, filling.terms)],
+                                                                cap)
     with pytest.raises(ValueError):
         sandwich(TruncatedTensor(rank, cap), TruncatedSeries.zero(rank, cap + 1))
 
@@ -213,6 +250,7 @@ def test_contraction_matches_the_old_loop(genus, cap):
         u = random_series(rng, rank, cap, rng.randint(0, 10), min_degree=1)
         v = random_series(rng, rank, other_cap, rng.randint(0, 10), min_degree=1)
         assert_exact(contraction(u, v), contraction_by_fractions(u, v))
+        assert contraction(u, v) == contraction_by_frame_product(u, v)
 
 
 @pytest.mark.parametrize("genus, cap", GENERA_AND_CAPS)

@@ -60,7 +60,7 @@ def nabla_by_products(pairing):
     for r in range(n):
         for s in range(n):
             accumulate(total, (x[r] * c[r][s] * x[s]).terms.items())
-    return TruncatedSeries._raw(n, cap, nonzero(total))
+    return TruncatedSeries(n, cap, nonzero(total))
 
 
 def assert_fraction_coefficients(matrix):

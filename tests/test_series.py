@@ -7,7 +7,7 @@ import pytest
 
 from foxtwist.derived_twists import TwistAutomorphism
 from foxtwist.errors import DomainError, NotInvertible
-from foxtwist.series import TruncatedSeries, commutator, series_matrix_inverse
+from foxtwist.series import TruncatedSeries, accumulate, commutator, series_matrix_inverse
 from foxtwist.surfaces import SurfaceSpec, surface_pairing
 
 
@@ -27,9 +27,9 @@ def test_constructor_normalizes():
 
 
 def test_constructor_stores_a_new_key_as_given():
-    # A new key takes its Fraction as it is, with no 0 + c on the way.
+    # accumulate gives a new key its value as it is, with no 0 + c on the way.
     c = Fraction(2, 7)
-    assert TruncatedSeries(2, 3, {(1,): c}).terms[(1,)] is c
+    assert accumulate({}, [((1,), c)])[(1,)] is c
 
 
 def test_constructor_validates_letters():

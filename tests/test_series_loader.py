@@ -45,7 +45,7 @@ def series_from_dict_checked(data, rank=None):
         rank = max(top, 1)
     _require(_positive_int(rank), "rank must be a positive integer")
     _require(top <= rank, "letters exceed the rank")
-    return TruncatedSeries._raw(rank, cap, nonzero(terms))
+    return TruncatedSeries(rank, cap, nonzero(terms))
 
 
 def conjugated_nabla_payload(genus, cap, conjugator):

@@ -381,3 +381,16 @@ def test_section9_requires_enough_expansion_cap():
     expansion = build_symplectic_expansion(1, 4)
     with pytest.raises(ValueError):
         verify_section9(SurfaceSpec(1, 3), expansion, 3)
+
+
+def test_identity_and_linear_maps_are_plain_twist_automorphisms():
+    # 1 + X_i is not group-like under tensor_coproduct, so the identity is
+    # no symplectic expansion; the subclass hands back the plain type.
+    ident = SymplecticExpansion.identity(2, 4)
+    assert type(ident) is TwistAutomorphism
+    assert ident == TwistAutomorphism.identity(2, 4)
+    linear = SymplecticExpansion._linear(2, 4, [[1, 0], [0, 1]])
+    assert type(linear) is TwistAutomorphism
+    assert linear == TwistAutomorphism.identity(2, 4)
+    swap = SymplecticExpansion._linear(2, 4, [[0, Fraction(1, 2)], [3, 0]])
+    assert swap.homology_matrix() == [[0, Fraction(1, 2)], [3, 0]]

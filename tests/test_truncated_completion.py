@@ -38,7 +38,7 @@ def tensor_product_by_fractions(a, b):
         room = a.cap - len(al) - len(ar)
         accumulate(out, (((al + bl, ar + br), cb) for (bl, br), cb in b.terms.items()
                          if len(bl) + len(br) < room), ca)
-    return TruncatedTensor._raw(a.rank, a.cap, nonzero(out))
+    return TruncatedTensor(a.rank, a.cap, nonzero(out))
 
 
 def embed_word(letters, cap=5, rank=2):
