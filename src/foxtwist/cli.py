@@ -18,6 +18,7 @@ from .derived_twists import twist
 from .errors import FoxTwistError
 from .fox_pairings import NablaElement, pairing_of_nabla
 from .formats import FormatError
+from .series import shortlex
 from .surfaces import SurfaceSpec, surface_pairing
 from .verify import SUITE_NAMES, report_passed, run_suite
 from .words import parse_word
@@ -111,7 +112,7 @@ def _render_series(series) -> str:
     if series.is_zero():
         return "0"
     parts = []
-    for monomial, coeff in sorted(series.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
+    for monomial, coeff in sorted(series.terms.items(), key=lambda kv: shortlex(kv[0])):
         body = " ".join(f"X{i}" for i in monomial)
         if not monomial:
             text = str(coeff)

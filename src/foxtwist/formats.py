@@ -12,12 +12,13 @@ builds the int numerators over one denominator from those parses.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
 from .derived_twists import TwistAutomorphism
 from .fox_pairings import FoxPairing
-from .series import TruncatedSeries, _int_split, _positive_int, nonzero
+from .series import TruncatedSeries, _int_split, _positive_int, nonzero, shortlex
 from .symplectic_tensor import SymplecticExpansion
 
 # Numerator and optional nonzero denominator of exact fraction text.
@@ -46,10 +47,13 @@ def _coefficient(text) -> Fraction:
 
 
 def series_to_dict(series) -> dict:
-    terms = [
-        {"word": list(word), "coeff": str(coeff)}
-        for word, coeff in sorted(series.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    ]
+    """Terms in shortlex order, each coefficient as reduced "p/q" text from num and den."""
+    num, den = series.num, series.den
+    terms = []
+    for word in sorted(num, key=shortlex):
+        g = math.gcd(num[word], den)
+        p, q = num[word] // g, den // g
+        terms.append({"word": list(word), "coeff": f"{p}/{q}" if q > 1 else str(p)})
     return {"degree_cap": series.cap, "terms": terms}
 
 

@@ -32,7 +32,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import _IntTerms, _over_one_den, _positive_int, accumulate, as_fraction, nonzero
+from .series import (
+    _IntTerms,
+    _check_index,
+    _positive_int,
+    accumulate,
+    as_fraction,
+    nonzero,
+    shortlex,
+)
 from .words import GroupWord, _checked_word
 
 
@@ -62,6 +70,7 @@ class GroupAlgebraElement(_IntTerms):
     """A finite Q-linear combination of free-group words of a fixed rank."""
 
     __slots__ = ("rank",)
+    _UNIT = ()
 
     def __init__(self, rank: int, terms=None):
         if not _positive_int(rank):
@@ -113,60 +122,21 @@ class GroupAlgebraElement(_IntTerms):
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_rank(self, other: "GroupAlgebraElement"):
+    def _shape(self):
+        return (self.rank,)
+
+    def _check_compatible(self, other):
         if self.rank != other.rank:
             raise ValueError("rank mismatch between group algebra elements")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GroupAlgebraElement(self.rank, {(): as_fraction(other)})
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        self._check_rank(other)
-        a, b, den = _over_one_den(self, other)
-        return GroupAlgebraElement._raw(self.rank, nonzero(accumulate(dict(a), b.items())), den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GroupAlgebraElement._raw(self.rank, {m: -c for m, c in self.num.items()},
-                                        self.den)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-as_fraction(other))
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, k) -> "GroupAlgebraElement":
-        p, q = as_fraction(k).as_integer_ratio()
-        num = {m: p * c for m, c in self.num.items()} if p else {}
-        return GroupAlgebraElement._raw(self.rank, num, self.den * q)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
-        self._check_rank(other)
+        self._check_compatible(other)
         return GroupAlgebraElement._raw(self.rank, _seam_product([(self.num, other.num)]),
                                         self.den * other.den)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GroupAlgebraElement(self.rank, {(): as_fraction(other)})
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        return self.rank == other.rank and self.den == other.den and self.num == other.num
 
     def __hash__(self):
         return hash((self.rank, self.den, frozenset(self.num.items())))
@@ -175,7 +145,7 @@ class GroupAlgebraElement(_IntTerms):
         if not self.num:
             return "<0>"
         parts = []
-        for mono, coeff in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
+        for mono, coeff in sorted(self.terms.items(), key=lambda kv: shortlex(kv[0])):
             word = ".".join(f"x{x}" if x > 0 else f"x{-x}'" for x in mono) or "1"
             parts.append(f"{coeff}*{word}")
         return "<" + " + ".join(parts) + ">"
@@ -183,6 +153,7 @@ class GroupAlgebraElement(_IntTerms):
 
 def fox_derivative_left(a: GroupAlgebraElement, i: int) -> GroupAlgebraElement:
     """Left Fox derivative: d(ab) = d(a) aug(b) + a d(b), d_i(x_j) = delta_ij."""
+    _check_index(i, a.rank, "Fox derivative")
     out = {}
     for mono, coeff in a.num.items():
         accumulate(out, ((mono[:p], coeff) if x == i else (mono[:p + 1], -coeff)
@@ -192,6 +163,7 @@ def fox_derivative_left(a: GroupAlgebraElement, i: int) -> GroupAlgebraElement:
 
 def fox_derivative_right(a: GroupAlgebraElement, i: int) -> GroupAlgebraElement:
     """Right Fox derivative: d(ab) = d(a) b + aug(a) d(b)."""
+    _check_index(i, a.rank, "Fox derivative")
     out = {}
     for mono, coeff in a.num.items():
         accumulate(out, ((mono[p + 1:], coeff) if x == i else (mono[p:], -coeff)
@@ -209,7 +181,7 @@ def fox_derivative(side: str, i: int, a: GroupAlgebraElement) -> GroupAlgebraEle
 
 def conjugation_sum(v: GroupAlgebraElement, u: GroupAlgebraElement) -> GroupAlgebraElement:
     """v^u = sum_x k_x x^-1 v x, where u = sum_x k_x x.  Linear in both."""
-    v._check_rank(u)
+    v._check_compatible(u)
     out = {}
     for mono, coeff in u.num.items():
         inv = tuple(-x for x in reversed(mono))

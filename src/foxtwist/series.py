@@ -10,7 +10,8 @@ X_i = x_i - 1; the embedding itself is ``truncated_completion.embed``.
 
 Every sparse object in the package (group-algebra elements, series,
 tensors) stores int numerators ``num`` over one reduced denominator
-``den``, the rule of ``_IntTerms``; ``terms`` is their Fraction view.
+``den`` and adds, scales and compares by the one layer ``_IntTerms``;
+``terms`` is their Fraction view, printed in the ``shortlex`` order.
 Every loop that builds a numerator dict follows a single accumulation
 rule: add ``scale * c`` into the dict in place with ``accumulate`` (the
 innermost loops inline the same ``out[key] = get(key, 0) + c`` line),
@@ -88,6 +89,11 @@ def nonzero(terms):
     return {key: c for key, c in terms.items() if c}
 
 
+def shortlex(key):
+    """The term order of every printed or written element: length, then letters."""
+    return len(key), key
+
+
 def frame_kernel(jobs, cap):
     """Sum of c * d * (left + m + right) over the jobs (frames, filling),
     where frames is {(left, right): c} and filling is {m: d}, all ints.
@@ -140,6 +146,12 @@ def _check_shape(rank, cap):
     _check_cap(cap)
 
 
+def _check_index(index, rank, what):
+    """The letter rule: an index is an int in 1..rank."""
+    if type(index) is not int or not 1 <= index <= rank:
+        raise ValueError(f"{what} index {index} outside 1..{rank}")
+
+
 def _checked_items(rank, cap, terms):
     """The terms below the cap as (tuple, Fraction) pairs; ValueError on a
     letter that is not an int in 1..rank."""
@@ -159,7 +171,14 @@ class _IntTerms:
     is ``_int_split`` of the coefficients, so == and hash compare it as it
     stands.  Kernels hand an int result and its denominator to ``_raw``,
     which reduces them once; operands over several denominators meet over
-    their least common one (``_over_one_den``)."""
+    their least common one (``_over_one_den``).
+
+    The vector-space layer is defined here once: ``+``, ``-``, negation,
+    ``scale``, ``*`` by a scalar on the left, and ``==``, which never
+    raises.  An int or Fraction operand stands for that multiple of the
+    unit.  A subclass supplies ``_shape()``, the leading arguments of its
+    ``_raw`` (``==`` compares them), ``_check_compatible``, which raises
+    on an operand of another shape, and ``_UNIT``, the key of its unit."""
 
     __slots__ = ("num", "den")
 
@@ -177,6 +196,10 @@ class _IntTerms:
         """Keep the sum of the (key, Fraction) items."""
         return self._store(*_int_split(nonzero(accumulate({}, items))))
 
+    def _like(self, num, den):
+        """num over den as an element of this one's shape."""
+        return self._raw(*self._shape(), num, den)
+
     @property
     def terms(self):
         """The coefficients as {key: Fraction}, built on each read."""
@@ -184,6 +207,54 @@ class _IntTerms:
 
     def is_zero(self):
         return not self.num
+
+    def _coerce(self, value):
+        """value as an element of this one's shape, or None."""
+        if isinstance(value, type(self)):
+            self._check_compatible(value)
+            return value
+        if isinstance(value, (int, Fraction)):
+            p, q = value.as_integer_ratio()
+            return self._like({self._UNIT: p} if p else {}, q)
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b, den = _over_one_den(self, other)
+        return self._like(nonzero(accumulate(dict(a), b.items())), den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.num.items()}, self.den)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def scale(self, value):
+        p, q = as_fraction(value).as_integer_ratio()
+        return self._like({key: c * p for key, c in self.num.items()} if p else {}, self.den * q)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return NotImplemented
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self._coerce(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self._shape() == other._shape()
+                and self.den == other.den and self.num == other.num)
 
 
 def _over_one_den(*elements):
@@ -194,14 +265,10 @@ def _over_one_den(*elements):
              for e in elements], den
 
 
-class TruncatedSeries(_IntTerms):
-    __slots__ = ("rank", "cap")
+class _Truncated(_IntTerms):
+    """The shape shared by series and tensors: a rank and a degree cap."""
 
-    def __init__(self, rank, cap, terms=None):
-        _check_shape(rank, cap)
-        self.rank = rank
-        self.cap = cap
-        self._store_fractions(_checked_items(rank, cap, terms or {}))
+    __slots__ = ("rank", "cap")
 
     @classmethod
     def _raw(cls, rank, cap, num, den=1):
@@ -210,6 +277,26 @@ class TruncatedSeries(_IntTerms):
         self.rank = rank
         self.cap = cap
         return self._store(num, den)
+
+    def _shape(self):
+        return self.rank, self.cap
+
+    def _check_compatible(self, other):
+        if self.rank != other.rank:
+            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
+        if self.cap != other.cap:
+            raise ValueError(f"degree cap mismatch: {self.cap} vs {other.cap}")
+
+
+class TruncatedSeries(_Truncated):
+    __slots__ = ()
+    _UNIT = ()
+
+    def __init__(self, rank, cap, terms=None):
+        _check_shape(rank, cap)
+        self.rank = rank
+        self.cap = cap
+        self._store_fractions(_checked_items(rank, cap, terms or {}))
 
     @classmethod
     def zero(cls, rank, cap):
@@ -225,8 +312,7 @@ class TruncatedSeries(_IntTerms):
 
     @classmethod
     def variable(cls, rank, cap, index):
-        if type(index) is not int or not 1 <= index <= rank:
-            raise ValueError(f"variable index {index} outside 1..{rank}")
+        _check_index(index, rank, "variable")
         if cap < 2:
             return cls.zero(rank, cap)
         return cls._raw(rank, cap, {(index,): 1})
@@ -257,59 +343,12 @@ class TruncatedSeries(_IntTerms):
         kept = {m: c for m, c in self.num.items() if len(m) < new_cap}
         return TruncatedSeries._raw(self.rank, new_cap, kept, self.den)
 
-    def _check_compatible(self, other):
-        if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
-        if self.cap != other.cap:
-            raise ValueError(f"degree cap mismatch: {self.cap} vs {other.cap}")
-
-    def _coerce(self, value):
-        if isinstance(value, TruncatedSeries):
-            self._check_compatible(value)
-            return value
-        if isinstance(value, (int, Fraction)):
-            return TruncatedSeries.scalar(self.rank, self.cap, value)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b, den = _over_one_den(self, other)
-        return TruncatedSeries._raw(self.rank, self.cap,
-                                    nonzero(accumulate(dict(a), b.items())), den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries._raw(self.rank, self.cap,
-                                    {m: -c for m, c in self.num.items()}, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, value):
-        p, q = as_fraction(value).as_integer_ratio()
-        num = {m: c * p for m, c in self.num.items()} if p else {}
-        return TruncatedSeries._raw(self.rank, self.cap, num, self.den * q)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if isinstance(other, TruncatedSeries):
             self._check_compatible(other)
             return TruncatedSeries._raw(self.rank, self.cap, *times(other)(self.num, self.den))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         return NotImplemented
 
     def __pow__(self, exponent):
@@ -327,14 +366,6 @@ class TruncatedSeries(_IntTerms):
             if n:
                 base = base * base
         return result
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries.scalar(self.rank, self.cap, other)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (self.rank == other.rank and self.cap == other.cap
-                and self.den == other.den and self.num == other.num)
 
     def inverse(self):
         """Multiplicative inverse; needs an invertible constant term."""
@@ -360,7 +391,7 @@ class TruncatedSeries(_IntTerms):
         if not self.num:
             return f"<series 0 (cap {self.cap})>"
         bits = []
-        for m, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
+        for m, c in sorted(self.terms.items(), key=lambda kv: shortlex(kv[0])):
             if not m:
                 bits.append(str(c))
                 continue

@@ -22,7 +22,7 @@ from .derived_twists import (
 )
 from .fox_pairings import FoxPairing, NablaElement, pairing_of_nabla
 from .group_algebra import GroupAlgebraElement
-from .series import as_fraction
+from .series import _positive_int, as_fraction, shortlex
 from .truncated_completion import TruncatedSeries, commutator, embed
 from .words import GroupWord, parse_word
 
@@ -35,9 +35,9 @@ class SurfaceSpec:
     cap: int = 5
 
     def __post_init__(self):
-        if self.genus < 1:
+        if not _positive_int(self.genus):
             raise ValueError("genus must be at least 1")
-        if self.cap < 2:
+        if not (_positive_int(self.cap) and self.cap >= 2):
             raise ValueError("degree cap must be at least 2")
 
     @property
@@ -156,7 +156,7 @@ def _sorted_monomials(*series_list):
     seen = set()
     for s in series_list:
         seen.update(s.num)
-    return sorted(seen, key=lambda m: (len(m), m))
+    return sorted(seen, key=shortlex)
 
 
 def first_difference(got: TruncatedSeries, want: TruncatedSeries):

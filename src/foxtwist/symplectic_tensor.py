@@ -17,7 +17,7 @@ from . import linalg
 from .derived_twists import TwistAutomorphism, apply_derivation, derived_generator_values
 from .errors import DomainError, SolverError
 from .group_algebra import GroupAlgebraElement
-from .series import TruncatedSeries, accumulate, frame_kernel, nonzero, sum_powers, times
+from .series import _positive_int, accumulate, frame_kernel, nonzero, sum_powers, times
 from .surfaces import (
     SurfaceSpec,
     _agree,
@@ -27,6 +27,7 @@ from .surfaces import (
 )
 from .truncated_completion import (
     PRIMITIVE_LETTER,
+    TruncatedSeries,
     TruncatedTensor,
     _coproduct,
     embed,
@@ -281,9 +282,9 @@ def build_symplectic_expansion(genus: int, cap: int) -> SymplecticExpansion:
     columns left to right with free variables 0, which keeps the output
     deterministic.  The defect itself is recomputed once per degree.
     """
-    if genus < 1:
+    if not _positive_int(genus):
         raise ValueError("genus must be at least 1")
-    if cap < 3:
+    if not (_positive_int(cap) and cap >= 3):
         raise ValueError("cap must be at least 3")
     rank = 2 * genus
     boundary = SurfaceSpec(genus, cap).boundary_word()

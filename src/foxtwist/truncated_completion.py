@@ -24,8 +24,9 @@ from functools import lru_cache
 from .group_algebra import GroupAlgebraElement
 from .series import (
     TruncatedSeries,
-    _IntTerms,
+    _Truncated,
     _check_cap,
+    _check_index,
     _check_shape,
     _checked_items,
     accumulate,
@@ -91,12 +92,14 @@ def fundamental_power_contains(element: GroupAlgebraElement, m: int) -> bool:
     return embed(element, m).is_zero()
 
 
-class TruncatedTensor(_IntTerms):
+class TruncatedTensor(_Truncated):
     """Frames {(left, right): c} of the completed tensor square, cut by
     total degree and stored by the rule of ``series._IntTerms``;
-    ``frame_kernel`` takes their ``num`` as its frames."""
+    ``frame_kernel`` takes their ``num`` as its frames.  Tensors add,
+    subtract and scale like series of the same rank and cap."""
 
-    __slots__ = ("rank", "cap")
+    __slots__ = ()
+    _UNIT = ((), ())
 
     def __init__(self, rank, cap, terms=None):
         _check_shape(rank, cap)
@@ -108,19 +111,6 @@ class TruncatedTensor(_IntTerms):
         self.rank = rank
         self.cap = cap
         self._store_fractions(items)
-
-    @classmethod
-    def _raw(cls, rank, cap, num, den=1):
-        self = object.__new__(cls)
-        self.rank = rank
-        self.cap = cap
-        return self._store(num, den)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedTensor):
-            return NotImplemented
-        return (self.rank == other.rank and self.cap == other.cap
-                and self.den == other.den and self.num == other.num)
 
     def __repr__(self):
         n = len(self.num)
@@ -243,10 +233,8 @@ def is_primitive(series: TruncatedSeries, delta=None) -> bool:
     """delta(series) == series x 1 + 1 x series; delta as in ``is_group_like``."""
     if series.constant_term():
         return False
-    expected = {(m, ()): c for m, c in series.num.items()}
-    expected.update((((), m), c) for m, c in series.num.items())
-    return (delta or coproduct)(series) == TruncatedTensor._raw(series.rank, series.cap,
-                                                                expected, series.den)
+    one = TruncatedSeries.one(series.rank, series.cap)
+    return (delta or coproduct)(series) == tensor_outer(series, one) + tensor_outer(one, series)
 
 
 def _strip_last(series: TruncatedSeries, index: int) -> TruncatedSeries:
@@ -269,6 +257,7 @@ def fox_left_series(series: TruncatedSeries, index: int) -> TruncatedSeries:
     is only trustworthy one degree lower, so the cap drops by one."""
     if series.cap < 2:
         raise ValueError("a Fox derivative needs a degree cap of at least 2")
+    _check_index(index, series.rank, "Fox derivative")
     return _strip_last(series, index).truncate(series.cap - 1)
 
 
@@ -276,4 +265,5 @@ def fox_right_series(series: TruncatedSeries, index: int) -> TruncatedSeries:
     """Right Fox derivative in the completion: strip a leading X_index."""
     if series.cap < 2:
         raise ValueError("a Fox derivative needs a degree cap of at least 2")
+    _check_index(index, series.rank, "Fox derivative")
     return _strip_first(series, index).truncate(series.cap - 1)

@@ -250,3 +250,16 @@ def test_read_json_rejects_malformed_files(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(FormatError):
         read_json(path)
+
+
+@pytest.mark.parametrize("rank, cap", [(1, 1), (1, 5), (2, 4), (3, 5)])
+def test_series_text_is_the_fraction_text_in_shortlex_order(rank, cap):
+    rng = random.Random(rank * 100 + cap)
+    for den in (1, 2, 12, 35):
+        terms = {tuple(rng.randint(1, rank) for _ in range(rng.randint(0, cap - 1))):
+                 Fraction(rng.randint(-40, 40), den) for _ in range(8)}
+        s = TruncatedSeries(rank, cap, terms)
+        doc = series_to_dict(s)
+        words = [tuple(t["word"]) for t in doc["terms"]]
+        assert words == sorted(s.terms, key=lambda m: (len(m), m))
+        assert [t["coeff"] for t in doc["terms"]] == [str(s.terms[w]) for w in words]

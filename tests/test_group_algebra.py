@@ -158,3 +158,14 @@ def test_float_letters_are_refused_not_truncated():
 def test_boolean_rank_is_refused():
     with pytest.raises(ValueError, match="rank must be a positive integer"):
         GroupAlgebraElement(True, {})
+
+
+@pytest.mark.parametrize("derivative", [fox_derivative_left, fox_derivative_right])
+@pytest.mark.parametrize("index", [0, 3, -1, True, 1.0, "1"])
+def test_fox_derivatives_refuse_an_index_outside_the_rank(derivative, index):
+    a = GroupAlgebraElement.generator(2, 1)
+    with pytest.raises(ValueError, match=r"^Fox derivative index .* outside 1\.\.2$"):
+        derivative(a, index)
+    with pytest.raises(ValueError):
+        fox_derivative("left", index, a)
+    assert derivative(a, 2) == GroupAlgebraElement.zero(2)

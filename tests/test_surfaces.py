@@ -203,3 +203,10 @@ def test_surface_pairing_cache_clears_and_refills():
     again = surface_pairing(spec)
     assert again == first and again is not first
     assert surface_pairing.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("genus, cap", [(True, 3), (1.0, 3), ("1", 3), (1, 3.0), (1, True),
+                                        (None, 3), (1, "4"), (-1, 3)])
+def test_surface_spec_refuses_what_is_not_a_positive_int(genus, cap):
+    with pytest.raises(ValueError, match=r"^(genus must be at least 1|degree cap must be at least 2)$"):
+        SurfaceSpec(genus, cap)

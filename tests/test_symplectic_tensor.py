@@ -394,3 +394,9 @@ def test_identity_and_linear_maps_are_plain_twist_automorphisms():
     assert linear == TwistAutomorphism.identity(2, 4)
     swap = SymplecticExpansion._linear(2, 4, [[0, Fraction(1, 2)], [3, 0]])
     assert swap.homology_matrix() == [[0, Fraction(1, 2)], [3, 0]]
+
+
+@pytest.mark.parametrize("genus, cap", [(True, 3), (1.0, 3), ("1", 3), (1, 3.0), (1, True)])
+def test_expansion_builder_refuses_what_is_not_a_positive_int(genus, cap):
+    with pytest.raises(ValueError, match=r"^(genus must be at least 1|cap must be at least 3)$"):
+        build_symplectic_expansion(genus, cap)

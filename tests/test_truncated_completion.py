@@ -243,3 +243,12 @@ def test_each_monomial_cache_clears_and_refills():
         again = cache(*args)
         assert cache.cache_info().currsize > 0
         assert again == first
+
+
+@pytest.mark.parametrize("derivative", [fox_left_series, fox_right_series])
+@pytest.mark.parametrize("index", [0, 3, 5, True, 1.0])
+def test_fox_series_refuse_an_index_outside_the_rank(derivative, index):
+    x = embed(GroupAlgebraElement.generator(2, 1), 4)
+    with pytest.raises(ValueError, match=r"^Fox derivative index .* outside 1\.\.2$"):
+        derivative(x, index)
+    assert derivative(x, 2) == TruncatedSeries.zero(2, 3)
