@@ -58,6 +58,7 @@ from .surfaces import (
     figure_eight_scenario,
     generalized_dehn_twist,
     surface_pairing,
+    surface_pairing_exact,
 )
 from .symplectic_tensor import (
     SymplecticExpansion,
@@ -122,6 +123,7 @@ __all__ = [
     "series_matrix_inverse",
     "sigma_log_squared",
     "surface_pairing",
+    "surface_pairing_exact",
     "tensorial_rho",
     "twist",
     "verify_section9",

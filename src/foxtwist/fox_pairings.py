@@ -24,8 +24,8 @@ The degree rule, stated once for the package.  For entries at cap P:
   and a nabla from a pairing at P keeps only its degrees below P - 2;
 * a pairing file's ``degree_cap`` is P - 2, the degree its twists reach
   (``formats``);
-* ``surfaces.surface_pairing`` solves from a nabla at spec.cap + 4, so its
-  entries sit at spec.cap + 2 and its twists at spec.cap.
+* ``surfaces.surface_pairing`` embeds the exact surface pairing at
+  spec.cap + 2, so its twists sit at spec.cap.
 """
 
 from __future__ import annotations

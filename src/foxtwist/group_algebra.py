@@ -130,10 +130,8 @@ class GroupAlgebraElement(_IntTerms):
             raise ValueError("rank mismatch between group algebra elements")
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
+            return super().__mul__(other)
         self._check_compatible(other)
         return GroupAlgebraElement._raw(self.rank, _seam_product([(self.num, other.num)]),
                                         self.den * other.den)

@@ -174,7 +174,7 @@ class _IntTerms:
     their least common one (``_over_one_den``).
 
     The vector-space layer is defined here once: ``+``, ``-``, negation,
-    ``scale``, ``*`` by a scalar on the left, and ``==``, which never
+    ``scale``, ``*`` by a scalar on either side, and ``==``, which never
     raises.  An int or Fraction operand stands for that multiple of the
     unit.  A subclass supplies ``_shape()``, the leading arguments of its
     ``_raw`` (``==`` compares them), ``_check_compatible``, which raises
@@ -243,10 +243,12 @@ class _IntTerms:
         p, q = as_fraction(value).as_integer_ratio()
         return self._like({key: c * p for key, c in self.num.items()} if p else {}, self.den * q)
 
-    def __rmul__(self, other):
+    def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
+
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -344,12 +346,10 @@ class TruncatedSeries(_Truncated):
         return TruncatedSeries._raw(self.rank, new_cap, kept, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if isinstance(other, TruncatedSeries):
             self._check_compatible(other)
             return TruncatedSeries._raw(self.rank, self.cap, *times(other)(self.num, self.den))
-        return NotImplemented
+        return super().__mul__(other)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):

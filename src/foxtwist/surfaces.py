@@ -2,10 +2,10 @@
 
 The fundamental group of a genus g surface with one boundary component
 is free on a1, b1, ..., ag, bg, and the boundary is parametrized by
-nu = [a1,b1]...[ag,bg].  Everything else is reconstructed from nu: the
-homotopy intersection pairing is the unique pairing whose nabla element
-is iota(nu) - 1, its homological shadow is the standard symplectic
-matrix, and twists along curve words are built against it.
+nu = [a1,b1]...[ag,bg].  The homotopy intersection pairing is written
+down in closed form on Q[pi]; its nabla element is iota(nu) - 1 (the
+``nabla`` suite checks this), its homological shadow is the standard
+symplectic matrix, and twists along curve words are built against it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .derived_twists import (
     sigma_log_squared,
     twist,
 )
-from .fox_pairings import FoxPairing, NablaElement, pairing_of_nabla
+from .fox_pairings import FoxPairing, NablaElement
 from .group_algebra import GroupAlgebraElement
 from .series import _positive_int, as_fraction, shortlex
 from .truncated_completion import TruncatedSeries, commutator, embed
@@ -105,14 +105,29 @@ def boundary_nabla(spec: SurfaceSpec, cap=None) -> NablaElement:
     return NablaElement(embed(nu, cap) - 1)
 
 
+def surface_pairing_exact(genus: int) -> FoxPairing:
+    """The intersection pairing on Q[pi] (cap None), entry by entry.
+
+    With X_i = x_i - 1 and a = 2h - 1, b = 2h the letters of handle h:
+    rho(a, a) = X_a, rho(a, b) = -1 - X_a - X_a X_b, rho(b, a) = 1 + X_b,
+    rho(b, b) = -X_b - X_b^2, and across handles rho(x_i, x_j) = -X_i X_j
+    when i's handle comes before j's, 0 when it comes after.
+    """
+    n = SurfaceSpec(genus).rank
+    X = [GroupAlgebraElement.generator(n, i + 1) - 1 for i in range(n)]
+    zero = GroupAlgebraElement.zero(n)
+    matrix = [[-(X[i] * X[j]) if i // 2 < j // 2 else zero for j in range(n)] for i in range(n)]
+    for a, b in zip(range(0, n, 2), range(1, n, 2)):
+        matrix[a][a], matrix[a][b] = X[a], -1 - X[a] - X[a] * X[b]
+        matrix[b][a], matrix[b][b] = 1 + X[b], -X[b] - X[b] * X[b]
+    return FoxPairing(matrix)
+
+
 @lru_cache(maxsize=None)
 def surface_pairing(spec: SurfaceSpec) -> FoxPairing:
-    """The intersection pairing, solved from the boundary word and cached
-    per spec; its caps follow the degree rule in ``fox_pairings``."""
-    pairing = pairing_of_nabla(boundary_nabla(spec, spec.cap + 4))
-    if pairing.homological_form() != intersection_form(spec.genus):
-        raise AssertionError("homological form is not the symplectic matrix")
-    return pairing
+    """The exact pairing embedded at spec.cap + 2 and cached per spec; its
+    caps follow the degree rule in ``fox_pairings``."""
+    return surface_pairing_exact(spec.genus).embedded(spec.cap + 2)
 
 
 def generalized_dehn_twist(spec: SurfaceSpec, curve: CurveSpec) -> TwistAutomorphism:

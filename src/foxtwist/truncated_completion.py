@@ -59,8 +59,8 @@ __all__ = [
 
 
 def _word_image(letters, cap):
-    """A word's image as {monomial: int}, letter by letter: x_i appends
-    X_i, x_i^-1 appends sum_k (-1)^k X_i^k, all below the cap."""
+    """A word's image as {monomial: nonzero int}, letter by letter: x_i
+    appends X_i, x_i^-1 appends sum_k (-1)^k X_i^k, all below the cap."""
     terms = {(): 1}
     for x in letters:
         grown = dict(terms)
@@ -68,7 +68,7 @@ def _word_image(letters, cap):
             for k in range(1, min(2 if x > 0 else cap, cap - len(m))):
                 key = m + (abs(x),) * k
                 grown[key] = grown.get(key, 0) + (-c if x < 0 and k % 2 else c)
-        terms = grown
+        terms = nonzero(grown)
     return terms
 
 

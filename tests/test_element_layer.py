@@ -104,9 +104,10 @@ def test_other_types_give_not_implemented():
             x + 0.5
         with pytest.raises(TypeError):
             0.5 - x
-    for x in (series(), element()):
+    for x in (series(), element(), tensor()):
         assert x.__add__("x") is NotImplemented
         assert x.__sub__(None) is NotImplemented
+        assert x.__mul__(1.0) is NotImplemented
         assert x.__rmul__(1.0) is NotImplemented
 
 
@@ -178,6 +179,21 @@ def test_tensor_add_sub_and_scale_match_the_fraction_route(rank, cap):
         assert a + 2 == tensor_by_fractions(rank, cap, [*a.terms.items(), (((), ()), 2)])
         assert 1 - a == tensor_by_fractions(
             rank, cap, [(((), ()), 1), *((f, -c) for f, c in a.terms.items())])
+
+
+@pytest.mark.parametrize("k", [0, 3, -2, Fraction(-5, 6)])
+def test_tensor_scalar_product_on_either_side(k):
+    t = tensor()
+    assert t * k == k * t == t.scale(k)
+
+
+def test_tensor_has_no_product():
+    with pytest.raises(TypeError):
+        tensor() * tensor()
+    with pytest.raises(TypeError):
+        tensor() * series()
+    with pytest.raises(TypeError):
+        tensor() * 0.5
 
 
 def test_tensor_mismatch_texts():

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from foxtwist.derived_twists import homological_self_pairing
-from foxtwist.group_algebra import GroupAlgebraElement
+from foxtwist.derived_twists import derived_form_exact, homological_self_pairing
+from foxtwist.fox_pairings import nabla_of_pairing, pairing_of_nabla
+from foxtwist.group_algebra import GroupAlgebraElement, cyclic_projection
 from foxtwist.series import TruncatedSeries
 from foxtwist.surfaces import (
     CurveSpec,
@@ -19,6 +20,7 @@ from foxtwist.surfaces import (
     include_series,
     intersection_form,
     surface_pairing,
+    surface_pairing_exact,
     word_automorphism,
 )
 from foxtwist.truncated_completion import embed
@@ -71,6 +73,61 @@ def test_surface_pairing_shadow_and_cache():
         assert pairing.cap == spec.cap + 2
         assert pairing.homological_form() == intersection_form(genus)
         assert surface_pairing(SurfaceSpec(genus, 3)) is pairing
+
+
+# The nu route: the pairing solved from iota(nu) - 1 at spec.cap + 4, the
+# oracle of the closed form.
+ORACLE_GRID = [(1, c) for c in range(2, 9)] + [(2, c) for c in range(2, 8)] \
+    + [(3, c) for c in range(2, 7)] + [(4, c) for c in range(2, 6)]
+
+
+@pytest.mark.parametrize("genus, cap", ORACLE_GRID)
+def test_surface_pairing_matches_the_nu_route(genus, cap):
+    spec = SurfaceSpec(genus, cap)
+    got = surface_pairing(spec)
+    want = pairing_of_nabla(boundary_nabla(spec, spec.cap + 4))
+    assert (got.rank, got.cap) == (want.rank, want.cap)
+    for got_row, want_row in zip(got.matrix, want.matrix):
+        for x, y in zip(got_row, want_row):
+            assert (x.num, x.den, x.cap) == (y.num, y.den, y.cap)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("cap", [3, 4, 5])
+def test_nabla_of_the_surface_pairing_is_the_boundary(genus, cap):
+    spec = SurfaceSpec(genus, cap)
+    assert nabla_of_pairing(surface_pairing(spec)).series == boundary_nabla(spec).series
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3, 5])
+def test_homological_form_is_the_intersection_form(genus):
+    exact = surface_pairing_exact(genus)
+    assert exact.cap is None
+    assert exact.homological_form() == intersection_form(genus)
+    assert surface_pairing(SurfaceSpec(genus, 2)).homological_form() == intersection_form(genus)
+
+
+def test_surface_pairing_exact_entries():
+    rho = surface_pairing_exact(2)
+    X = [GroupAlgebraElement.generator(4, i + 1) - 1 for i in range(4)]
+    assert rho.entry(1, 1) == X[0] and rho.entry(1, 2) == -1 - X[0] - X[0] * X[1]
+    assert rho.entry(2, 1) == 1 + X[1] and rho.entry(2, 2) == -X[1] - X[1] * X[1]
+    assert rho.entry(2, 3) == -(X[1] * X[2]) and rho.entry(3, 2) == 0
+
+
+@pytest.mark.parametrize("genus", [0, True, 1.0, "1"])
+def test_surface_pairing_exact_refuses_bad_genus(genus):
+    with pytest.raises(ValueError, match="^genus must be at least 1$"):
+        surface_pairing_exact(genus)
+
+
+def test_goldman_bracket_of_the_genus_one_basis():
+    rho = surface_pairing_exact(1)
+    a, b = (GroupAlgebraElement.from_word(GroupWord(2, (i,))) for i in (1, 2))
+    ab = cyclic_projection(GroupAlgebraElement.from_word(GroupWord(2, (1, 2))))
+    assert cyclic_projection(derived_form_exact(rho, a, b)) == -ab
+    assert cyclic_projection(derived_form_exact(rho, b, a)) == ab
+    assert cyclic_projection(derived_form_exact(rho, a, a)) == 0
 
 
 def test_surface_pairing_is_weakly_skew_with_witness_minus_one():

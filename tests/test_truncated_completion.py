@@ -7,12 +7,14 @@ import pytest
 
 from foxtwist.group_algebra import GroupAlgebraElement
 from foxtwist.series import TruncatedSeries, accumulate, commutator, nonzero
+from foxtwist.surfaces import SurfaceSpec
 from foxtwist.truncated_completion import (
     GROUP_LETTER,
     TruncatedTensor,
     _antipode_coproduct_monomial,
     _antipode_monomial,
     _coproduct_monomial,
+    _word_image,
     antipode,
     antipode_coproduct,
     coproduct,
@@ -252,3 +254,13 @@ def test_fox_series_refuse_an_index_outside_the_rank(derivative, index):
     with pytest.raises(ValueError, match=r"^Fox derivative index .* outside 1\.\.2$"):
         derivative(x, index)
     assert derivative(x, 2) == TruncatedSeries.zero(2, 3)
+
+
+@pytest.mark.parametrize("genus", [5, 10])
+def test_word_image_drops_cancelled_terms(genus):
+    # nu = [a1,b1]...[ag,bg] cancels most of what its letters build; the
+    # image keeps only the surviving monomials, never a zero.
+    nu = SurfaceSpec(genus).boundary_word()
+    image = _word_image(nu.letters, 6)
+    assert all(image.values())
+    assert len(image) == len(embed(GroupAlgebraElement.from_word(nu), 6).num)
