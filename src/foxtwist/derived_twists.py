@@ -49,10 +49,10 @@ from .series import (
     sum_powers,
 )
 from .truncated_completion import (
+    CONJUGATION_LETTER,
     GROUP_LETTER,
-    _antipode_coproduct_monomial,
-    _coproduct_monomial,
     _frame_sum,
+    _monomial_frames,
     conjugation_sum_series,
     embed,
     is_group_like,
@@ -113,11 +113,11 @@ def derived_generator_values(pairing: FoxPairing, u: TruncatedSeries) -> list:
     # room rule drops every leg that would not fit.
     legs = {}
     for monomial, coeff in work.num.items():
-        for (m1, m2), mult in _coproduct_monomial(cap + 1, monomial, GROUP_LETTER).items():
+        for (m1, m2), mult in _monomial_frames(cap + 1, monomial, GROUP_LETTER).items():
             if m2:
                 filling = legs.setdefault((m2[-1] - 1, m2[:-1]), {})
                 filling[m1] = filling.get(m1, 0) + coeff * mult
-    stem_frames = lambda stem: _antipode_coproduct_monomial(n, cap, stem)
+    stem_frames = lambda stem: _monomial_frames(cap, stem, CONJUGATION_LETTER)
     kernels = [frame_kernel([(stem_frames(stem), filling) for (s, stem), filling in legs.items()
                              if s == r], cap) for r in range(n)]
 

@@ -8,12 +8,15 @@ in the m-th power of the augmentation ideal exactly when its image at
 cap m vanishes; that gives an exact membership test.
 
 Tensors here are frames {(m1, m2): c}, truncated by total degree: a pair
-survives when len(m1) + len(m2) < cap.  One int engine,
-``_coproduct_monomial``, builds both coproducts from a rule for one
-letter X: the group rule X x 1 + 1 x X + X x X of ``coproduct``, under
-which every embedded group element is group-like, and the primitive rule
+survives when len(m1) + len(m2) < cap.  One cached int engine,
+``_monomial_frames``, builds every Hopf map from a rule for one letter X:
+the group rule X x 1 + 1 x X + X x X of ``coproduct``, the primitive rule
 X x 1 + 1 x X of the tensor algebra over H
-(``symplectic_tensor.tensor_coproduct``).
+(``symplectic_tensor.tensor_coproduct``), the antipode rule
+S(X) = x^-1 - 1 of ``antipode``, and the conjugation rule
+(S x id)Delta(X) = x^-1 x x - 1 x 1 of ``antipode_coproduct`` and
+``conjugation_sum_series``.  So every embedded group element w is
+group-like, with S(w) = w^-1 and (S x id)Delta(w) = w^-1 x w.
 """
 
 from __future__ import annotations
@@ -130,25 +133,43 @@ def tensor_outer(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedTensor:
     return TruncatedTensor._raw(a.rank, a.cap, out, a.den * b.den)
 
 
-# A letter rule lists the (left, right) copies of X in each term of Delta(X).
-GROUP_LETTER = ((1, 0), (0, 1), (1, 1))
-PRIMITIVE_LETTER = ((1, 0), (0, 1))
+# The letter rules, in one table.  Below a cap, a rule gives whether it is
+# antipodal (S reverses products, so each new letter's left share goes in
+# front of the left leg) and the terms (a, b, sign) of the image of one
+# letter X as sign * X^a x X^b, by rising degree a + b.
+GROUP_LETTER, PRIMITIVE_LETTER = "group", "primitive"
+ANTIPODE_LETTER, CONJUGATION_LETTER = "antipode", "conjugation"
+_LETTER_RULES = {
+    # Delta(X) = X x 1 + 1 x X + X x X, so every 1 + X_i is group-like.
+    GROUP_LETTER: lambda cap: (False, ((1, 0, 1), (0, 1, 1), (1, 1, 1))),
+    # X x 1 + 1 x X, the tensor algebra over H.
+    PRIMITIVE_LETTER: lambda cap: (False, ((1, 0, 1), (0, 1, 1))),
+    # S(X) = x^-1 - 1 = sum_{a >= 1} (-1)^a X^a, on the left leg.
+    ANTIPODE_LETTER: lambda cap: (True, [(a, 0, (-1) ** a) for a in range(1, cap)]),
+    # (S x id)Delta(X) = x^-1 x x - 1 x 1.
+    CONJUGATION_LETTER: lambda cap: (True, [(a, b, (-1) ** a) for a in range(cap)
+                                            for b in (0, 1) if a or b]),
+}
 
 
 @lru_cache(maxsize=None)
-def _coproduct_monomial(cap, monomial, rule):
-    """The letter rule extended multiplicatively to one monomial."""
-    pairs = {((), ()): 1}
-    for letter in monomial:
-        shares = [((letter,) * dl, (letter,) * dr) for dl, dr in rule]
-        grown = {}
-        for (left, right), c in pairs.items():
-            for dl, dr in shares:
-                nl, nr = left + dl, right + dr
-                if len(nl) + len(nr) < cap:
-                    grown[nl, nr] = grown.get((nl, nr), 0) + c
-        pairs = grown
-    return pairs
+def _monomial_frames(cap, monomial, rule):
+    """A letter rule extended to one monomial as int frames below the cap:
+    its longest proper prefix's frames times the rule of its last letter.
+    No letter term is 1 x 1, so cutting each prefix loses nothing."""
+    if not monomial:
+        return {((), ()): 1}
+    antipodal, terms = _LETTER_RULES[rule](cap)
+    x = monomial[-1:]
+    out = {}
+    for (left, right), c in _monomial_frames(cap, monomial[:-1], rule).items():
+        room = cap - len(left) - len(right)
+        for a, b, sign in terms:
+            if a + b >= room:
+                break
+            key = (x * a + left if antipodal else left + x * a, right + x * b)
+            out[key] = out.get(key, 0) + sign * c
+    return out
 
 
 def _frame_sum(terms, frames_of):
@@ -160,7 +181,8 @@ def _frame_sum(terms, frames_of):
 
 
 def _coproduct(series, rule):
-    frames = _frame_sum(series.num, lambda m: _coproduct_monomial(series.cap, m, rule))
+    """The image of a series under a letter rule, as a tensor."""
+    frames = _frame_sum(series.num, lambda m: _monomial_frames(series.cap, m, rule))
     return TruncatedTensor._raw(series.rank, series.cap, frames, series.den)
 
 
@@ -169,39 +191,16 @@ def coproduct(series: TruncatedSeries) -> TruncatedTensor:
     return _coproduct(series, GROUP_LETTER)
 
 
-@lru_cache(maxsize=None)
-def _antipode_monomial(rank, cap, monomial):
-    if not monomial:
-        return TruncatedSeries.one(rank, cap)
-    # Antipode is an anti-automorphism: S(m' X_i) = S(X_i) S(m').
-    i = monomial[-1]
-    letter = TruncatedSeries._raw(rank, cap, {(i,) * k: (-1) ** k for k in range(1, cap)})
-    return letter * _antipode_monomial(rank, cap, monomial[:-1])
-
-
 def antipode(series: TruncatedSeries) -> TruncatedSeries:
-    out = {}
-    for monomial, coeff in series.num.items():
-        accumulate(out, _antipode_monomial(series.rank, series.cap, monomial).num.items(), coeff)
-    return TruncatedSeries._raw(series.rank, series.cap, nonzero(out), series.den)
-
-
-@lru_cache(maxsize=None)
-def _antipode_coproduct_monomial(rank, cap, monomial):
-    out = {}
-    for (left, right), mult in _coproduct_monomial(cap, monomial, GROUP_LETTER).items():
-        room = cap - len(right)
-        accumulate(out, (((ms, right), cs)
-                         for ms, cs in _antipode_monomial(rank, cap, left).num.items()
-                         if len(ms) < room), mult)
-    return nonzero(out)
+    """S, which sends each group element to its inverse."""
+    frames = _coproduct(series, ANTIPODE_LETTER).num
+    return TruncatedSeries._raw(series.rank, series.cap,
+                                {left: c for (left, _), c in frames.items()}, series.den)
 
 
 def antipode_coproduct(series: TruncatedSeries) -> TruncatedTensor:
     """(S x id) applied to the coproduct of the series."""
-    frames = _frame_sum(series.num,
-                        lambda m: _antipode_coproduct_monomial(series.rank, series.cap, m))
-    return TruncatedTensor._raw(series.rank, series.cap, frames, series.den)
+    return _coproduct(series, CONJUGATION_LETTER)
 
 
 def sandwich(tensor: TruncatedTensor, filling: TruncatedSeries) -> TruncatedSeries:
@@ -217,7 +216,7 @@ def conjugation_sum_series(v: TruncatedSeries, u: TruncatedSeries) -> TruncatedS
     """Truncated conjugation sum: contract (S x id) of the coproduct of u
     around v, on ints."""
     u._check_compatible(v)
-    frames = _frame_sum(u.num, lambda m: _antipode_coproduct_monomial(u.rank, u.cap, m))
+    frames = _frame_sum(u.num, lambda m: _monomial_frames(u.cap, m, CONJUGATION_LETTER))
     return TruncatedSeries._raw(v.rank, v.cap, frame_kernel([(frames, v.num)], v.cap),
                                 u.den * v.den)
 

@@ -88,8 +88,9 @@ class GroupWord:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def cyclically_reduced(self) -> "GroupWord":

@@ -27,14 +27,16 @@ from foxtwist.series import (
 from foxtwist.surfaces import intersection_form
 from foxtwist.symplectic_tensor import contraction
 from foxtwist.truncated_completion import (
-    GROUP_LETTER,
     TruncatedTensor,
-    _antipode_coproduct_monomial,
-    _coproduct_monomial,
     antipode_coproduct,
     sandwich,
 )
 from test_derivation_kernel import apply_derivation_by_fractions, random_series
+from test_letter_rules import (
+    GROUP_SHARES,
+    antipode_coproduct_monomial_by_composite,
+    coproduct_monomial_by_letters,
+)
 
 GENERA_AND_CAPS = [(genus, cap) for genus in (1, 2, 3) for cap in range(3, 8)]
 
@@ -85,11 +87,11 @@ def derived_generator_values_by_legs(pairing, u):
     cap = min(u.cap, pairing.cap)
     g_terms = [{} for _ in range(n)]
     for monomial, coeff in u.truncate(cap).terms.items():
-        for (m1, m2), mult in _coproduct_monomial(cap + 1, monomial, GROUP_LETTER).items():
+        for (m1, m2), mult in coproduct_monomial_by_letters(cap + 1, monomial, GROUP_SHARES).items():
             if not m2 or len(m1) + len(m2) - 1 >= cap:
                 continue
             room = cap - len(m1)
-            kernel = _antipode_coproduct_monomial(n, cap, m2[:-1])
+            kernel = antipode_coproduct_monomial_by_composite(n, cap, m2[:-1])
             accumulate(g_terms[m2[-1] - 1], ((s1 + m1 + s2, cs)
                                              for (s1, s2), cs in kernel.items()
                                              if len(s1) + len(s2) < room), coeff * mult)

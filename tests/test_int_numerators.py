@@ -25,9 +25,8 @@ from foxtwist.group_algebra import GroupAlgebraElement
 from foxtwist.surfaces import SurfaceSpec, surface_pairing
 from foxtwist.symplectic_tensor import tensor_coproduct
 from foxtwist.truncated_completion import (
-    GROUP_LETTER,
-    _antipode_coproduct_monomial,
-    _coproduct_monomial,
+    _LETTER_RULES,
+    _monomial_frames,
     antipode_coproduct,
     conjugation_sum_series,
     coproduct,
@@ -54,8 +53,8 @@ def coefficients(result):
 
 
 def test_cached_monomial_tensors_hold_ints():
-    for frames in (_coproduct_monomial(5, (1, 2, 1), GROUP_LETTER),
-                   _antipode_coproduct_monomial(2, 5, (1, 2))):
+    for rule in _LETTER_RULES:
+        frames = _monomial_frames(5, (1, 2, 1), rule)
         assert frames and all(type(c) is int and c for c in frames.values())
 
 

@@ -9,11 +9,9 @@ from foxtwist.group_algebra import GroupAlgebraElement
 from foxtwist.series import TruncatedSeries, accumulate, commutator, nonzero
 from foxtwist.surfaces import SurfaceSpec
 from foxtwist.truncated_completion import (
-    GROUP_LETTER,
     TruncatedTensor,
-    _antipode_coproduct_monomial,
-    _antipode_monomial,
-    _coproduct_monomial,
+    _LETTER_RULES,
+    _monomial_frames,
     _word_image,
     antipode,
     antipode_coproduct,
@@ -233,17 +231,14 @@ def test_tensor_constructor_rejects_bad_shapes_and_letters(rank, cap, terms):
 
 
 def test_each_monomial_cache_clears_and_refills():
-    calls = [
-        (_coproduct_monomial, (5, (1, 2, 1), GROUP_LETTER)),
-        (_antipode_monomial, (2, 5, (2, 1, 1))),
-        (_antipode_coproduct_monomial, (2, 5, (1, 2))),
-    ]
-    for cache, args in calls:
-        first = cache(*args)
-        cache.cache_clear()
-        assert cache.cache_info().currsize == 0
-        again = cache(*args)
-        assert cache.cache_info().currsize > 0
+    assert len(_LETTER_RULES) == 4
+    for rule in _LETTER_RULES:
+        first = _monomial_frames(5, (1, 2, 1), rule)
+        _monomial_frames.cache_clear()
+        assert _monomial_frames.cache_info().currsize == 0
+        again = _monomial_frames(5, (1, 2, 1), rule)
+        # The monomial and its two proper prefixes; the empty one is shared.
+        assert _monomial_frames.cache_info().currsize == 4
         assert again == first
 
 

@@ -58,6 +58,23 @@ def test_pow_matches_repeated_product():
     assert (word ** 0).letters == ()
 
 
+@pytest.mark.parametrize("n, products", [(0, 0), (1, 1), (2, 2), (3, 3), (4, 3), (5, 4)])
+def test_pow_squares_only_while_bits_remain(monkeypatch, n, products):
+    built = []
+    product = GroupWord.__mul__
+
+    def counted(a, b):
+        out = product(a, b)
+        built.append(len(out.letters))
+        return out
+
+    monkeypatch.setattr(GroupWord, "__mul__", counted)
+    result = w(1, 2) ** n
+    assert result.letters == (1, 2) * n
+    assert len(built) == products
+    assert max(built, default=0) <= len(result.letters)
+
+
 def test_exponent_sums():
     assert w(1, 2, -1, 2).exponent_sums() == [0, 2]
 
