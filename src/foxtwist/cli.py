@@ -135,7 +135,10 @@ def _emit(args, text_lines, document, saved=None):
     """Print per --format; write the JSON document saved (by default the
     printed one) to --out when given."""
     if args.out:
-        formats.write_json(args.out, document if saved is None else saved)
+        try:
+            formats.write_json(args.out, document if saved is None else saved)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from None
     if args.format == "json":
         sys.stdout.write(formats.dumps(document))
     else:

@@ -7,6 +7,10 @@ enclosing documents supply it, and standalone loaders infer the
 smallest alphabet that fits.  ``series_from_dict`` checks each term in
 one pass, parses each distinct coefficient text once per payload and
 builds the int numerators over one denominator from those parses.
+
+Every document is written by ``dumps``: the bytes of
+``json.dumps(data, indent=2)`` plus a newline, written in one pass over
+the stdlib's C string encoder, with no cyclic garbage left behind.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .derived_twists import TwistAutomorphism
 from .fox_pairings import FoxPairing
@@ -195,13 +200,89 @@ def expansion_from_dict(data) -> SymplecticExpansion:
 # -- files --------------------------------------------------------------
 
 
+# float.__repr__ text -> json's text for the three non-finite floats.
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar(value):
+    """json's text for None, a bool, an int or a float; None for anything else."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_WORDS.get(text, text)
+    return None
+
+
+def _key(key):
+    text = key if isinstance(key, str) else _scalar(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return _encode_str(text)
+
+
+def _write(value, newline, out):
+    """Append value's JSON text to out; newline is a line break plus the
+    current indent.  Each container's last separator is overwritten by its
+    close."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value.__class__ is int:  # word letters, the commonest leaf
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "," + inner
+        out.append("{" + inner)
+        for key, item in value.items():
+            out.append(_key(key) + ": ")
+            _write(item, inner, out)
+            out.append(separator)
+        out[-1] = newline + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "," + inner
+        out.append("[" + inner)
+        for item in value:
+            _write(item, inner, out)
+            out.append(separator)
+        out[-1] = newline + "]"
+    else:
+        text = _scalar(value)
+        if text is None:
+            raise TypeError(f"Object of type {value.__class__.__name__} "
+                            f"is not JSON serializable")
+        out.append(text)
+
+
 def dumps(data) -> str:
-    return json.dumps(data, indent=2) + "\n"
+    """The bytes of ``json.dumps(data, indent=2)`` plus a newline, written
+    in one pass with no cyclic garbage.  A key or leaf that json refuses
+    raises TypeError with json's message."""
+    out = []
+    _write(data, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_json(path, data):
+    """Write dumps(data) to path.  The text is built before the file is
+    opened, so a document that fails to encode leaves the file untouched."""
+    text = dumps(data)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(data))
+        handle.write(text)
 
 
 def read_json(path) -> dict:

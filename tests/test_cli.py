@@ -107,6 +107,22 @@ def test_verify_report_out(tmp_path, capsys):
     assert all(entry["pass"] for entry in report["checks"])
 
 
+@pytest.mark.parametrize("argv", [
+    ("pairing", "--surface", "genus:1", "--degree", "2"),
+    ("twist", "--surface", "genus:1", "--curve", "a b", "--degree", "3"),
+    ("verify", "--suite", "hopf", "--degree", "3"),
+])
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_exit_2_when_out_cannot_be_written(tmp_path, capsys, argv, where):
+    path = tmp_path / "no-such-dir" / "x.json" if where == "missing" else tmp_path
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, *argv, "--format", fmt, "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err
+
+
 def test_output_is_byte_identical_across_runs(capsys):
     argv = ("twist", "--surface", "genus:1", "--curve", "a", "--degree", "4",
             "--format", "json")

@@ -1,12 +1,16 @@
 """JSON round trips and validation for series, pairings, twists, expansions."""
 
+import gc
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from foxtwist.cli import main
 from foxtwist.derived_twists import TwistAutomorphism
-from foxtwist.fox_pairings import FoxPairing
+from foxtwist.fox_pairings import FoxPairing, pairing_of_nabla
 from foxtwist.formats import (
     FormatError,
     _coefficient,
@@ -24,8 +28,9 @@ from foxtwist.formats import (
 )
 from foxtwist.series import TruncatedSeries
 from foxtwist.surfaces import SurfaceSpec, generalized_dehn_twist, surface_pairing
-from foxtwist.surfaces import CurveSpec
+from foxtwist.surfaces import CurveSpec, boundary_nabla, surface_pairing_exact
 from foxtwist.symplectic_tensor import build_symplectic_expansion
+from foxtwist.verify import run_suite
 
 
 def test_series_roundtrip_and_order():
@@ -263,3 +268,127 @@ def test_series_text_is_the_fraction_text_in_shortlex_order(rank, cap):
         words = [tuple(t["word"]) for t in doc["terms"]]
         assert words == sorted(s.terms, key=lambda m: (len(m), m))
         assert [t["coeff"] for t in doc["terms"]] == [str(s.terms[w]) for w in words]
+
+
+# -- dumps against the stdlib -------------------------------------------
+
+
+def _stdlib(data):
+    """The oracle: what dumps must write for every document."""
+    return json.dumps(data, indent=2) + "\n"
+
+
+def _cli_json(capsys, *argv):
+    assert main([*argv, "--format", "json"]) == 0
+    return capsys.readouterr().out
+
+
+def _genus1_twist_document():
+    spec = SurfaceSpec(1, 5)
+    curve = CurveSpec(spec.parse_curve("a b a b^-1"), Fraction(1, 3))
+    return twist_to_dict(generalized_dehn_twist(spec, curve))
+
+
+def test_dumps_writes_every_document_kind_as_the_stdlib_does(capsys):
+    documents = [
+        series_to_dict(TruncatedSeries(2, 4, {(2, 1): Fraction(-1, 3), (1,): 2, (): 7})),
+        series_to_dict(TruncatedSeries(1, 3, {})),
+        pairing_to_dict(surface_pairing_exact(2).embedded(5)),
+        pairing_to_dict(pairing_of_nabla(boundary_nabla(SurfaceSpec(1, 3)))),
+        _genus1_twist_document(),
+        expansion_to_dict(build_symplectic_expansion(2, 4)),
+        run_suite("all", 3),
+    ]
+    for document in documents:
+        assert dumps(document) == _stdlib(document)
+    outputs = [
+        _cli_json(capsys, "pairing", "--surface", "genus:1", "--degree", "4"),
+        _cli_json(capsys, "twist", "--surface", "genus:1", "--curve", "a b a b^-1",
+                  "--k", "-3/4", "--degree", "5"),
+        _cli_json(capsys, "twist", "--surface", "genus:1", "--curve", "a",
+                  "--degree", "4", "--apply", "b"),
+        _cli_json(capsys, "verify", "--suite", "all", "--degree", "3"),
+    ]
+    for out in outputs:
+        assert out == _stdlib(json.loads(out))
+
+
+_TEXT = "aZ09 \"\\/\x00\x01\x1f\x7f\n\r\t\bé \U0001f600ß\ud800"
+_FLOATS = (0.0, -0.0, 0.1, -2.5, 1e300, 5e-324, 1e16, 123456789.125,
+           math.nan, math.inf, -math.inf)
+
+
+def _random_leaf(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return "".join(rng.choice(_TEXT) for _ in range(rng.randrange(6)))
+    if kind == 1:
+        return rng.choice((0, 1, -1, 7, -10**30, 2**64)) + rng.randrange(-3, 4)
+    if kind == 2:
+        return rng.choice((True, False))
+    if kind == 3:
+        return None
+    if kind == 4:
+        return rng.choice(_FLOATS)
+    return rng.uniform(-1e6, 1e6)
+
+
+def _random_key(rng):
+    key = _random_leaf(rng)
+    return key if rng.randrange(3) else str(key)
+
+
+def _random_document(rng, depth=0):
+    kind = rng.randrange(4 if depth < 4 else 1)
+    if kind == 0:
+        return _random_leaf(rng)
+    size = rng.choice((0, 1, 2, 3, 5))
+    if kind == 1:
+        return [_random_document(rng, depth + 1) for _ in range(size)]
+    if kind == 2:
+        return tuple(_random_document(rng, depth + 1) for _ in range(size))
+    return {_random_key(rng): _random_document(rng, depth + 1) for _ in range(size)}
+
+
+def test_dumps_writes_random_documents_as_the_stdlib_does():
+    rng = random.Random(2011)
+    for _ in range(500):
+        document = _random_document(rng)
+        assert dumps(document) == _stdlib(document), document
+    nested_empty = {"a": [], "b": {}, "c": [[], {}, ()], "d": {"e": [{}]}, "": ()}
+    assert dumps(nested_empty) == _stdlib(nested_empty)
+    for leaf in ([], {}, (), "", 0, True, False, None, math.nan, -math.inf):
+        assert dumps(leaf) == _stdlib(leaf)
+
+
+@pytest.mark.parametrize("document", [
+    Fraction(1, 2),
+    {"terms": [{"word": [1], "coeff": Fraction(1, 2)}]},
+    [1, (2, {Fraction(1, 2): 3})],
+])
+def test_dumps_refuses_what_the_stdlib_refuses(document):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(document, indent=2)
+    with pytest.raises(TypeError) as got:
+        dumps(document)
+    assert str(got.value) == str(expected.value)
+
+
+def test_dumps_leaves_no_cyclic_garbage():
+    document = _genus1_twist_document()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            dumps(document)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_write_json_keeps_the_file_when_the_document_fails(tmp_path):
+    path = tmp_path / "twist.json"
+    path.write_text("kept\n", encoding="utf-8")
+    with pytest.raises(TypeError):
+        write_json(path, {"coeff": Fraction(1, 2)})
+    assert path.read_text(encoding="utf-8") == "kept\n"
