@@ -24,18 +24,16 @@ from .group_algebra import (
     fox_derivative_left,
     fox_derivative_right,
 )
+from .series import TruncatedSeries, commutator, series_matrix_inverse
 from .truncated_completion import (
-    TruncatedSeries,
     TruncatedTensor,
     antipode,
-    commutator,
     conjugation_sum_series,
     coproduct,
     embed,
     fundamental_power_contains,
     is_group_like,
     is_primitive,
-    series_matrix_inverse,
 )
 from .fox_pairings import (
     FoxPairing,

@@ -133,14 +133,17 @@ def _render_series(series) -> str:
 
 def _emit(args, text_lines, document, saved=None):
     """Print per --format; write the JSON document saved (by default the
-    printed one) to --out when given."""
+    printed one, encoded once for both) to --out when given."""
+    printed = formats.dumps(document) if args.format == "json" else None
     if args.out:
+        text = formats.dumps(saved) if saved is not None else printed or formats.dumps(document)
         try:
-            formats.write_json(args.out, document if saved is None else saved)
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
         except OSError as exc:
             raise InputError(f"cannot write {args.out}: {exc}") from None
-    if args.format == "json":
-        sys.stdout.write(formats.dumps(document))
+    if printed:
+        sys.stdout.write(printed)
     else:
         for line in text_lines:
             print(line)

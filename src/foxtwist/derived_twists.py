@@ -44,6 +44,7 @@ from .series import (
     _over_one_den,
     accumulate,
     as_fraction,
+    binary_power,
     frame_kernel,
     nonzero,
     sum_powers,
@@ -232,12 +233,13 @@ class TwistAutomorphism:
     generator images (one rank and cap, constant term 1).
 
     A monomial's image is the image of its longest proper prefix times
-    the image of its last letter; both are cached, so a dense series
-    costs one product per new monomial.  Twists and symplectic
+    the image of its last letter; prefix images are cached, so a dense
+    series costs one product per new monomial.  Signed words multiply
+    letter images from a table of at most 2 * rank.  Twists and symplectic
     expansions (``symplectic_tensor``) are both of this type.
     """
 
-    __slots__ = ("rank", "cap", "images", "_prefix_cache", "_word_cache")
+    __slots__ = ("rank", "cap", "images", "_prefix_cache", "_letter_images")
 
     def __init__(self, rank: int, cap: int, images):
         images = tuple(images)
@@ -252,8 +254,7 @@ class TwistAutomorphism:
         self.cap = cap
         self.images = images
         self._prefix_cache = {(): TruncatedSeries.one(rank, cap)}
-        self._word_cache = {(): self._prefix_cache[()]}
-        self._word_cache.update(((i + 1,), image) for i, image in enumerate(images))
+        self._letter_images = {i + 1: image for i, image in enumerate(images)}
 
     @staticmethod
     def identity(rank: int, cap: int) -> "TwistAutomorphism":
@@ -289,23 +290,18 @@ class TwistAutomorphism:
         return TruncatedSeries._raw(self.rank, cap, nonzero(out), den * series.den)
 
     def apply_word(self, word: GroupWord) -> TruncatedSeries:
-        """Image of the embedded group word: images[i - 1] for a letter i
-        and its inverse for -i.  Every prefix is cached, inverses
-        included, so each inverse is solved once."""
+        """Image of the embedded group word: the product, left to right, of
+        images[i - 1] for each letter i and its inverse for -i, each inverse
+        solved once; nothing is kept per word."""
         if word.rank != self.rank:
             raise ValueError("rank mismatch")
-        letters, cache = word.letters, self._word_cache
-        known = len(letters)
-        while letters[:known] not in cache:
-            known -= 1
-        image = cache[letters[:known]]
-        for end in range(known + 1, len(letters) + 1):
-            letter = letters[end - 1:end]
-            factor = cache.get(letter)
+        table, image = self._letter_images, None
+        for letter in word.letters:
+            factor = table.get(letter)
             if factor is None:
-                factor = cache[letter] = self.images[-letter[0] - 1].inverse()
-            image = cache[letters[:end]] = factor if end == 1 else image * factor
-        return image
+                factor = table[letter] = self.images[-letter - 1].inverse()
+            image = factor if image is None else image * factor
+        return TruncatedSeries.one(self.rank, self.cap) if image is None else image
 
     def compose(self, other: "TwistAutomorphism") -> "TwistAutomorphism":
         """self after other."""
@@ -317,15 +313,8 @@ class TwistAutomorphism:
         """m-fold composite by repeated squaring; negative m inverts first."""
         if m < 0:
             return self.inverse().power(-m)
-        result = TwistAutomorphism.identity(self.rank, self.cap)
-        base = self
-        while m:
-            if m & 1:
-                result = base.compose(result)
-            m >>= 1
-            if m:
-                base = base.compose(base)
-        return result
+        return binary_power(TwistAutomorphism.identity(self.rank, self.cap), self, m,
+                            lambda result, base: base.compose(result))
 
     def inverse(self) -> "TwistAutomorphism":
         """Solve for preimages of the generators degree by degree.

@@ -41,11 +41,15 @@ def _require(condition, message):
 
 def _coefficient(text) -> Fraction:
     """Exact fraction text as a Fraction.  The match has already split the
-    text, so Fraction(int, int) skips a second parse of the string."""
+    text, so Fraction(int, int) skips a second parse of the string.  Digits
+    past the interpreter's int limit are a FormatError that does not echo them."""
     match = _COEFF_RE.match(text) if isinstance(text, str) else None
     _require(match is not None, f"coefficient {text!r} is not exact fraction text")
     p, q = match.groups()
-    return Fraction(int(p), int(q)) if q else Fraction(int(p))
+    try:
+        return Fraction(int(p), int(q)) if q else Fraction(int(p))
+    except ValueError:
+        raise FormatError(f"{len(text)}-character coefficient exceeds the digit limit") from None
 
 
 # -- series ------------------------------------------------------------

@@ -19,8 +19,8 @@ let zeros stand, and drop them once at the end with ``nonzero``.
 
 Every product that inserts one series into the frames of another runs
 through one int kernel, ``frame_kernel``, whose docstring states the room
-rule: ``sandwich``, ``contraction``, the conjugation sum on the cached int
-monomial tensors, ``derived_generator_values``, ``derived_twists._derive``
+rule: ``sandwich`` (also the conjugation sum), ``contraction``,
+``derived_generator_values``, ``derived_twists._derive``
 (``apply_derivation`` and the steps of ``exp_derivation``), ``times`` (the
 right factor of ``*``) and the truncated ring product of
 ``FoxPairing.evaluate``.  ``series_matrix_inverse`` (one denominator per
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import DomainError, NotInvertible
@@ -356,16 +357,7 @@ class TruncatedSeries(_Truncated):
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = TruncatedSeries.one(self.rank, self.cap)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return binary_power(TruncatedSeries.one(self.rank, self.cap), self, exponent, operator.mul)
 
     def inverse(self):
         """Multiplicative inverse; needs an invertible constant term."""
@@ -426,6 +418,19 @@ def times(factor):
     """The int step terms -> terms * factor, of ``sum_powers`` and ``*``."""
     return lambda terms, den: (frame_kernel([({(m, ()): c for m, c in terms.items()}, factor.num)],
                                             factor.cap), den * factor.den)
+
+
+def binary_power(one, base, n, mul):
+    """one times base^n for n >= 0 under mul(result, base), squaring base
+    only while bits remain: the powers of series, words and automorphisms."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return result
 
 
 def power_sum(first, step, coefficients):

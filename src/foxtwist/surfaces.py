@@ -22,8 +22,8 @@ from .derived_twists import (
 )
 from .fox_pairings import FoxPairing, NablaElement
 from .group_algebra import GroupAlgebraElement
-from .series import _positive_int, as_fraction, shortlex
-from .truncated_completion import TruncatedSeries, commutator, embed
+from .series import TruncatedSeries, _positive_int, as_fraction, commutator, shortlex
+from .truncated_completion import embed
 from .words import GroupWord, parse_word
 
 

@@ -10,6 +10,8 @@ engine in ``truncated_completion``, whose group-like tests take it.
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import defaultdict
 from fractions import Fraction
 
@@ -17,7 +19,15 @@ from . import linalg
 from .derived_twists import TwistAutomorphism, apply_derivation, derived_generator_values
 from .errors import DomainError, SolverError
 from .group_algebra import GroupAlgebraElement
-from .series import _positive_int, accumulate, frame_kernel, nonzero, sum_powers, times
+from .series import (
+    TruncatedSeries,
+    _positive_int,
+    accumulate,
+    frame_kernel,
+    nonzero,
+    sum_powers,
+    times,
+)
 from .surfaces import (
     SurfaceSpec,
     _agree,
@@ -27,7 +37,6 @@ from .surfaces import (
 )
 from .truncated_completion import (
     PRIMITIVE_LETTER,
-    TruncatedSeries,
     TruncatedTensor,
     _coproduct,
     embed,
@@ -35,17 +44,20 @@ from .truncated_completion import (
 )
 from .words import GroupWord
 
-# s(z) = 1/(e^{-z} - 1) + 1/z, coefficients of z^0 .. z^5.  Caps up to 8
-# only ever consume the first few; the recurrence s(z)(e^{-z} - 1) =
-# 1 + (e^{-z} - 1)/z pins them and is asserted in the test suite.
-S_COEFFICIENTS = (
-    Fraction(-1, 2),
-    Fraction(-1, 12),
-    Fraction(0),
-    Fraction(1, 720),
-    Fraction(0),
-    Fraction(-1, 30240),
-)
+
+def s_coefficients():
+    """c_0, c_1, ... of s(z) = 1/(e^{-z} - 1) + 1/z, without end: with
+    e_j = (-1)^j / j!, the z^(n+1) part of s(z)(e^{-z} - 1) = 1 + (e^{-z} - 1)/z
+    is sum_{k <= n} c_k e_(n+1-k) = e_(n+2), and e_1 = -1 solves it for c_n."""
+    e = lambda j: Fraction((-1) ** j, math.factorial(j))
+    known = []
+    for n in itertools.count():
+        known.append(sum((c * e(n + 1 - k) for k, c in enumerate(known)), -e(n + 2)))
+        yield known[-1]
+
+
+# z^0 .. z^5, the coefficients the verify suite checks at cap 7.
+S_COEFFICIENTS = tuple(itertools.islice(s_coefficients(), 6))
 
 
 def _genus_of_rank(rank: int) -> int:
@@ -180,7 +192,7 @@ def derivation_pairing(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSerie
 def s_of_omega(genus: int, cap: int) -> TruncatedSeries:
     """The series s(omega) with s(z) = 1/(e^{-z} - 1) + 1/z."""
     return sum_powers(TruncatedSeries.one(2 * genus, cap), times(omega(genus, cap)),
-                      S_COEFFICIENTS)
+                      s_coefficients())
 
 
 def tensorial_rho(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:

@@ -33,18 +33,13 @@ from .series import (
     _check_shape,
     _checked_items,
     accumulate,
-    commutator,
     frame_kernel,
     nonzero,
-    series_matrix_inverse,
 )
 
-# Re-exported so that callers get the whole truncated layer from one place.
+# The public names of the truncated layer; series names live in ``series``.
 __all__ = [
-    "TruncatedSeries",
     "TruncatedTensor",
-    "commutator",
-    "series_matrix_inverse",
     "embed",
     "counit",
     "fundamental_power_contains",
@@ -213,12 +208,10 @@ def sandwich(tensor: TruncatedTensor, filling: TruncatedSeries) -> TruncatedSeri
 
 
 def conjugation_sum_series(v: TruncatedSeries, u: TruncatedSeries) -> TruncatedSeries:
-    """Truncated conjugation sum: contract (S x id) of the coproduct of u
-    around v, on ints."""
+    """Truncated conjugation sum: (S x id) of the coproduct of u,
+    sandwiched around v."""
     u._check_compatible(v)
-    frames = _frame_sum(u.num, lambda m: _monomial_frames(u.cap, m, CONJUGATION_LETTER))
-    return TruncatedSeries._raw(v.rank, v.cap, frame_kernel([(frames, v.num)], v.cap),
-                                u.den * v.den)
+    return sandwich(antipode_coproduct(u), v)
 
 
 def is_group_like(series: TruncatedSeries, delta=None) -> bool:

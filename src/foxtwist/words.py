@@ -13,9 +13,10 @@ positive generators before all inverses:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .series import _positive_int
+from .series import _positive_int, binary_power
 
 
 def _free_reduce(letters) -> tuple:
@@ -83,15 +84,7 @@ class GroupWord:
     def __pow__(self, n: int) -> "GroupWord":
         if n < 0:
             return self.inverse() ** (-n)
-        out = GroupWord.identity(self.rank)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return binary_power(GroupWord.identity(self.rank), self, n, operator.mul)
 
     def cyclically_reduced(self) -> "GroupWord":
         w = list(self.letters)

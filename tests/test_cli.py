@@ -9,6 +9,7 @@ from foxtwist.cli import DEGREES, main
 from foxtwist.derived_twists import twist
 from foxtwist.surfaces import SurfaceSpec, surface_pairing
 from foxtwist.words import MAX_WORD_LENGTH
+from test_formats import int_digit_limit  # noqa: F401 (a fixture)
 
 
 def run(capsys, *argv):
@@ -121,6 +122,39 @@ def test_exit_2_when_out_cannot_be_written(tmp_path, capsys, argv, where):
         assert out == ""
         assert err.startswith(f"error: cannot write {path}: ")
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, encodings", [
+    (("twist", "--surface", "genus:1", "--curve", "a b a b^-1", "--k", "1/3", "--degree", "5"), 1),
+    (("verify", "--suite", "all", "--degree", "3"), 1),
+    (("pairing", "--surface", "genus:2", "--degree", "3"), 2),
+])
+def test_a_document_printed_and_written_is_encoded_once(tmp_path, capsys, monkeypatch,
+                                                        argv, encodings):
+    path = tmp_path / "out.json"
+    _, alone, _ = run(capsys, *argv, "--format", "json")
+    calls = []
+    real = formats.dumps
+    monkeypatch.setattr(formats, "dumps", lambda data: calls.append(1) or real(data))
+    code, printed, err = run(capsys, *argv, "--format", "json", "--out", str(path))
+    assert code == 0 and err == ""
+    assert len(calls) == encodings
+    written = path.read_text(encoding="utf-8")
+    assert written == json.dumps(json.loads(written), indent=2) + "\n"
+    if encodings == 1:
+        assert written == printed == alone
+
+
+def test_exit_2_on_a_coefficient_past_the_digit_limit(tmp_path, capsys, int_digit_limit):
+    for coeff in ("7" * 5000, "1/" + "7" * 5000):
+        path = tmp_path / "nabla.json"
+        formats.write_json(path, {"degree_cap": 6, "terms": [
+            {"word": [1, 2], "coeff": "-1"},
+            {"word": [2, 1], "coeff": coeff},
+        ]})
+        code, out, err = run(capsys, "pairing", "--nabla", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {len(coeff)}-character coefficient exceeds the digit limit\n"
 
 
 def test_output_is_byte_identical_across_runs(capsys):

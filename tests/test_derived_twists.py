@@ -233,10 +233,13 @@ def test_power_by_squaring_matches_repeated_composition():
     x1 = TruncatedSeries.variable(2, 5, 1)
     x2 = TruncatedSeries.variable(2, 5, 2)
     t = TwistAutomorphism(2, 5, [1 + x1 + x2 * x1, 1 + x2 + x2 * x2 * x1])
-    repeated = TwistAutomorphism.identity(2, 5)
-    for _ in range(9):
-        repeated = t.compose(repeated)
-    assert t.power(9) == repeated
+    spec = SurfaceSpec(1, 4)
+    dehn = twist(surface_pairing(spec), Fraction(1, 2), spec.parse_curve("a b a b^-1"))
+    for automorphism, exponents in ((t, range(10)), (dehn, range(6))):
+        repeated = TwistAutomorphism.identity(automorphism.rank, automorphism.cap)
+        for m in exponents:
+            assert automorphism.power(m) == repeated
+            repeated = automorphism.compose(repeated)
 
 
 def test_compose_order_is_self_after_other():

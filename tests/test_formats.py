@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,26 @@ def test_coefficients_parse_like_fraction_text():
         got = _coefficient(text)
         assert type(got) is Fraction
         assert got == Fraction(text)
+
+
+@pytest.fixture
+def int_digit_limit():
+    """The interpreter's default int digit limit, 4300, for one test;
+    skipped where the interpreter has none."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int digit limit")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.parametrize("coeff", ["7" * 5000, "1/" + "7" * 5000])
+def test_coefficient_past_the_digit_limit_is_a_format_error(int_digit_limit, coeff):
+    with pytest.raises(FormatError) as caught:
+        series_from_dict({"degree_cap": 3, "terms": [{"word": [1], "coeff": coeff}]})
+    assert "7777" not in str(caught.value)
+    assert "digit limit" in str(caught.value)
 
 
 def test_series_loader_matches_the_validating_constructor(monkeypatch):

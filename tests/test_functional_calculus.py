@@ -11,6 +11,7 @@ and every comparison is exact equality on Fraction coefficients.
 import functools
 import math
 import random
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -376,6 +377,32 @@ def test_twist_apply_word_refuses_a_rank_mismatch():
         t.apply_word(GroupWord(3, (1, 3)))
     with pytest.raises(ValueError):
         TwistAutomorphism.identity(2, 4).apply_word(GroupWord(1, (1,)))
+
+
+def test_apply_word_holds_memory_bounded_by_rank_not_word_length():
+    spec = SurfaceSpec(2, 4)
+    t = twist(surface_pairing(spec), Fraction(1, 2), spec.parse_curve("a1 b2 a2^-1 b1"))
+    rng = random.Random(990)
+    letters = [1]
+    while len(letters) < 500:
+        letter = rng.choice((1, -1)) * rng.randint(1, t.rank)
+        if letter != -letters[-1]:
+            letters.append(letter)
+    word = GroupWord(t.rank, tuple(letters))
+    assert len(word) == 500
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        image = t.apply_word(word)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # Caching every prefix held about 4.2 MB here; the image and the
+    # letter table of 2 * rank images hold a few tens of kB.
+    assert held < 1_000_000
+    assert len(t._letter_images) == 2 * t.rank
+    assert image == t.apply_word(GroupWord(t.rank, word.letters[:250])) * \
+        t.apply_word(GroupWord(t.rank, word.letters[250:]))
 
 
 @pytest.mark.parametrize("genus, cap", [(1, 4), (1, 6), (2, 4), (2, 5)])

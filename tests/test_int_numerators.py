@@ -1,7 +1,7 @@
 """The twist path on int numerators, and Fractions at the public API.
 
 The cached monomial tensors hold ints, ``conjugation_sum_series``
-contracts an int frame sum, and the map of ``exp_derivation`` keeps its
+sandwiches the int conjugation frames of ``antipode_coproduct``, and the map of ``exp_derivation`` keeps its
 running term as ints over one growing denominator.  Each is compared by
 ``==`` with the route it replaced, and every public result must still
 carry Fraction coefficients, also where a coefficient is exactly 1.
@@ -20,12 +20,15 @@ from foxtwist.derived_twists import (
     twist,
 )
 from foxtwist.errors import NilpotencyCapExceeded
-from foxtwist.series import TruncatedSeries, power_sum
+from foxtwist.series import TruncatedSeries, frame_kernel, power_sum
 from foxtwist.group_algebra import GroupAlgebraElement
 from foxtwist.surfaces import SurfaceSpec, surface_pairing
 from foxtwist.symplectic_tensor import tensor_coproduct
+from foxtwist.words import GroupWord
 from foxtwist.truncated_completion import (
+    CONJUGATION_LETTER,
     _LETTER_RULES,
+    _frame_sum,
     _monomial_frames,
     antipode_coproduct,
     conjugation_sum_series,
@@ -94,6 +97,31 @@ def test_int_conjugation_sum_matches_the_sandwich_route(rank, cap):
         assert conjugation_sum_series(v, u) == sandwich(antipode_coproduct(u), v)
     ones = unit_series(rank, cap, [(), (1,), (2, 1)][:cap])
     assert conjugation_sum_series(ones, ones) == sandwich(antipode_coproduct(ones), ones)
+    with pytest.raises(ValueError):
+        conjugation_sum_series(ones, TruncatedSeries.one(rank, cap + 1))
+
+
+def conjugation_sum_by_fused_frames(v, u):
+    """Oracle: the former fused body, one frame sum of u's conjugation
+    frames contracted around v."""
+    u._check_compatible(v)
+    frames = _frame_sum(u.num, lambda m: _monomial_frames(u.cap, m, CONJUGATION_LETTER))
+    return TruncatedSeries._raw(v.rank, v.cap, frame_kernel([(frames, v.num)], v.cap),
+                                u.den * v.den)
+
+
+@pytest.mark.parametrize("rank, cap", [(rank, cap) for rank in (1, 2, 3) for cap in range(1, 8)])
+def test_conjugation_sum_matches_the_fused_frames(rank, cap):
+    rng = random.Random(1300 + 10 * rank + cap)
+    for _ in range(4):
+        word = tuple(rng.choice((-1, 1)) * rng.randint(1, rank) for _ in range(rng.randint(0, 4)))
+        group_like = embed(GroupAlgebraElement.from_word(GroupWord(rank, word)), cap)
+        u = random_series(rng, rank, cap, rng.randint(0, 8))
+        v = random_series(rng, rank, cap, rng.randint(0, 8))
+        for left in (group_like, u):
+            assert conjugation_sum_series(v, left) == conjugation_sum_by_fused_frames(v, left)
+    ones = unit_series(rank, cap, [(), (1,), (rank, 1)][:cap])
+    assert conjugation_sum_series(ones, ones) == conjugation_sum_by_fused_frames(ones, ones)
     with pytest.raises(ValueError):
         conjugation_sum_series(ones, TruncatedSeries.one(rank, cap + 1))
 

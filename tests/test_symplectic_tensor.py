@@ -1,5 +1,7 @@
 """Tensor-algebra side: cyclic words, contractions, symplectic expansions."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +24,7 @@ from foxtwist.symplectic_tensor import (
     intersection_number,
     lie_bracket_of_word,
     omega,
+    s_coefficients,
     s_of_omega,
     tensor_coproduct,
     tensorial_rho,
@@ -199,6 +202,44 @@ def test_s_coefficients_solve_the_defining_equation():
     s = sum((z ** j * S_COEFFICIENTS[j] for j in range(6)), TruncatedSeries.zero(1, 8))
     expm1 = (-z).exp() - 1
     assert z * s * expm1 == z + expm1
+
+
+def bernoulli_numbers(count):
+    """Oracle: B_0 .. B_(count - 1) with B_1 = +1/2, from the recurrence
+    sum_{k <= n} C(n + 1, k) B_k = n + 1."""
+    numbers = []
+    for n in range(count):
+        rest = sum(math.comb(n + 1, k) * b for k, b in enumerate(numbers))
+        numbers.append((n + 1 - rest) / Fraction(n + 1))
+    return numbers
+
+
+def test_s_coefficients_are_the_bernoulli_numbers_through_z12():
+    # s(z) = -(sum_n B_n z^(n-1) / n!) + 1/z, so c_n = -B_(n+1) / (n+1)!.
+    bernoulli = bernoulli_numbers(14)
+    want = [-bernoulli[n + 1] / math.factorial(n + 1) for n in range(13)]
+    assert list(itertools.islice(s_coefficients(), 13)) == want
+    assert want[7] == Fraction(1, 1209600) and want[11] == Fraction(691, 1307674368000)
+
+
+def test_s_coefficients_keep_the_six_the_verify_suite_checks():
+    assert S_COEFFICIENTS == (Fraction(-1, 2), Fraction(-1, 12), 0, Fraction(1, 720), 0,
+                              Fraction(-1, 30240))
+
+
+def test_s_of_omega_is_complete_above_cap_14():
+    assert s_of_omega(1, 15).coefficient((2, 1) * 7) == Fraction(1, 1209600)
+    assert s_of_omega(1, 23).coefficient((1, 2) * 11) == Fraction(-691, 1307674368000)
+
+
+@pytest.mark.parametrize("cap", [18, 19])
+def test_tensorial_rho_boundary_unit_at_high_caps(cap):
+    # exp(-omega) one cap above h, so the contraction sees every degree it
+    # needs; from cap 18 on, the z^7 coefficient of s enters.
+    boundary = (-omega(1, cap + 1)).exp()
+    for index in (1, 2):
+        h = basis_vector(1, index, cap)
+        assert tensorial_rho(h, boundary) == h
 
 
 def test_s_of_omega_frozen_low_degrees():
