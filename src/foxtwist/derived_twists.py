@@ -291,17 +291,21 @@ class TwistAutomorphism:
 
     def apply_word(self, word: GroupWord) -> TruncatedSeries:
         """Image of the embedded group word: the product, left to right, of
-        images[i - 1] for each letter i and its inverse for -i, each inverse
-        solved once; nothing is kept per word."""
+        images[i - 1] for each letter i and ``_inverse_image(i)`` for -i,
+        each inverse found once; nothing is kept per word."""
         if word.rank != self.rank:
             raise ValueError("rank mismatch")
         table, image = self._letter_images, None
         for letter in word.letters:
             factor = table.get(letter)
             if factor is None:
-                factor = table[letter] = self.images[-letter - 1].inverse()
+                factor = table[letter] = self._inverse_image(-letter)
             image = factor if image is None else image * factor
         return TruncatedSeries.one(self.rank, self.cap) if image is None else image
+
+    def _inverse_image(self, i: int) -> TruncatedSeries:
+        """The image of the letter -i, solved from images[i - 1]."""
+        return self.images[i - 1].inverse()
 
     def compose(self, other: "TwistAutomorphism") -> "TwistAutomorphism":
         """self after other."""

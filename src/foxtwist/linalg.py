@@ -59,7 +59,8 @@ def solve_sparse(rows: dict, rhs: dict, columns: int):
     is eliminated with: here the shortest remaining row holding the
     column, so fill-in stays small.  Rows are scaled to ints once and
     eliminated by cross-multiplication, each updated row divided by its
-    content; Fractions appear only in back-substitution.
+    content; Fractions appear only in back-substitution, which passes
+    over unknowns already found to be zero.
     """
     if any(not 0 <= c < columns for row in rows.values() for c in row):
         raise ValueError("column index outside 0..%d" % (columns - 1))
@@ -112,5 +113,7 @@ def solve_sparse(rows: dict, rhs: dict, columns: int):
         return None
     x = [Fraction(0)] * columns
     for col, prow, pivot, pb in reversed(pivots):
-        x[col] = (pb - sum((v * x[c] for c, v in prow.items()), Fraction(0))) / pivot
+        value = pb - sum(v * x[c] for c, v in prow.items() if x[c])
+        if value:
+            x[col] = Fraction(value, pivot)
     return x

@@ -33,7 +33,7 @@ The functional calculus of the completion is three routines:
 in ``derived_twists`` (signed words under twists and expansions, and the
 boundary defect of ``build_symplectic_expansion``; ``embed`` builds its
 word images on ints of its own) and ``series_matrix_inverse``, the only
-inverse.
+inverse (an expansion built from exponents e inverts a letter as exp(-e)).
 """
 
 from __future__ import annotations

@@ -227,17 +227,29 @@ class SymplecticExpansion(TwistAutomorphism):
     """Group-like generator images with the basis vectors as degree-1
     parts, sending the boundary word to e^{-omega}.  ``apply_hat`` is
     theta-hat of section 9: ``apply`` on truncated group-algebra series.
+    Built ``from_exponents``, it keeps the e of its images exp(e) and maps
+    the letter -i to exp(-e_i); built from images, it solves the inverse.
     """
 
     __slots__ = ("genus", "exponents")
 
-    def __init__(self, genus, cap, images, exponents=None):
+    def __init__(self, genus, cap, images):
         super().__init__(2 * genus, cap, images)
         for i, image in enumerate(self.images):
             if image.degree_part(1) != basis_vector(genus, i + 1, cap):
                 raise ValueError("degree-1 part of image %d is not the basis vector" % (i + 1))
         self.genus = genus
-        self.exponents = None if exponents is None else tuple(exponents)
+        self.exponents = None
+
+    @classmethod
+    def from_exponents(cls, genus, cap, exponents) -> "SymplecticExpansion":
+        exponents = tuple(exponents)
+        expansion = cls(genus, cap, [e.exp() for e in exponents])
+        expansion.exponents = exponents
+        return expansion
+
+    def _inverse_image(self, i):
+        return (-self.exponents[i - 1]).exp() if self.exponents else super()._inverse_image(i)
 
     apply_hat = TwistAutomorphism.apply
 
@@ -292,7 +304,10 @@ def build_symplectic_expansion(genus: int, cap: int) -> SymplecticExpansion:
 
     Columns run over (slot, bracket) in order, and the solve takes pivot
     columns left to right with free variables 0, which keeps the output
-    deterministic.  The defect itself is recomputed once per degree.
+    deterministic.  The defect is computed at the start and after each
+    solve, on the exponents cut to degree + 1 for the next degree it
+    serves (truncation is an algebra map, so the lower degrees are the
+    same numbers); the closing one, at the full cap, gives the expansion.
     """
     if not _positive_int(genus):
         raise ValueError("genus must be at least 1")
@@ -301,13 +316,15 @@ def build_symplectic_expansion(genus: int, cap: int) -> SymplecticExpansion:
     rank = 2 * genus
     boundary = SurfaceSpec(genus, cap).boundary_word()
     target = omega(genus, cap)
-
-    def defect_series(exponents):
-        theta = TwistAutomorphism(rank, cap, [e.exp() for e in exponents])
-        return theta.apply_word(boundary).log() + target
-
     exponents = [TruncatedSeries.variable(rank, cap, i + 1) for i in range(rank)]
-    if not defect_series(exponents).degree_part(2).is_zero():
+
+    def defect_below(top):
+        theta = SymplecticExpansion.from_exponents(genus, top,
+                                                   [e.truncate(top) for e in exponents])
+        return theta, theta.apply_word(boundary).log() + target.truncate(top)
+
+    theta, defect = defect_below(min(4, cap))
+    if not defect.degree_part(2).is_zero():
         raise SolverError("degree-2 defect is nonzero; omega does not match nu")
     # The boundary word has zero exponent sums, so a degree d correction
     # to the exponents first shows up in the defect at degree d + 1:
@@ -317,8 +334,10 @@ def build_symplectic_expansion(genus: int, cap: int) -> SymplecticExpansion:
         # The int brackets of the words of degree - 1, each from its tail's.
         brackets = {(h,) + w: _bracket_with(h, bracket)
                     for h in range(1, rank + 1) for w, bracket in brackets.items()}
-        defect = defect_series(exponents).degree_part(degree)
-        if defect.is_zero():
+        if defect.cap <= degree:  # after a degree with a zero defect part
+            theta, defect = defect_below(degree + 1)
+        part = defect.degree_part(degree)
+        if part.is_zero():
             continue
         corrections = [(slot, bracket) for slot in range(rank)
                        for bracket in brackets.values() if bracket]
@@ -326,18 +345,18 @@ def build_symplectic_expansion(genus: int, cap: int) -> SymplecticExpansion:
         for column, (slot, bracket) in enumerate(corrections):
             for m, c in _closed_form_column(slot, bracket).items():
                 rows[m][column] = c
-        # Solved for the numerators of the defect, so x / defect.den is the correction.
-        rhs = {m: -c for m, c in defect.num.items()}
+        # Solved for the numerators of the defect, so x / part.den is the correction.
+        rhs = {m: -c for m, c in part.num.items()}
         solution = linalg.solve_sparse(rows, rhs, len(corrections))
         if solution is None:
             raise SolverError("no degree-%d correction exists" % degree)
         for x, (slot, bracket) in zip(solution, corrections):
             if x:
-                exponents[slot] += TruncatedSeries(rank, cap, bracket).scale(x / defect.den)
-    if not defect_series(exponents).is_zero():
+                exponents[slot] += TruncatedSeries(rank, cap, bracket).scale(x / part.den)
+        theta, defect = defect_below(min(degree + 2, cap))
+    if not defect.is_zero():
         raise SolverError("corrections did not close the boundary condition")
-    images = [e.exp() for e in exponents]
-    return SymplecticExpansion(genus, cap, images, exponents)
+    return theta
 
 
 def verify_section9(spec: SurfaceSpec, expansion: SymplecticExpansion, cap: int,

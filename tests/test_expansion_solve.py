@@ -133,8 +133,7 @@ def build_by_probing(genus, cap):
             if x:
                 exponents[slot] = exponents[slot] + bracket.scale(x)
     assert defect_series(exponents).is_zero()
-    images = [e.exp() for e in exponents]
-    return SymplecticExpansion(genus, cap, images, exponents), record
+    return SymplecticExpansion.from_exponents(genus, cap, exponents), record
 
 
 def sparse_rows(matrix):
@@ -213,11 +212,15 @@ def test_lie_bracket_of_word_wraps_the_int_brackets():
                 assert all(type(c) is Fraction for c in got.terms.values())
 
 
-# SHA-256 of the expansion JSON as built with Fraction-series brackets and solve.
+# SHA-256 of the expansion JSON as built with Fraction-series brackets and solve;
+# (1, 9), (1, 10) and (2, 7) as built with a full-cap defect at every degree.
 EXPANSION_SHA256 = {
     (1, 7): "d2e55ff14c56037d953e5e2c01aa540953ffa3608931ead63a4f10a0694b6262",
+    (1, 9): "7789727244ba930717336f14c4d6ffc3dbc6ba6d83659e4eba2ecfb03cd95394",
+    (1, 10): "8802f73cc1b6ffbb94a3ed394b3c474e38324980c594626b9e0c5a5c6636d1c2",
     (2, 5): "c581241caf7aae8781f27df6229707368bb8f19c54bdd30b2de0117a88dc5e0a",
     (2, 6): "7a61ea7c16f8dc25e143458fd495d1d9c3ec04a3f66306c0fc1e604d7ba4f513",
+    (2, 7): "85986d87a470abf941541fc33553a6c29b383e46c74b5dcec0ef12252d8236e7",
     (3, 4): "341c7380110b64cf2e95b5716f1759a77ad834e5e38e2d0ffadd954fa7f6072b",
     (3, 5): "83f9201177712e22a64c385549452e5675a13fda8ee3c3b20d69bbba7a3fb201",
 }
