@@ -47,6 +47,7 @@ from .series import (
     binary_power,
     frame_kernel,
     nonzero,
+    power_sum,
     sum_powers,
 )
 from .truncated_completion import (
@@ -235,8 +236,8 @@ class TwistAutomorphism:
     A monomial's image is the image of its longest proper prefix times
     the image of its last letter; prefix images are cached, so a dense
     series costs one product per new monomial.  Signed words multiply
-    letter images from a table of at most 2 * rank.  Twists and symplectic
-    expansions (``symplectic_tensor``) are both of this type.
+    letter images from a table of at most 2 * rank; ``inverse`` is a
+    ``power_sum``.  Twists and symplectic expansions are of this type.
     """
 
     __slots__ = ("rank", "cap", "images", "_prefix_cache", "_letter_images")
@@ -321,26 +322,18 @@ class TwistAutomorphism:
                             lambda result, base: base.compose(result))
 
     def inverse(self) -> "TwistAutomorphism":
-        """Solve for preimages of the generators degree by degree.
-
-        The degree-preserving part of the substitution is the
-        multiplicative extension of the homology matrix, so each new
-        degree is fixed by one application of its inverse.
-        """
+        """The Neumann series self^-1(X_i) = sum_j (id - psi)^j (L^-1 X_i) of
+        the unipotent psi = L^-1 after self, L the homology matrix: id - psi
+        raises degree, so cap terms suffice.  psi(preimage) = L^-1 X_i is
+        self(preimage) = X_i, checked on psi's warm prefix cache."""
         linear = TwistAutomorphism._linear(self.rank, self.cap,
                                            linalg.mat_inverse(self.homology_matrix()))
-        preimages = []
-        for i in range(self.rank):
-            target = 1 + TruncatedSeries.variable(self.rank, self.cap, i + 1)
-            candidate = TruncatedSeries.one(self.rank, self.cap)
-            for degree in range(1, self.cap):
-                defect = (target - self.apply(candidate)).degree_part(degree)
-                if not defect.is_zero():
-                    candidate = candidate + linear.apply(defect)
-            if self.apply(candidate) != target:
-                raise ValueError("automorphism is not invertible at this cap")
-            preimages.append(candidate)
-        return TwistAutomorphism(self.rank, self.cap, preimages)
+        psi = linear.compose(self)
+        preimages = [power_sum(image - 1, lambda t: t - psi.apply(t), [1] * self.cap)
+                     for image in linear.images]
+        if any(psi.apply(p) != image - 1 for p, image in zip(preimages, linear.images)):
+            raise ValueError("automorphism is not invertible at this cap")
+        return TwistAutomorphism(self.rank, self.cap, [1 + p for p in preimages])
 
     @staticmethod
     def _linear(rank, cap, matrix) -> "TwistAutomorphism":

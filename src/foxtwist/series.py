@@ -29,11 +29,12 @@ arithmetic.
 
 The functional calculus of the completion is three routines:
 ``sum_powers`` (exp, log, s(omega), the map of ``exp_derivation``, and
-``power_sum`` for any step on series), ``TwistAutomorphism.apply_word``
-in ``derived_twists`` (signed words under twists and expansions, and the
-boundary defect of ``build_symplectic_expansion``; ``embed`` builds its
-word images on ints of its own) and ``series_matrix_inverse``, the only
-inverse (an expansion built from exponents e inverts a letter as exp(-e)).
+``power_sum`` for any step on series, as in ``TwistAutomorphism.inverse``),
+``TwistAutomorphism.apply_word`` in ``derived_twists`` (signed words under
+twists and expansions, and the boundary defect of
+``build_symplectic_expansion``; ``embed`` builds its word images on ints of
+its own) and ``series_matrix_inverse``, the only series inverse (an
+expansion built from exponents e inverts a letter as exp(-e)).
 """
 
 from __future__ import annotations

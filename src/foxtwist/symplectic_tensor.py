@@ -196,16 +196,17 @@ def s_of_omega(genus: int, cap: int) -> TruncatedSeries:
 
 
 def tensorial_rho(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
-    """(u - eps u) ~> (v - eps v) + (u - eps u) s(omega) (v - eps v)."""
-    if u.rank != v.rank:
-        raise ValueError("rank mismatch")
-    return _rho_table([u], [v], min(u.cap, v.cap))[0][0]
+    """(u - eps u) ~> (v - eps v) + (u - eps u) s(omega) (v - eps v) at cap
+    min(u.cap, v.cap) - 1: its contraction's top degree needs terms at the cap."""
+    if u.rank != v.rank or min(u.cap, v.cap) < 2:
+        raise ValueError("tensorial_rho needs one rank and caps of at least 2")
+    return _rho_table([u], [v], min(u.cap, v.cap) - 1)[0][0]
 
 
 def _rho_table(us, vs, cap):
     """tensorial_rho(u, v) for u in us (rows) and v in vs (columns), all
-    of one rank, at a cap no higher than theirs: the contraction runs at
-    their cap and is truncated, s(omega) and the product run at cap.
+    of one rank, at a cap below theirs: the contraction runs at their cap
+    and is truncated, s(omega) and the product run at cap.
 
     s(omega) is built once per call, and u - eps u, v - eps v and
     (u - eps u) s(omega) once per input, so each pair costs one

@@ -519,7 +519,7 @@ def symplectic_suite(degree: int) -> dict:
     boundary_inverse = (-1 * w).exp()
     hs = [basis_vector(1, i, 5) for i in (1, 2)]
     checks.append(_agree("rho-boundary-unit",
-                         ((tensorial_rho(h, boundary_inverse), h) for h in hs)))
+                         ((tensorial_rho(h, boundary_inverse), h.truncate(4)) for h in hs)))
     checks.append(_agree("omega-contraction", ((contraction(h, w), -1 * h) for h in hs)))
     return {"suite": "symplectic", "checks": checks}
 

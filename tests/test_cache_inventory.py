@@ -1,8 +1,11 @@
-"""Every unbounded cache in the library is listed here.
+"""Every unbounded module-level cache in the library is listed here.
 
 A function decorated with ``lru_cache`` (or ``cache``) keeps what it
 computes for the life of the process.  The package holds exactly the
 caches named below, so adding one is a deliberate edit to this list.
+Caches kept on objects, such as the prefix cache and the letter table
+of a ``TwistAutomorphism``, live as long as their object and are not
+listed.
 """
 
 import ast

@@ -234,12 +234,30 @@ def test_s_of_omega_is_complete_above_cap_14():
 
 @pytest.mark.parametrize("cap", [18, 19])
 def test_tensorial_rho_boundary_unit_at_high_caps(cap):
-    # exp(-omega) one cap above h, so the contraction sees every degree it
-    # needs; from cap 18 on, the z^7 coefficient of s enters.
+    # Both inputs one cap above the result; from cap 18 on, the z^7
+    # coefficient of s enters.
     boundary = (-omega(1, cap + 1)).exp()
     for index in (1, 2):
+        h = basis_vector(1, index, cap + 1)
+        assert tensorial_rho(h, boundary) == basis_vector(1, index, cap)
+
+
+@pytest.mark.parametrize("cap", range(3, 13))
+def test_tensorial_rho_boundary_unit_at_one_cap(cap):
+    # At one input cap the result drops a degree: its top degree would
+    # need the contraction of terms at the cap (wrong at every even cap
+    # when the result kept the inputs' cap).
+    boundary = (-omega(1, cap)).exp()
+    for index in (1, 2):
         h = basis_vector(1, index, cap)
-        assert tensorial_rho(h, boundary) == h
+        got = tensorial_rho(h, boundary)
+        assert got == h.truncate(got.cap)
+        assert got.cap == cap - 1
+
+
+def test_tensorial_rho_needs_a_degree_to_return():
+    with pytest.raises(ValueError, match="caps of at least 2"):
+        tensorial_rho(basis_vector(1, 1, 1), basis_vector(1, 2, 4))
 
 
 def test_s_of_omega_frozen_low_degrees():
@@ -253,16 +271,17 @@ def test_tensorial_rho_boundary_unit():
         boundary = (-omega(genus, 5)).exp()
         for index in range(1, 2 * genus + 1):
             h = basis_vector(genus, index, 5)
-            assert tensorial_rho(h, boundary) == h
+            assert tensorial_rho(h, boundary) == h.truncate(4)
 
 
 def tensorial_rho_by_formula(u, v):
-    """The formula with s(omega) and both centred inputs built per pair."""
+    """The formula with s(omega) and both centred inputs built per pair,
+    one degree below the inputs' least cap."""
     u1 = u - u.constant_term()
     v1 = v - v.constant_term()
     cap = min(u.cap, v.cap)
     middle = s_of_omega(u.rank // 2, cap)
-    return contraction(u1, v1) + u1.truncate(cap) * middle * v1.truncate(cap)
+    return (contraction(u1, v1) + u1.truncate(cap) * middle * v1.truncate(cap)).truncate(cap - 1)
 
 
 @pytest.mark.parametrize("genus,cap", [(1, 5), (2, 5)])
@@ -274,7 +293,7 @@ def test_rho_table_matches_tensorial_rho_per_pair(genus, cap):
     words += [GroupWord(rank, tuple(rng.choice((1, -1)) * rng.randint(1, rank)
                                     for _ in range(3))) for _ in range(2)]
     thetas = [expansion.apply_hat(embed(GroupAlgebraElement.from_word(w), cap)) for w in words]
-    table = _rho_table(thetas, thetas, cap)
+    table = _rho_table(thetas, thetas, cap - 1)
     for theta_u, row in zip(thetas, table):
         for theta_v, got in zip(thetas, row):
             assert got == tensorial_rho(theta_u, theta_v)
