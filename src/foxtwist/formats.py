@@ -274,9 +274,16 @@ def _write(value, newline, out):
 def dumps(data) -> str:
     """The bytes of ``json.dumps(data, indent=2)`` plus a newline, written
     in one pass with no cyclic garbage.  A key or leaf that json refuses
-    raises TypeError with json's message."""
+    raises TypeError with json's message, and a document that contains
+    itself ValueError; a deep one raises RecursionError, as json does."""
     out = []
-    _write(data, "\n", out)
+    try:
+        _write(data, "\n", out)
+    except RecursionError:
+        # A cycle or a deep nest: json's own walk raises its ValueError for
+        # the first and RecursionError for the second, else ours stands.
+        json.dumps(data, indent=2)
+        raise
     out.append("\n")
     return "".join(out)
 

@@ -229,7 +229,8 @@ class SymplecticExpansion(TwistAutomorphism):
     parts, sending the boundary word to e^{-omega}.  ``apply_hat`` is
     theta-hat of section 9: ``apply`` on truncated group-algebra series.
     Built ``from_exponents``, it keeps the e of its images exp(e) and maps
-    the letter -i to exp(-e_i); built from images, it solves the inverse.
+    the letter -i to the antipode of exp(e_i); built from images, it
+    solves the inverse.
     """
 
     __slots__ = ("genus", "exponents")
@@ -244,13 +245,19 @@ class SymplecticExpansion(TwistAutomorphism):
 
     @classmethod
     def from_exponents(cls, genus, cap, exponents) -> "SymplecticExpansion":
+        """Images exp(e) for Lie series e (the builder's are letters plus
+        brackets), so each is group-like and its antipode is exp(-e)."""
         exponents = tuple(exponents)
         expansion = cls(genus, cap, [e.exp() for e in exponents])
         expansion.exponents = exponents
         return expansion
 
     def _inverse_image(self, i):
-        return (-self.exponents[i - 1]).exp() if self.exponents else super()._inverse_image(i)
+        if not self.exponents:
+            return super()._inverse_image(i)
+        image = self.images[i - 1]  # its antipode: monomials reversed, times (-1)^length
+        return TruncatedSeries._raw(self.rank, self.cap, {
+            m[::-1]: -c if len(m) % 2 else c for m, c in image.num.items()}, image.den)
 
     apply_hat = TwistAutomorphism.apply
 
@@ -278,6 +285,22 @@ def lie_bracket_of_word(rank, cap, letters) -> TruncatedSeries:
     return TruncatedSeries(rank, cap, bracket)
 
 
+def _independent(brackets):
+    """The brackets ({word: int terms}) that are not combinations of
+    earlier kept ones, by one int echelon led by largest monomials."""
+    kept, echelon = {}, {}
+    for word, row in brackets.items():
+        while row and (lead := max(row)) in echelon:
+            pivot = echelon[lead]
+            scale, c = pivot[lead], row[lead]
+            row = nonzero(accumulate({m: scale * v for m, v in row.items()}, pivot.items(), -c))
+            content = math.gcd(*row.values())
+            row = {m: v // content for m, v in row.items()}
+        if row:
+            echelon[max(row)], kept[word] = row, brackets[word]
+    return kept
+
+
 def _closed_form_column(slot, bracket):
     """Degree-d change of the boundary defect when ``bracket`` (int terms
     of degree d - 1) is added to exponent ``slot`` (0-based): [bracket, b_i]
@@ -292,9 +315,14 @@ def build_symplectic_expansion(genus: int, cap: int) -> SymplecticExpansion:
 
     Exponents start at the basis letters and are corrected degree by
     degree: the degree-d defect of log theta(nu) + omega is cancelled by
-    a combination of right-nested Lie brackets of degree d - 1 added to
-    the exponents (those brackets span the free Lie algebra in each
-    degree, so the system is consistent whenever an expansion exists).
+    a combination of Lie brackets of degree d - 1 added to the exponents:
+    the right-nested [h, B], B kept at the degree below, in word order,
+    each kept unless a combination of earlier kept ones.  They form a
+    basis of the free Lie algebra, so the system is consistent whenever
+    an expansion exists.  A dropped bracket's columns are the same
+    combination of earlier columns in their slots (the column map and
+    ad_h are linear), so the solve would take no pivot there and set it
+    to 0: dropping them changes neither the pivots nor the answer.
 
     Columns come in closed form.  Adding delta to the exponent of a_i
     changes the degree-d defect by exactly [delta, b_i], and adding it
@@ -332,16 +360,15 @@ def build_symplectic_expansion(genus: int, cap: int) -> SymplecticExpansion:
     # degree-D defects are cancelled by degree D - 1 brackets.
     brackets = {(i,): {(i,): 1} for i in range(1, rank + 1)}
     for degree in range(3, cap):
-        # The int brackets of the words of degree - 1, each from its tail's.
-        brackets = {(h,) + w: _bracket_with(h, bracket)
-                    for h in range(1, rank + 1) for w, bracket in brackets.items()}
+        # The int brackets of degree - 1, each from a kept tail's.
+        brackets = _independent({(h,) + w: _bracket_with(h, bracket)
+                                 for h in range(1, rank + 1) for w, bracket in brackets.items()})
         if defect.cap <= degree:  # after a degree with a zero defect part
             theta, defect = defect_below(degree + 1)
         part = defect.degree_part(degree)
         if part.is_zero():
             continue
-        corrections = [(slot, bracket) for slot in range(rank)
-                       for bracket in brackets.values() if bracket]
+        corrections = [(slot, bracket) for slot in range(rank) for bracket in brackets.values()]
         rows = defaultdict(dict)
         for column, (slot, bracket) in enumerate(corrections):
             for m, c in _closed_form_column(slot, bracket).items():

@@ -56,10 +56,10 @@ __all__ = [
 ]
 
 
-def _word_image(letters, cap):
-    """A word's image as {monomial: nonzero int}, letter by letter: x_i
-    appends X_i, x_i^-1 appends sum_k (-1)^k X_i^k, all below the cap."""
-    terms = {(): 1}
+def _word_image(letters, cap, terms=None):
+    """A word's image as {monomial: nonzero int}, grown letter by letter from
+    ``terms``: x_i appends X_i, x_i^-1 sum_k (-1)^k X_i^k, below the cap."""
+    terms = {(): 1} if terms is None else terms
     for x in letters:
         grown = dict(terms)
         for m, c in terms.items():
@@ -71,11 +71,26 @@ def _word_image(letters, cap):
 
 
 def embed(element: GroupAlgebraElement, cap: int) -> TruncatedSeries:
-    """Image of a group-algebra element at a positive int cap, on ints."""
+    """Image of a group-algebra element at a positive int cap, on ints.
+    Sorted words start from the image of the prefix shared with the last."""
     _check_cap(cap)
     out = {}
-    for letters, coeff in element.num.items():
-        accumulate(out, _word_image(letters, cap).items(), coeff)
+    words = sorted(element.num)
+    stack = [(0, {(): 1})]  # (length, image) of the current word's kept prefixes
+    for k, letters in enumerate(words, 1):
+        start, terms = stack[-1]
+        shared = 0
+        if k < len(words):  # keep the prefix shared with the next word
+            for x, y in zip(letters, words[k]):
+                if x != y:
+                    break
+                shared += 1
+            if shared > start:
+                start, terms = shared, _word_image(letters[start:shared], cap, terms)
+                stack.append((start, terms))
+        accumulate(out, _word_image(letters[start:], cap, terms).items(), element.num[letters])
+        while stack[-1][0] > shared:
+            stack.pop()
     return TruncatedSeries._raw(element.rank, cap, nonzero(out), element.den)
 
 

@@ -413,3 +413,50 @@ def test_write_json_keeps_the_file_when_the_document_fails(tmp_path):
     with pytest.raises(TypeError):
         write_json(path, {"coeff": Fraction(1, 2)})
     assert path.read_text(encoding="utf-8") == "kept\n"
+
+
+def _self_containing_dict():
+    document = {"name": "loop", "terms": []}
+    document["terms"].append({"inner": document})
+    return document
+
+
+def _self_containing_list():
+    document = [1, "two"]
+    document.append([document])
+    return document
+
+
+def _deep_nest(depth):
+    document = inner = []
+    for _ in range(depth):
+        inner.append({"down": []})
+        inner = inner[-1]["down"]
+    return document
+
+
+@pytest.mark.parametrize("document", [_self_containing_dict(), _self_containing_list()])
+def test_dumps_refuses_a_document_that_contains_itself_as_the_stdlib_does(document):
+    with pytest.raises(ValueError) as expected:
+        json.dumps(document, indent=2)
+    with pytest.raises(ValueError) as got:
+        dumps(document)
+    assert str(got.value) == str(expected.value) == "Circular reference detected"
+
+
+def test_dumps_raises_recursion_error_on_a_deep_acyclic_document_as_the_stdlib_does():
+    document = _deep_nest(5000)
+    with pytest.raises(RecursionError) as expected:
+        json.dumps(document, indent=2)
+    with pytest.raises(RecursionError) as got:
+        dumps(document)
+    # The depth at which the interpreter gives up words the message; the
+    # type and its opening words are json's.
+    assert str(expected.value).startswith("maximum recursion depth exceeded")
+    assert str(got.value).startswith("maximum recursion depth exceeded")
+
+
+def test_dumps_writes_shared_acyclic_containers_as_the_stdlib_does():
+    leaf = {"x": [1, 2]}
+    document = {"a": [leaf, leaf], "b": (leaf, [leaf])}
+    assert dumps(document) == _stdlib(document)
