@@ -31,4 +31,5 @@ class NilpotencyCapExceeded(FoxTwistError):
 
 
 class SolverError(FoxTwistError):
-    """A linear solve that is expected to be consistent turned out not to be."""
+    """A symplectic expansion could not be built: the degree-2 defect is
+    nonzero, or the corrections did not close the boundary condition."""

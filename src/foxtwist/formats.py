@@ -17,17 +17,21 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .derived_twists import TwistAutomorphism
 from .fox_pairings import FoxPairing
-from .series import TruncatedSeries, _int_split, _positive_int, nonzero, shortlex
+from .series import (
+    TruncatedSeries,
+    _FRACTION_TEXT,
+    _int_split,
+    _positive_int,
+    as_fraction,
+    nonzero,
+    shortlex,
+)
 from .symplectic_tensor import SymplecticExpansion
-
-# Numerator and optional nonzero denominator of exact fraction text.
-_COEFF_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?\Z")
 
 
 class FormatError(ValueError):
@@ -40,15 +44,13 @@ def _require(condition, message):
 
 
 def _coefficient(text) -> Fraction:
-    """Exact fraction text as a Fraction.  The match has already split the
-    text, so Fraction(int, int) skips a second parse of the string.  Digits
+    """Exact fraction text as a Fraction, by ``as_fraction``'s rule.  Digits
     past the interpreter's int limit are a FormatError that does not echo them."""
-    match = _COEFF_RE.match(text) if isinstance(text, str) else None
-    _require(match is not None, f"coefficient {text!r} is not exact fraction text")
-    p, q = match.groups()
+    _require(isinstance(text, str), f"coefficient {text!r} is not exact fraction text")
     try:
-        return Fraction(int(p), int(q)) if q else Fraction(int(p))
+        return as_fraction(text)
     except ValueError:
+        _require(_FRACTION_TEXT.match(text), f"coefficient {text!r} is not exact fraction text")
         raise FormatError(f"{len(text)}-character coefficient exceeds the digit limit") from None
 
 

@@ -42,19 +42,33 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 from fractions import Fraction
 
 from .errors import DomainError, NotInvertible
 from .linalg import mat_inverse
 
 
+# Exact fraction text: p or p/q in ASCII digits, a minus sign only on p,
+# q > 0; no blanks, decimals, exponents or underscores.
+_FRACTION_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?\Z")
+
+
 def as_fraction(value) -> Fraction:
-    """An exact rational from an int, a str or a Fraction; anything else,
-    floats included, is a TypeError."""
+    """An exact rational from an int, a Fraction or exact fraction text
+    (``_FRACTION_TEXT``); other text is a ValueError, as are digits past
+    the interpreter's int limit, and anything else, floats included, is a
+    TypeError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, str):
+        match = _FRACTION_TEXT.match(value)
+        if match is None:
+            raise ValueError(f"{value!r} is not exact fraction text p or p/q")
+        p, q = match.groups()
+        return Fraction(int(p), int(q)) if q else Fraction(int(p))
     raise TypeError(f"expected an int, str or Fraction, got {type(value).__name__}")
 
 

@@ -231,7 +231,9 @@ def figure_eight_scenario(k, cap: int = 5) -> dict:
     cap max(cap, 5).
     """
     k = as_fraction(k)
-    w = max(int(cap), 5)
+    if not _positive_int(cap):
+        raise ValueError("cap must be a positive integer")
+    w = max(cap, 5)
     rank = 2
     half = Fraction(1, 2)
     alpha = GroupWord(rank, (1,))

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from fractions import Fraction
 
-from . import linalg
 from .derived_twists import TwistAutomorphism, apply_derivation, derived_generator_values
 from .errors import DomainError, SolverError
 from .group_algebra import GroupAlgebraElement
@@ -225,12 +223,14 @@ def _rho_table(us, vs, cap):
 
 
 class SymplecticExpansion(TwistAutomorphism):
-    """Group-like generator images with the basis vectors as degree-1
-    parts, sending the boundary word to e^{-omega}.  ``apply_hat`` is
+    """Generator images with the basis vectors as degree-1 parts, group-like
+    for ``tensor_coproduct``, sending the boundary word to e^{-omega}.
+    ``is_hopf`` is that tensor-side check, ``is_group_like``: the images are
+    not group-like for the group coproduct of a twist.  ``apply_hat`` is
     theta-hat of section 9: ``apply`` on truncated group-algebra series.
-    Built ``from_exponents``, it keeps the e of its images exp(e) and maps
-    the letter -i to the antipode of exp(e_i); built from images, it
-    solves the inverse.
+    Built ``from_exponents`` (as ``build_symplectic_expansion`` does), it
+    keeps the e of its images exp(e) and maps the letter -i to the antipode
+    of exp(e_i); built from images, it solves the inverse.
     """
 
     __slots__ = ("genus", "exponents")
@@ -267,6 +267,8 @@ class SymplecticExpansion(TwistAutomorphism):
     def is_group_like(self) -> bool:
         return all(is_group_like(image, tensor_coproduct) for image in self.images)
 
+    is_hopf = is_group_like
+
     def is_symplectic(self) -> bool:
         return self.boundary_image() == (-omega(self.genus, self.cap)).exp()
 
@@ -285,58 +287,30 @@ def lie_bracket_of_word(rank, cap, letters) -> TruncatedSeries:
     return TruncatedSeries(rank, cap, bracket)
 
 
-def _independent(brackets):
-    """The brackets ({word: int terms}) that are not combinations of
-    earlier kept ones, by one int echelon led by largest monomials."""
-    kept, echelon = {}, {}
-    for word, row in brackets.items():
-        while row and (lead := max(row)) in echelon:
-            pivot = echelon[lead]
-            scale, c = pivot[lead], row[lead]
-            row = nonzero(accumulate({m: scale * v for m, v in row.items()}, pivot.items(), -c))
-            content = math.gcd(*row.values())
-            row = {m: v // content for m, v in row.items()}
-        if row:
-            echelon[max(row)], kept[word] = row, brackets[word]
-    return kept
-
-
-def _closed_form_column(slot, bracket):
-    """Degree-d change of the boundary defect when ``bracket`` (int terms
-    of degree d - 1) is added to exponent ``slot`` (0-based): [bracket, b_i]
-    for the slot of a_i, [a_i, bracket] for the slot of b_i."""
-    if slot % 2:
-        return _bracket_with(slot, bracket)
-    return {m: -c for m, c in _bracket_with(slot + 2, bracket).items()}
-
-
 def build_symplectic_expansion(genus: int, cap: int) -> SymplecticExpansion:
-    """Solve for group-like images with boundary image e^{-omega}.
+    """Correct the exponents, degree by degree, until the boundary image is
+    e^{-omega}.
 
-    Exponents start at the basis letters and are corrected degree by
-    degree: the degree-d defect of log theta(nu) + omega is cancelled by
-    a combination of Lie brackets of degree d - 1 added to the exponents:
-    the right-nested [h, B], B kept at the degree below, in word order,
-    each kept unless a combination of earlier kept ones.  They form a
-    basis of the free Lie algebra, so the system is consistent whenever
-    an expansion exists.  A dropped bracket's columns are the same
-    combination of earlier columns in their slots (the column map and
-    ad_h are linear), so the solve would take no pivot there and set it
-    to 0: dropping them changes neither the pivots nor the answer.
+    Exponents start at the basis letters.  The boundary word has zero
+    exponent sums, so a degree d - 1 correction first shows up in the
+    defect log theta(nu) + omega at degree d, and there only linearly:
+    adding delta to the exponent of a_i changes the degree-d defect by
+    [delta, b_i], and adding it to the exponent of b_i by [a_i, delta]
+    (by BCH the only term of log prod [e^{A_i}, e^{B_i}] linear in delta
+    and of degree d pairs delta with a degree-1 letter).
 
-    Columns come in closed form.  Adding delta to the exponent of a_i
-    changes the degree-d defect by exactly [delta, b_i], and adding it
-    to the exponent of b_i by [a_i, delta]: by BCH the only term of
-    log prod [e^{A_i}, e^{B_i}] that is linear in delta and of degree d
-    is the quadratic one, which pairs delta with a degree-1 letter, and
-    terms quadratic in delta start at degree 2d - 2 > d.
+    The degree-d defect part P is a Lie element (theta(nu) is group-like
+    and omega is Lie), so by the Dynkin-Specht-Wever theorem
+    d P = sum_m c_m [x_{m_1}, r(m_2 ... m_d)] over its monomials m with
+    coefficients c_m, r the right-nested bracket.  So -(c_m / d) r(m[1:])
+    added to the exponent of b_i for m starting with a_i, and +(c_m / d)
+    r(m[1:]) added to that of a_i for m starting with b_i, cancel P: each
+    degree is corrected in closed form, with no linear system.
 
-    Columns run over (slot, bracket) in order, and the solve takes pivot
-    columns left to right with free variables 0, which keeps the output
-    deterministic.  The defect is computed at the start and after each
-    solve, on the exponents cut to degree + 1 for the next degree it
-    serves (truncation is an algebra map, so the lower degrees are the
-    same numbers); the closing one, at the full cap, gives the expansion.
+    The defect is computed at the start and after each correction, on the
+    exponents cut to degree + 1 for the next degree it serves (truncation
+    is an algebra map, so the lower degrees are the same numbers); the
+    closing one, at the full cap, must vanish, and gives the expansion.
     """
     if not _positive_int(genus):
         raise ValueError("genus must be at least 1")
@@ -346,6 +320,12 @@ def build_symplectic_expansion(genus: int, cap: int) -> SymplecticExpansion:
     boundary = SurfaceSpec(genus, cap).boundary_word()
     target = omega(genus, cap)
     exponents = [TruncatedSeries.variable(rank, cap, i + 1) for i in range(rank)]
+    right_nested = {(i,): {(i,): 1} for i in range(1, rank + 1)}  # word -> its int bracket
+
+    def bracket_of(word):
+        if word not in right_nested:
+            right_nested[word] = _bracket_with(word[0], bracket_of(word[1:]))
+        return right_nested[word]
 
     def defect_below(top):
         theta = SymplecticExpansion.from_exponents(genus, top,
@@ -355,32 +335,20 @@ def build_symplectic_expansion(genus: int, cap: int) -> SymplecticExpansion:
     theta, defect = defect_below(min(4, cap))
     if not defect.degree_part(2).is_zero():
         raise SolverError("degree-2 defect is nonzero; omega does not match nu")
-    # The boundary word has zero exponent sums, so a degree d correction
-    # to the exponents first shows up in the defect at degree d + 1:
-    # degree-D defects are cancelled by degree D - 1 brackets.
-    brackets = {(i,): {(i,): 1} for i in range(1, rank + 1)}
     for degree in range(3, cap):
-        # The int brackets of degree - 1, each from a kept tail's.
-        brackets = _independent({(h,) + w: _bracket_with(h, bracket)
-                                 for h in range(1, rank + 1) for w, bracket in brackets.items()})
         if defect.cap <= degree:  # after a degree with a zero defect part
             theta, defect = defect_below(degree + 1)
         part = defect.degree_part(degree)
         if part.is_zero():
             continue
-        corrections = [(slot, bracket) for slot in range(rank) for bracket in brackets.values()]
-        rows = defaultdict(dict)
-        for column, (slot, bracket) in enumerate(corrections):
-            for m, c in _closed_form_column(slot, bracket).items():
-                rows[m][column] = c
-        # Solved for the numerators of the defect, so x / part.den is the correction.
-        rhs = {m: -c for m, c in part.num.items()}
-        solution = linalg.solve_sparse(rows, rhs, len(corrections))
-        if solution is None:
-            raise SolverError("no degree-%d correction exists" % degree)
-        for x, (slot, bracket) in zip(solution, corrections):
-            if x:
-                exponents[slot] += TruncatedSeries(rank, cap, bracket).scale(x / part.den)
+        corrections = [{} for _ in range(rank)]
+        for m, c in part.num.items():
+            # An odd letter is a_i, corrected through b_i (0-based slot m[0]);
+            # an even one is b_i, corrected through a_i (slot m[0] - 2).
+            slot, sign = (m[0], -1) if m[0] % 2 else (m[0] - 2, 1)
+            accumulate(corrections[slot], bracket_of(m[1:]).items(), sign * c)
+        for slot, terms in enumerate(corrections):
+            exponents[slot] += TruncatedSeries._raw(rank, cap, nonzero(terms), part.den * degree)
         theta, defect = defect_below(min(degree + 2, cap))
     if not defect.is_zero():
         raise SolverError("corrections did not close the boundary condition")

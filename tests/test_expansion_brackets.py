@@ -1,39 +1,39 @@
-"""The symplectic-expansion builder on a basis of brackets, and inverse
-letters by the tensor-algebra antipode.
+"""The solve oracle's basis of brackets, and inverse letters by the
+tensor-algebra antipode.
 
-Each degree's columns come from the right-nested brackets [h, B], B kept
-at the degree below, kept when they are not a combination of earlier kept
-ones: rank x Witt(d - 1) columns at degree d, with every expansion byte
-as before.  An expansion made ``from_exponents`` maps the letter -i to the
-antipode of exp(e_i), which is exp(-e_i) because e_i is a Lie series.
+``build_by_solve`` takes each degree's columns from the right-nested
+brackets [h, B], B kept at the degree below, kept when they are not a
+combination of earlier kept ones: rank x Witt(d - 1) columns at degree d.
+An expansion made ``from_exponents`` maps the letter -i to the antipode of
+exp(e_i), which is exp(-e_i) because e_i is a Lie series.
 
 Run as a script, the file checks the expansion bytes at the dense cells
-that the test suite leaves out, (2, 8), (3, 6) and (4, 5) (a few seconds
-on one core)::
+that the test suite leaves out: the solve oracle's at (2, 8), (3, 6) and
+(4, 5), and ``build_symplectic_expansion``'s at those and at (3, 7) and
+(1, 12), each of these also group-like and symplectic (about 7 s and
+310 MB on one 2-CPU machine)::
 
     PYTHONPATH=src python tests/test_expansion_brackets.py
 """
 
-import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from foxtwist import formats, linalg
+import test_expansion_solve
 from foxtwist.derived_twists import TwistAutomorphism
 from foxtwist.formats import expansion_from_dict, expansion_to_dict
 from foxtwist.series import TruncatedSeries, accumulate, nonzero
 from foxtwist.symplectic_tensor import (
     SymplecticExpansion,
-    _bracket_with,
-    _independent,
     build_symplectic_expansion,
     lie_bracket_of_word,
 )
 from foxtwist.words import GroupWord
 from test_expansion_defects import SIGNED_WORD_CELLS
+from test_expansion_solve import basis_brackets, build_by_solve, expansion_sha256, independent
 
 
 def mobius(n):
@@ -60,17 +60,6 @@ def test_witt_counts():
     assert witt(6, 3) == 70
 
 
-def kept_brackets(rank, top):
-    """The builder's route, degree by degree up to ``top``: {degree: kept}."""
-    brackets = {(i,): {(i,): 1} for i in range(1, rank + 1)}
-    kept = {1: brackets}
-    for degree in range(2, top + 1):
-        brackets = _independent({(h,) + w: _bracket_with(h, bracket)
-                                 for h in range(1, rank + 1) for w, bracket in brackets.items()})
-        kept[degree] = brackets
-    return kept
-
-
 def reduce_by_fractions(row, echelon):
     """Oracle: row minus its combination of the echelon rows, each led
     (with coefficient 1) by its smallest monomial, in Fractions."""
@@ -89,7 +78,7 @@ def test_kept_brackets_are_a_basis_in_word_order(rank):
     # Every right-nested bracket of every word, in lexicographic order,
     # against the kept ones before it: a kept one is independent of them,
     # a dropped one lies in their span.
-    kept = kept_brackets(rank, 5)
+    kept = {degree: basis_brackets(rank, degree) for degree in range(2, 6)}
     for degree in range(2, 6):
         assert len(kept[degree]) == witt(rank, degree)
         assert list(kept[degree]) == sorted(kept[degree])
@@ -110,8 +99,8 @@ def test_kept_brackets_are_a_basis_in_word_order(rank):
 def test_independent_keeps_the_first_of_dependent_rows():
     rows = {"a": {(1,): 2, (2,): 4}, "b": {(1,): 1, (2,): 2}, "c": {}, "d": {(2,): 3},
             "e": {(1,): 5, (2,): -7}, "f": {(3,): 1}}
-    assert list(_independent(rows)) == ["a", "d", "f"]
-    assert _independent(rows)["a"] is rows["a"]
+    assert list(independent(rows)) == ["a", "d", "f"]
+    assert independent(rows)["a"] is rows["a"]
 
 
 COLUMN_CELLS = ([(1, cap) for cap in range(3, 11)] + [(2, cap) for cap in range(3, 8)]
@@ -121,15 +110,15 @@ COLUMN_CELLS = ([(1, cap) for cap in range(3, 11)] + [(2, cap) for cap in range(
 @pytest.mark.parametrize("genus,cap", COLUMN_CELLS)
 def test_each_solve_takes_rank_times_witt_columns(genus, cap, monkeypatch):
     solved = []
-    solve = linalg.solve_sparse
+    solve = test_expansion_solve.solve_sparse
 
     def recording(rows, rhs, columns):
         (degree,) = {len(m) for m in rhs}
         solved.append((degree, columns))
         return solve(rows, rhs, columns)
 
-    monkeypatch.setattr(linalg, "solve_sparse", recording)
-    build_symplectic_expansion(genus, cap)
+    monkeypatch.setattr(test_expansion_solve, "solve_sparse", recording)
+    build_by_solve(genus, cap)
     rank = 2 * genus
     assert solved == [(d, rank * witt(rank, d - 1)) for d in range(3, cap)]
 
@@ -204,21 +193,30 @@ def test_the_antipode_is_no_inverse_off_the_lie_contract():
     assert e._inverse_image(2) == e.images[1].inverse()
 
 
-# SHA-256 of the expansion JSON at cells beyond the tier-1 pins, recorded
-# from the builder over all right-nested brackets with inverse letters by exp(-e).
+# SHA-256 of the expansion JSON at cells beyond the tier-1 pins: the solve
+# oracle's, as built over all right-nested brackets with inverse letters
+# by exp(-e), and build_symplectic_expansion's, each degree in closed form.
 DENSE_EXPANSION_SHA256 = {
     (2, 8): "b15e19541412f41ba8f0f015b86e68f3e5b9770cd6c471a5787db731a6699c85",
     (3, 6): "6672f56b62849b6b2c1fd43db096eed2a09d4ba86f618bb938f5fa6c1d0e2252",
     (4, 5): "930d544af548be35678b036cdddac38923c755b8eafccc1146a2fe3425d364f6",
 }
-
-
-def expansion_sha256(genus, cap):
-    document = formats.dumps(expansion_to_dict(build_symplectic_expansion(genus, cap)))
-    return hashlib.sha256(document.encode("utf-8")).hexdigest()
+DENSE_CLOSED_FORM_SHA256 = {
+    (1, 12): "57df30ee74129b8af12edeb4a95aa9f56f3eb937572b6df740e54ff1152884b3",
+    (2, 8): "adc040ee07e82073381b68f15d45adf946acaf9a982ee1039f617001a96284a9",
+    (3, 6): "bd29afbc7112e7d01f8b2e7e4bef13e8795ffaa706f0541055c87d564632e3af",
+    (3, 7): "62c1a069866f3919fb2e5bf4a4a72ef8ea6db9faeb7fdb760a31311f3481cc45",
+    (4, 5): "cc4e108c14855120690f042166d57ee930495e1fcf11cd27bf6e703cb44fe315",
+}
 
 
 if __name__ == "__main__":
     for (genus, cap), want in sorted(DENSE_EXPANSION_SHA256.items()):
-        assert expansion_sha256(genus, cap) == want, (genus, cap)
-        print("genus %d cap %d: expansion bytes match" % (genus, cap))
+        assert expansion_sha256(build_by_solve(genus, cap)) == want, (genus, cap)
+        print("genus %d cap %d: solve-route expansion bytes match" % (genus, cap))
+    for (genus, cap), want in sorted(DENSE_CLOSED_FORM_SHA256.items()):
+        e = build_symplectic_expansion(genus, cap)
+        assert expansion_sha256(e) == want, (genus, cap)
+        assert e.is_group_like() and e.is_symplectic(), (genus, cap)
+        print("genus %d cap %d: expansion bytes match, group-like and symplectic"
+              % (genus, cap))

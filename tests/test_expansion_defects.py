@@ -1,8 +1,8 @@
-"""The symplectic-expansion builder's boundary defects, against the
-builder that recomputed a full-cap defect at every degree, and the two
-routes for an inverse letter: exp(-e) from the exponents and the solved
-inverse of the image.  Also ``solve_sparse``'s back-substitution against
-the loop that multiplied out every unknown, zeros included."""
+"""The symplectic-expansion builder's boundary defects, against a builder
+that recomputes a full-cap defect at every degree, and the two routes for
+an inverse letter: exp(-e) from the exponents and the solved inverse of
+the image.  Also the solve oracle's back-substitution against the loop
+that multiplied out every unknown, zeros included."""
 
 import math
 import random
@@ -11,28 +11,35 @@ from fractions import Fraction
 
 import pytest
 
-from foxtwist import linalg, series, symplectic_tensor
+from foxtwist import series, symplectic_tensor
 from foxtwist.derived_twists import TwistAutomorphism
 from foxtwist.formats import expansion_from_dict, expansion_to_dict
-from foxtwist.linalg import solve_sparse
 from foxtwist.series import TruncatedSeries
 from foxtwist.surfaces import SurfaceSpec
 from foxtwist.symplectic_tensor import (
     SymplecticExpansion,
-    _bracket_with,
-    _closed_form_column,
     build_symplectic_expansion,
+    lie_bracket_of_word,
     omega,
 )
 from foxtwist.words import GroupWord
-from test_expansion_solve import random_matrix, rational, solve_both, sparse_rows
+from test_expansion_solve import (
+    basis_brackets,
+    column_rows,
+    random_matrix,
+    rational,
+    solve_both,
+    solve_sparse,
+    sparse_rows,
+)
 
 
 def build_with_full_cap_defects(genus, cap):
-    """Oracle: the builder as it was before defects were cut to the cap
-    they need.  A full-cap defect at every degree, inverse letters by
-    ``.inverse()`` of exp(e), and images from one more exp pass at the
-    end.  Returns (images, exponents)."""
+    """Oracle: the closed-form builder without cut defects.  A full-cap
+    defect at every degree, inverse letters by ``.inverse()`` of exp(e),
+    corrections from Fraction brackets (-(c/d) r(m[1:]) to b_i for a
+    monomial m = a_i ..., +(c/d) r(m[1:]) to a_i for m = b_i ...) and
+    images from one more exp pass at the end.  Returns (images, exponents)."""
     rank = 2 * genus
     boundary = SurfaceSpec(genus, cap).boundary_word()
     target = omega(genus, cap)
@@ -43,24 +50,14 @@ def build_with_full_cap_defects(genus, cap):
 
     exponents = [TruncatedSeries.variable(rank, cap, i + 1) for i in range(rank)]
     assert defect_series(exponents).degree_part(2).is_zero()
-    brackets = {(i,): {(i,): 1} for i in range(1, rank + 1)}
     for degree in range(3, cap):
-        brackets = {(h,) + w: _bracket_with(h, bracket)
-                    for h in range(1, rank + 1) for w, bracket in brackets.items()}
         defect = defect_series(exponents).degree_part(degree)
-        if defect.is_zero():
-            continue
-        corrections = [(slot, bracket) for slot in range(rank)
-                       for bracket in brackets.values() if bracket]
-        rows = defaultdict(dict)
-        for column, (slot, bracket) in enumerate(corrections):
-            for m, c in _closed_form_column(slot, bracket).items():
-                rows[m][column] = c
-        rhs = {m: -c for m, c in defect.num.items()}
-        solution = solve_sparse(rows, rhs, len(corrections))
-        for x, (slot, bracket) in zip(solution, corrections):
-            if x:
-                exponents[slot] += TruncatedSeries(rank, cap, bracket).scale(x / defect.den)
+        for m, c in defect.terms.items():
+            r = lie_bracket_of_word(rank, cap, m[1:])
+            if m[0] % 2:
+                exponents[m[0]] -= r.scale(c / degree)
+            else:
+                exponents[m[0] - 2] += r.scale(c / degree)
     assert defect_series(exponents).is_zero()
     return [e.exp() for e in exponents], exponents
 
@@ -80,21 +77,19 @@ def test_builder_matches_full_cap_defects(genus, cap):
         assert (mine.num, mine.den) == (theirs.num, theirs.den)
 
 
+def top_degree(exponents):
+    return max(len(m) for e in exponents for m in e.num)
+
+
 @pytest.mark.parametrize("genus,cap", [(1, 3), (1, 4), (1, 7), (1, 10), (2, 5), (2, 6), (3, 4)])
 def test_one_defect_per_set_of_exponents_at_the_least_cap(genus, cap, monkeypatch):
     events, made = [], []
     build = SymplecticExpansion.from_exponents.__func__
-    solve = linalg.solve_sparse
 
     def from_exponents(cls, genus_, cap_, exponents):
         made.append(build(cls, genus_, cap_, exponents))
-        events.append(("defect", cap_))
+        events.append(("defect", cap_, top_degree(exponents)))
         return made[-1]
-
-    def counted_solve(rows, rhs, columns):
-        (degree,) = {len(m) for m in rhs}
-        events.append(("solve", degree))
-        return solve(rows, rhs, columns)
 
     def counted_log(self):
         events.append(("log", self.cap))
@@ -105,24 +100,24 @@ def test_one_defect_per_set_of_exponents_at_the_least_cap(genus, cap, monkeypatc
 
     log = TruncatedSeries.log
     monkeypatch.setattr(SymplecticExpansion, "from_exponents", classmethod(from_exponents))
-    monkeypatch.setattr(linalg, "solve_sparse", counted_solve)
     monkeypatch.setattr(TruncatedSeries, "log", counted_log)
     monkeypatch.setattr(series, "series_matrix_inverse", no_inverse)
     e = build_symplectic_expansion(genus, cap)
     # A defect is an expansion and the log of its boundary image.  One to
-    # start, for the degree-2 check and degree 3; then one after each
-    # solve, cut to serve the next degree, the last at the full cap.
-    defect = lambda top: [("defect", top), ("log", top)]
-    want = defect(min(4, cap))
+    # start, for the degree-2 check and degree 3, on the letters; then one
+    # after each correction, cut to serve the next degree, the last at the
+    # full cap.  The degree-d correction raises the exponents to degree d - 1.
+    defect = lambda top, corrected: [("defect", top, corrected), ("log", top)]
+    want = defect(min(4, cap), 1)
     for degree in range(3, cap):
-        want += [("solve", degree)] + defect(min(degree + 2, cap))
+        want += defect(min(degree + 2, cap), degree - 1)
     assert events == want
     assert e is made[-1]
 
 
 def test_a_zero_defect_part_takes_no_solve(monkeypatch):
     # Moving omega by the first defect's degree-3 part leaves degree 3
-    # nothing to solve: the exponents stand, the defect in hand is
+    # nothing to correct: the exponents stand, the defect in hand is
     # reused for that degree, and degree 4 needs one a cap higher.
     genus, cap = 1, 6
     boundary = SurfaceSpec(genus, cap).boundary_word()
@@ -130,24 +125,19 @@ def test_a_zero_defect_part_takes_no_solve(monkeypatch):
         genus, cap, [TruncatedSeries.variable(2, cap, i) for i in (1, 2)])
     shifted = omega(genus, cap) - (start.apply_word(boundary).log()
                                    + omega(genus, cap)).degree_part(3)
-    caps, solved = [], []
+    defects = []
     build = SymplecticExpansion.from_exponents.__func__
-    solve = linalg.solve_sparse
 
     def from_exponents(cls, genus_, cap_, exponents):
-        caps.append(cap_)
+        defects.append((cap_, top_degree(exponents)))
         return build(cls, genus_, cap_, exponents)
 
-    def counted_solve(rows, rhs, columns):
-        solved.append({len(m) for m in rhs})
-        return solve(rows, rhs, columns)
-
     monkeypatch.setattr(SymplecticExpansion, "from_exponents", classmethod(from_exponents))
-    monkeypatch.setattr(linalg, "solve_sparse", counted_solve)
     monkeypatch.setattr(symplectic_tensor, "omega", lambda genus_, cap_: shifted)
     got = build_symplectic_expansion(genus, cap)
-    assert solved == [{4}, {5}]
-    assert caps == [4, 5, 6, 6]
+    # Corrections at degrees 4 and 5 only: no exponent term of degree 2.
+    assert defects == [(4, 1), (5, 1), (6, 3), (6, 4)]
+    assert all(e.degree_part(2).is_zero() for e in got.exponents)
     assert (got.apply_word(boundary).log() + shifted).is_zero()
 
 
@@ -190,7 +180,7 @@ def test_a_plain_automorphism_still_solves_its_inverse_letters(monkeypatch):
     assert plain._inverse_image(2) * e.images[1] == 1
 
 
-# -- solve_sparse back-substitution ------------------------------------------
+# -- the solve oracle's back-substitution --------------------------------------
 
 
 def solve_sparse_multiplying_every_unknown(rows, rhs, columns):
@@ -280,17 +270,7 @@ def test_back_substitution_matches_the_full_loop_when_most_columns_are_free():
 
 
 def test_back_substitution_matches_the_full_loop_on_a_builder_system():
-    rank, degree = 6, 4
-    brackets = {(i,): {(i,): 1} for i in range(1, rank + 1)}
-    for _ in range(degree - 2):
-        brackets = {(h,) + w: _bracket_with(h, bracket)
-                    for h in range(1, rank + 1) for w, bracket in brackets.items()}
-    corrections = [(slot, bracket) for slot in range(rank)
-                   for bracket in brackets.values() if bracket]
-    rows = defaultdict(dict)
-    for column, (slot, bracket) in enumerate(corrections):
-        for m, c in _closed_form_column(slot, bracket).items():
-            rows[m][column] = c
+    rows, corrections = column_rows(6, basis_brackets(6, 3))
     rng = random.Random(2613)
     x0 = {column: rng.randint(1, 5) for column in rng.sample(range(len(corrections)), 4)}
     rhs = {m: sum(c * x0.get(column, 0) for column, c in row.items()) for m, row in rows.items()}

@@ -1,11 +1,17 @@
-"""The closed-form symplectic-expansion builder and its sparse solve, each
-against the route it replaced: probing every column through the whole
-boundary exp/log with brackets built from Fraction series products, and
-dense Gauss-Jordan elimination."""
+"""The route the symplectic-expansion builder replaced, kept as an oracle:
+``build_by_solve`` corrects each degree by one sparse exact solve over a
+basis of right-nested brackets, with closed-form columns.  It is checked
+against the route it replaced in turn, probing every column through the
+whole boundary exp/log with brackets built from Fraction series
+products, and its sparse solve against dense Gauss-Jordan elimination.
+Its bytes stay pinned, and so do those of ``build_symplectic_expansion``,
+which corrects each degree in closed form (``test_expansion_dynkin``)."""
 
 import hashlib
 import itertools
+import math
 import random
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 
@@ -13,17 +19,182 @@ import pytest
 
 from foxtwist import formats
 from foxtwist.errors import SolverError
-from foxtwist.linalg import solve_sparse
 from foxtwist.series import TruncatedSeries, accumulate, nonzero
 from foxtwist.surfaces import SurfaceSpec
 from foxtwist.symplectic_tensor import (
     SymplecticExpansion,
     _bracket_with,
-    _closed_form_column,
     build_symplectic_expansion,
     lie_bracket_of_word,
     omega,
 )
+
+
+# -- the oracle: one sparse solve per degree ---------------------------------
+
+
+def solve_sparse(rows: dict, rhs: dict, columns: int):
+    """One exact solution of A x = b, or None if the system is inconsistent.
+
+    ``rows`` maps a row key to the nonzero entries {column: value} of that
+    row of A, with columns numbered 0 .. columns - 1 (others are a
+    ValueError); ``rhs`` maps row keys to b (a key missing from ``rows``
+    is an all-zero row).  The pivot columns are the columns taken left to
+    right that are not combinations of earlier ones, and free variables
+    are 0.  That rule fixes the answer uniquely, whatever row each pivot
+    is eliminated with: here the shortest remaining row holding the
+    column, so fill-in stays small.  Rows are scaled to ints once and
+    eliminated by cross-multiplication, each updated row divided by its
+    content; Fractions appear only in back-substitution, which passes
+    over unknowns already found to be zero.
+    """
+    if any(not 0 <= c < columns for row in rows.values() for c in row):
+        raise ValueError("column index outside 0..%d" % (columns - 1))
+    if any(v and key not in rows for key, v in rhs.items()):
+        return None
+    active, b = {}, {}
+    holders = defaultdict(set)  # column -> keys of unpivoted rows using it
+    for key, row in rows.items():
+        value = rhs.get(key, 0)
+        den = math.lcm(value.denominator, *(v.denominator for v in row.values()))
+        active[key] = {c: int(v * den) for c, v in row.items() if v}
+        b[key] = int(value * den)
+        for c in active[key]:
+            holders[c].add(key)
+    pivots = []
+    for col in range(columns):
+        keys = holders.pop(col, None)
+        if not keys:
+            continue
+        pkey = min(keys, key=lambda k: len(active[k]))
+        keys.discard(pkey)
+        prow = active.pop(pkey)
+        pivot, pb = prow.pop(col), b.pop(pkey)
+        for c in prow:
+            holders[c].discard(pkey)
+        # Every unpivoted row now loses column col; earlier columns are
+        # already gone from them, so the pivot row only reaches rightwards.
+        for key in keys:
+            row = active[key]
+            factor = row.pop(col)
+            for c in row:
+                row[c] *= pivot
+            for c, v in prow.items():
+                new = row.get(c, 0) - factor * v
+                if new:
+                    if c not in row:
+                        holders[c].add(key)
+                    row[c] = new
+                else:
+                    del row[c]
+                    holders[c].discard(key)
+            b[key] = pivot * b[key] - factor * pb
+            content = math.gcd(b[key], *row.values())
+            if content > 1:
+                b[key] //= content
+                for c in row:
+                    row[c] //= content
+        pivots.append((col, prow, pivot, pb))
+    if any(b.values()):
+        return None
+    x = [Fraction(0)] * columns
+    for col, prow, pivot, pb in reversed(pivots):
+        value = pb - sum(v * x[c] for c, v in prow.items() if x[c])
+        if value:
+            x[col] = Fraction(value, pivot)
+    return x
+
+
+def independent(brackets):
+    """The brackets ({word: terms}) that are not combinations of earlier
+    kept ones, by one int echelon led by largest monomials."""
+    kept, echelon = {}, {}
+    for word, row in brackets.items():
+        while row and (lead := max(row)) in echelon:
+            pivot = echelon[lead]
+            scale, c = pivot[lead], row[lead]
+            row = nonzero(accumulate({m: scale * v for m, v in row.items()}, pivot.items(), -c))
+            content = math.gcd(*row.values())
+            row = {m: v // content for m, v in row.items()}
+        if row:
+            echelon[max(row)], kept[word] = row, brackets[word]
+    return kept
+
+
+def basis_brackets(rank, degree):
+    """The kept int brackets of the degree, each extended from one kept at
+    the degree below, in word order: a basis of the free Lie algebra."""
+    brackets = {(i,): {(i,): 1} for i in range(1, rank + 1)}
+    for _ in range(degree - 1):
+        brackets = independent({(h,) + w: _bracket_with(h, bracket)
+                                for h in range(1, rank + 1) for w, bracket in brackets.items()})
+    return brackets
+
+
+def closed_form_column(slot, bracket):
+    """Degree-d change of the boundary defect when ``bracket`` (terms of
+    degree d - 1) is added to exponent ``slot`` (0-based): [bracket, b_i]
+    for the slot of a_i, [a_i, bracket] for the slot of b_i."""
+    if slot % 2:
+        return _bracket_with(slot, bracket)
+    return {m: -c for m, c in _bracket_with(slot + 2, bracket).items()}
+
+
+def column_rows(rank, brackets):
+    """The sparse rows {monomial: {column: c}} of the closed-form columns
+    over (slot, bracket), and the list of those pairs."""
+    corrections = [(slot, bracket) for slot in range(rank) for bracket in brackets.values()]
+    rows = defaultdict(dict)
+    for column, (slot, bracket) in enumerate(corrections):
+        for m, c in closed_form_column(slot, bracket).items():
+            rows[m][column] = c
+    return rows, corrections
+
+
+def build_by_solve(genus: int, cap: int) -> SymplecticExpansion:
+    """Oracle: the builder before each degree was corrected in closed
+    form.  The degree-d defect part is cancelled by a combination of the
+    basis brackets of degree d - 1 in every exponent slot, one column per
+    (slot, bracket), found by ``solve_sparse``: pivots left to right, free
+    variables 0.  Defects are cut to the cap they serve, as in the builder."""
+    rank = 2 * genus
+    boundary = SurfaceSpec(genus, cap).boundary_word()
+    target = omega(genus, cap)
+    exponents = [TruncatedSeries.variable(rank, cap, i + 1) for i in range(rank)]
+
+    def defect_below(top):
+        theta = SymplecticExpansion.from_exponents(genus, top,
+                                                   [e.truncate(top) for e in exponents])
+        return theta, theta.apply_word(boundary).log() + target.truncate(top)
+
+    theta, defect = defect_below(min(4, cap))
+    if not defect.degree_part(2).is_zero():
+        raise SolverError("degree-2 defect is nonzero; omega does not match nu")
+    brackets = {(i,): {(i,): 1} for i in range(1, rank + 1)}
+    for degree in range(3, cap):
+        brackets = independent({(h,) + w: _bracket_with(h, bracket)
+                                for h in range(1, rank + 1) for w, bracket in brackets.items()})
+        if defect.cap <= degree:
+            theta, defect = defect_below(degree + 1)
+        part = defect.degree_part(degree)
+        if part.is_zero():
+            continue
+        rows, corrections = column_rows(rank, brackets)
+        # Solved for the numerators of the defect, so x / part.den is the correction.
+        rhs = {m: -c for m, c in part.num.items()}
+        solution = solve_sparse(rows, rhs, len(corrections))
+        if solution is None:
+            raise SolverError("no degree-%d correction exists" % degree)
+        for x, (slot, bracket) in zip(solution, corrections):
+            if x:
+                exponents[slot] += TruncatedSeries(rank, cap, bracket).scale(x / part.den)
+        theta, defect = defect_below(min(degree + 2, cap))
+    if not defect.is_zero():
+        raise SolverError("corrections did not close the boundary condition")
+    return theta
+
+
+# -- the oracle's oracles -----------------------------------------------------
 
 
 def degree_words(rank, degree):
@@ -157,8 +328,10 @@ CELLS = [(1, cap) for cap in range(3, 8)] + [(2, cap) for cap in range(3, 6)] + 
 
 @pytest.mark.parametrize("genus,cap", CELLS)
 def test_builder_matches_probing(genus, cap):
+    # The solve route, over a basis of brackets with closed-form columns,
+    # gives the probing builder's answer over every bracket.
     want, _ = build_by_probing(genus, cap)
-    got = build_symplectic_expansion(genus, cap)
+    got = build_by_solve(genus, cap)
     assert got.images == want.images
     assert got.exponents == want.exponents
     for e in got.exponents:
@@ -171,13 +344,13 @@ def test_closed_form_columns_equal_probed_columns(genus, cap):
     assert record, "no degree needed a correction"
     for degree, probes, columns in record:
         for (slot, bracket), probed in zip(probes, columns):
-            assert _closed_form_column(slot, bracket.terms) == probed.terms, (degree, slot)
+            assert closed_form_column(slot, bracket.terms) == probed.terms, (degree, slot)
 
 
 @pytest.mark.parametrize("rank", [2, 4, 6])
 def test_int_brackets_match_fraction_products(rank):
-    # build_symplectic_expansion's route: each degree's brackets from the
-    # previous degree's, every word in lexicographic order.  The oracle
+    # The int brackets, each degree's from the previous degree's, every
+    # word in lexicographic order.  The oracle
     # expands each by series products, its tails cached likewise.
     brackets = {(i,): {(i,): 1} for i in range(1, rank + 1)}
     oracle = {word: TruncatedSeries.variable(rank, 7, word[0]) for word in brackets}
@@ -197,7 +370,7 @@ def test_int_brackets_match_fraction_products(rank):
                 continue  # degree 6 columns would triple the test's time at rank 6
             assert lie_bracket_of_word(rank, 7, word) == want
             for slot in range(rank):
-                assert _closed_form_column(slot, bracket) == \
+                assert closed_form_column(slot, bracket) == \
                     closed_form_column_by_fractions(slot, want), (word, slot)
 
 
@@ -212,8 +385,14 @@ def test_lie_bracket_of_word_wraps_the_int_brackets():
                 assert all(type(c) is Fraction for c in got.terms.values())
 
 
-# SHA-256 of the expansion JSON as built with Fraction-series brackets and solve;
-# (1, 9), (1, 10) and (2, 7) as built with a full-cap defect at every degree.
+def expansion_sha256(expansion):
+    document = formats.dumps(formats.expansion_to_dict(expansion))
+    return hashlib.sha256(document.encode("utf-8")).hexdigest()
+
+
+# SHA-256 of the expansion JSON of the solve route, as built with
+# Fraction-series brackets and solve; (1, 9), (1, 10) and (2, 7) as built
+# with a full-cap defect at every degree.
 EXPANSION_SHA256 = {
     (1, 7): "d2e55ff14c56037d953e5e2c01aa540953ffa3608931ead63a4f10a0694b6262",
     (1, 9): "7789727244ba930717336f14c4d6ffc3dbc6ba6d83659e4eba2ecfb03cd95394",
@@ -228,8 +407,28 @@ EXPANSION_SHA256 = {
 
 @pytest.mark.parametrize("genus,cap", sorted(EXPANSION_SHA256))
 def test_expansion_bytes_are_pinned(genus, cap):
-    document = formats.dumps(formats.expansion_to_dict(build_symplectic_expansion(genus, cap)))
-    assert hashlib.sha256(document.encode("utf-8")).hexdigest() == EXPANSION_SHA256[genus, cap]
+    assert expansion_sha256(build_by_solve(genus, cap)) == EXPANSION_SHA256[genus, cap]
+
+
+# SHA-256 of the expansion JSON of build_symplectic_expansion, each degree
+# corrected in closed form, at the cells of EXPANSION_SHA256.  (3, 4) has
+# one correction, degree 3, and there the two routes agree.
+CLOSED_FORM_SHA256 = {
+    (1, 7): "63493ca6f289813b418afdcc305655967f1623dc96160821219885d3c1ee316d",
+    (1, 9): "ec26117f35dd07cda2fce5acca49bc520c606b45fd9bfcfb868870082c3a6772",
+    (1, 10): "7081c20c56eed2a9edc216e360b35f0205e9cd4b6a6cfcb389a743608f159d2e",
+    (2, 5): "248df424b67d50b760b6df183f4bfdfa061ec7e7457b433520e9f1989d7e0cf0",
+    (2, 6): "fb2fd9dde2246cff7ff182380cf5c3ec434438c4e85116567df7c3d96339a361",
+    (2, 7): "12e2ca84e7b2627fd9039f3199b879223aa42b3ee02f55cc7b194a4b9c7980f4",
+    (3, 4): "341c7380110b64cf2e95b5716f1759a77ad834e5e38e2d0ffadd954fa7f6072b",
+    (3, 5): "7514a00d1bd6eef825f2486dfdc2c24256dd2ce3922bb60fdf2404e75f7b1b16",
+}
+
+
+@pytest.mark.parametrize("genus,cap", sorted(CLOSED_FORM_SHA256))
+def test_closed_form_expansion_bytes_are_pinned(genus, cap):
+    got = expansion_sha256(build_symplectic_expansion(genus, cap))
+    assert got == CLOSED_FORM_SHA256[genus, cap]
 
 
 @pytest.mark.parametrize("genus,cap", [(2, 6), (3, 5), (2, 7)])
@@ -343,8 +542,8 @@ def test_sparse_solve_rejects_columns_out_of_range():
 
 
 def test_builder_raises_when_no_correction_exists(monkeypatch):
-    from foxtwist import linalg
+    import test_expansion_solve
 
-    monkeypatch.setattr(linalg, "solve_sparse", lambda rows, rhs, columns: None)
-    with pytest.raises(SolverError):
-        build_symplectic_expansion(1, 4)
+    monkeypatch.setattr(test_expansion_solve, "solve_sparse", lambda rows, rhs, columns: None)
+    with pytest.raises(SolverError, match="no degree-3 correction"):
+        build_by_solve(1, 4)

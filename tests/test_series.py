@@ -1,14 +1,22 @@
 """Truncated power series in the variables X_i: ring ops, inverse, log, exp."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from foxtwist.derived_twists import TwistAutomorphism
+from foxtwist.derived_twists import TwistAutomorphism, twist
 from foxtwist.errors import DomainError, NotInvertible
-from foxtwist.series import TruncatedSeries, accumulate, commutator, series_matrix_inverse
-from foxtwist.surfaces import SurfaceSpec, surface_pairing
+from foxtwist.series import (
+    TruncatedSeries,
+    accumulate,
+    as_fraction,
+    commutator,
+    series_matrix_inverse,
+)
+from foxtwist.surfaces import CurveSpec, SurfaceSpec, surface_pairing
+from foxtwist.words import GroupWord
 
 
 def rand_series(rng, rank=2, cap=5, terms=4, unit=False):
@@ -30,6 +38,42 @@ def test_constructor_stores_a_new_key_as_given():
     # accumulate gives a new key its value as it is, with no 0 + c on the way.
     c = Fraction(2, 7)
     assert accumulate({}, [((1,), c)])[(1,)] is c
+
+
+EXACT_TEXT = {"0": 0, "-0": 0, "7": 7, "-3/6": Fraction(-1, 2), "007/021": Fraction(1, 3),
+              "12/1": 12, "-1/1024": Fraction(-1, 1024)}
+INEXACT_TEXT = ["1e2000000", "1e999999999", "1E5", "2e-3", "0.5", "1.", ".5", "1.5/2",
+                " 1/2", "1/2 ", " 1/2 ", "1 / 2", "1_000", "1/1_0", "+1", "1/-2", "1/0",
+                "", "-", "1/", "/2", "\u0663", "inf", "nan"]
+
+
+def test_as_fraction_parses_p_and_p_over_q():
+    for text, want in EXACT_TEXT.items():
+        got = as_fraction(text)
+        assert type(got) is Fraction and got == want, text
+    assert as_fraction(3) == 3 and as_fraction(Fraction(1, 3)) == Fraction(1, 3)
+    with pytest.raises(TypeError):
+        as_fraction(0.5)
+
+
+def test_as_fraction_refuses_other_text_quickly():
+    # Fraction(str) would expand "1e2000000" to a 6.6-Mbit numerator.
+    start = time.process_time()
+    for text in INEXACT_TEXT:
+        with pytest.raises(ValueError):
+            as_fraction(text)
+    assert time.process_time() - start < 0.5
+
+
+def test_inexact_text_is_refused_through_the_library_entries():
+    s = TruncatedSeries.variable(2, 3, 1)
+    spec = SurfaceSpec(1, 4)
+    for call in (lambda: s.scale("1e2000000"),
+                 lambda: TruncatedSeries(2, 3, {(1,): " 1/2 "}),
+                 lambda: CurveSpec(GroupWord(2, (1,)), k="1_000"),
+                 lambda: twist(surface_pairing(spec), "0.5", spec.parse_curve("a b"))):
+        with pytest.raises(ValueError, match="exact fraction text"):
+            call()
 
 
 def test_constructor_validates_letters():

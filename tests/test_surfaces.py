@@ -252,6 +252,17 @@ def test_figure_eight_gap_records_the_blocking_coefficient():
     assert len(gap["witness"]["word"]) == 4
 
 
+@pytest.mark.parametrize("cap", [7.9, "6", True, 0, -5, None])
+def test_figure_eight_scenario_refuses_a_cap_that_is_not_a_positive_int(cap):
+    with pytest.raises(ValueError, match="cap"):
+        figure_eight_scenario(Fraction(1, 2), cap=cap)
+
+
+def test_figure_eight_scenario_works_at_least_at_cap_5():
+    assert figure_eight_scenario(Fraction(1, 2), cap=1)["cap"] == 5
+    assert figure_eight_scenario(Fraction(1, 2), cap=6)["cap"] == 6
+
+
 def test_surface_pairing_cache_clears_and_refills():
     spec = SurfaceSpec(1, 3)
     first = surface_pairing(spec)

@@ -9,6 +9,7 @@ import pytest
 
 from foxtwist.derived_twists import TwistAutomorphism, twist
 from foxtwist.errors import DomainError, SolverError
+from foxtwist.formats import expansion_from_dict, expansion_to_dict
 from foxtwist.series import TruncatedSeries
 from foxtwist.surfaces import SurfaceSpec, surface_pairing
 from foxtwist.symplectic_tensor import (
@@ -365,6 +366,28 @@ def test_expansion_after_a_twist_is_group_like_on_the_tensor_side():
     assert all(is_group_like(image, tensor_coproduct) for image in composite.images)
     assert t.is_hopf()
     assert not composite.is_hopf()
+
+
+@pytest.mark.parametrize("genus, cap", [(1, 4), (2, 5)])
+def test_expansion_is_hopf_on_the_tensor_side(genus, cap):
+    # Built, loaded from its images or made from exponents, an expansion's
+    # images are group-like for tensor_coproduct, not for the group
+    # coproduct, and is_hopf is the tensor-side check.
+    built = build_symplectic_expansion(genus, cap)
+    loaded = expansion_from_dict(expansion_to_dict(built))
+    made = SymplecticExpansion.from_exponents(genus, cap, built.exponents)
+    for e in (built, loaded, made):
+        assert e.is_hopf() and e.is_group_like()
+        assert not any(is_group_like(image) for image in e.images)
+    rank = 2 * genus
+    plain = SymplecticExpansion(genus, cap, [1 + TruncatedSeries.variable(rank, cap, i)
+                                             for i in range(1, rank + 1)])
+    assert not plain.is_hopf()
+    # A twist keeps the group-coproduct check.
+    spec = SurfaceSpec(genus, cap)
+    t = twist(surface_pairing(spec), Fraction(1, 3), spec.boundary_word())
+    assert t.is_hopf()
+    assert not all(is_group_like(image, tensor_coproduct) for image in t.images)
 
 
 def test_apply_hat_is_the_inherited_apply():
