@@ -13,7 +13,8 @@ derived form has the closed form
 
     sigma(k log^2(a), b) = 2k * b * (log a)^rho(a, b),
 
-so the value on x_j costs one pairing evaluation rho(alpha, x_j) and one
+so the value on x_j costs one join of the pairing's halves for
+rho(alpha, x_j), the left half of iota(alpha) taken once, and one
 conjugation sum of log alpha.  Group-likeness is the whole hypothesis:
 iota(alpha) and iota(x_j) are group-like by construction, so ``twist``
 skips the check that the public ``sigma_log_squared`` makes.
@@ -42,6 +43,7 @@ from .group_algebra import GroupAlgebraElement, _seam_product, conjugation_sum
 from .series import (
     TruncatedSeries,
     _over_one_den,
+    _positive_int,
     accumulate,
     as_fraction,
     binary_power,
@@ -73,39 +75,43 @@ def derived_form_exact(pairing: FoxPairing, a: GroupAlgebraElement,
     """
     if pairing.cap is not None:
         raise ValueError("derived_form_exact needs an exact pairing")
-    n, ring = pairing.rank, pairing._ring
+    n = pairing.rank
     if a.rank != n or b.rank != n:
         raise ValueError(f"a rank-{n} pairing takes rank-{n} operands")
     if left:
         return derived_form_exact(pairing.transpose(), b, a)
-    entries, entry_den = pairing._int_entries(None)
+    entry_den = pairing._int_entries(None)[1]
     # The Fox calculus of one word with coefficient 1 stays over denominator 1.
     word = lambda letters: GroupAlgebraElement._raw(n, {letters: 1})
-    lefts = {ma: [ring.left(word(ma), i + 1).num for i in range(n)] for ma in a.num}
-    rights = {mb: [ring.right(word(mb), j + 1).num for j in range(n)] for mb in b.num}
-    inners = {mb: [_seam_product(zip(row, rights[mb])) for row in entries] for mb in b.num}
+    lefts = {ma: pairing._left_half(word(ma), None)[0] for ma in a.num}
+    inners = {mb: pairing._right_half(word(mb), None)[0] for mb in b.num}
     rho = lambda ma, mb: GroupAlgebraElement._raw(n, _seam_product(zip(lefts[ma], inners[mb])))
     total = _seam_product(({mb: ca * cb}, conjugation_sum(word(ma), rho(ma, mb)).num)
                           for ma, ca in a.num.items() for mb, cb in b.num.items())
     return GroupAlgebraElement._raw(n, total, a.den * b.den * entry_den)
 
 
-def derived_generator_values(pairing: FoxPairing, u: TruncatedSeries) -> list:
-    """Values sigma(u, 1 + X_j) for j = 1..n, all at the working cap.
+def derived_generator_values(pairing: FoxPairing, u: TruncatedSeries, cap=None) -> list:
+    """Values sigma(u, 1 + X_j) for j = 1..n at ``cap``, by default the
+    working cap min(u.cap, pairing.cap); below it, the values at that cut.
 
     For group-like second argument b the composite collapses to
     b * sum over coproduct legs (u1, u2) of u1^rho(u2, b).  Legs are
     grouped by the trailing letter r of u2, which reduces the whole
     computation to n conjugation kernels G_r followed by one frame
-    product per value.
+    product per value, all at ``cap``: a term of u of degree m reaches
+    degree m - 1, so u is cut to cap + 1.
     """
     if pairing.cap is None:
         raise ValueError("derived_generator_values needs a truncated pairing")
     if u.rank != pairing.rank:
         raise ValueError("rank mismatch")
     n = pairing.rank
-    cap = min(u.cap, pairing.cap)
-    work = u.truncate(cap)
+    full = min(u.cap, pairing.cap)
+    cap = full if cap is None else cap
+    if not (_positive_int(cap) and cap <= full):
+        raise ValueError("cap must be a positive int at most min(u.cap, pairing.cap)")
+    work = u.truncate(min(cap + 1, full))
 
     # G_r = sum of u1 conjugated by the stripped leg stem = u2[:-1], over
     # legs ending in r.  Legs sharing (r, stem) share the frames of
@@ -134,17 +140,30 @@ def derived_generator_values(pairing: FoxPairing, u: TruncatedSeries) -> list:
     return values
 
 
-def _derive(values, terms, cap):
-    """The one derivation kernel, on ints: values and terms each over their
-    own denominator, the result over the product.  Each term c * m gives,
-    for every position p, the frame (m[:p], m[p+1:]) with coefficient c to
-    the letter m[p], and each letter is one job around its value."""
-    frames = [{} for _ in values]
+def _derivation_frames(terms, rank, cap):
+    """The series' half of ``_derive``: each int term c * m below cap
+    gives, for every position p, the frame (m[:p], m[p+1:]) with
+    coefficient c to the letter m[p]."""
+    frames = [{} for _ in range(rank)]
     for monomial, coeff in terms.items():
         if len(monomial) < cap:
             for p, letter in enumerate(monomial):
                 frames[letter - 1][monomial[:p], monomial[p + 1:]] = coeff
-    return frame_kernel(zip(frames, values), cap)
+    return frames
+
+
+def _derive(values, terms, cap):
+    """The one derivation kernel, on ints: values and terms each over their
+    own denominator, the result over the product; each letter is one job."""
+    return frame_kernel(zip(_derivation_frames(terms, len(values), cap), values), cap)
+
+
+def _derivation_join(values, frames, cap):
+    """d(series) at cap from the values and the series' frames, each with
+    its den; by the room rule, frames from above cap give the result cut."""
+    (*values, values_den), (frames, den) = values, frames
+    return TruncatedSeries._raw(len(values), cap, frame_kernel(zip(frames, values), cap),
+                                den * values_den)
 
 
 def apply_derivation(values: list, series: TruncatedSeries) -> TruncatedSeries:
@@ -152,16 +171,15 @@ def apply_derivation(values: list, series: TruncatedSeries) -> TruncatedSeries:
 
     values[i] is the image of X_{i+1}.  Result degrees are only complete
     as far as the values are; with values of filtration degree >= 1 the
-    full cap is trustworthy.  Twists (through ``exp_derivation``) and
-    both sides of the section-9 diagram run on its kernel ``_derive``.
+    full cap is trustworthy.  The join of the values and the series'
+    frames; twists run on its kernel ``_derive`` (``exp_derivation``).
     """
     n = len(values)
     if series.rank != n:
         raise ValueError("rank mismatch")
     cap = min(series.cap, min((v.cap for v in values), default=series.cap))
-    *int_values, values_den = _over_one_den(*values)
-    return TruncatedSeries._raw(n, cap, _derive(int_values, series.num, cap),
-                                series.den * values_den)
+    frames = _derivation_frames(series.num, n, cap), series.den
+    return _derivation_join(_over_one_den(*values), frames, cap)
 
 
 def derived_form_truncated(pairing: FoxPairing, u: TruncatedSeries,
@@ -416,10 +434,12 @@ def twist(pairing: FoxPairing, k, alpha: GroupWord) -> TwistAutomorphism:
     n, cap = pairing.rank, pairing.cap - 2
     iota_alpha = embed(GroupAlgebraElement.from_word(alpha), cap + 1)
     log_alpha = iota_alpha.truncate(cap).log()
+    # rho(alpha, x_j) at cap: the left half of iota(alpha) once for all j.
+    left = pairing._left_half(iota_alpha, cap)
     values = []
     for j in range(n):
         x_j = 1 + TruncatedSeries.variable(n, cap + 1, j + 1)
-        rho = pairing.evaluate(iota_alpha, x_j)
+        rho = pairing._join(left, pairing._right_half(x_j, cap, rows=left[0]), cap)
         values.append(_sigma_log_squared_closed_form(k, log_alpha, x_j.truncate(cap), rho))
     mapper = exp_derivation(values)
     return TwistAutomorphism(n, cap, [mapper(1 + TruncatedSeries.variable(n, cap, i + 1))

@@ -19,7 +19,9 @@ The degree rule, stated once for the package.  For entries at cap P:
 * derived forms and twists lose two: a derived form wanted at cap M takes
   inputs at M + 2, and a twist is built at P - 2 (``derived_twists``);
 * a contraction loses two, and a derivation whose values have constant
-  terms loses one (``symplectic_tensor.verify_section9``);
+  terms loses one; ``symplectic_tensor.verify_section9`` builds their
+  halves once per input at cap + 1 and runs each join at cap, which by
+  the room rule is the join at cap + 1, cut;
 * nabla <-> pairing loses two: a nabla at cap N gives a pairing at N - 2,
   and a nabla from a pairing at P keeps only its degrees below P - 2;
 * a pairing file's ``degree_cap`` is P - 2, the degree its twists reach
@@ -179,33 +181,49 @@ class FoxPairing:
     def evaluate(self, a, b):
         """Pairing value sum_i d_i(a) (sum_j rho(x_i, x_j) d^j(b)).
 
-        One int body for both rings: the derivatives of a, those of b and
-        the entries (once per cap, kept) each come over one denominator, the
-        ring's int product forms each inner sum over j once (n^2 + n
-        products), and the value is stored over the product of the three.
-        Truncated operands lose one degree to the strip: all is cut to
-        min(cap(a) - 1, cap(b) - 1, entry cap).
+        One int body for both rings: the join of the halves of a and b,
+        each over one denominator, with the entries (once per cap, kept);
+        the ring's int product forms each inner sum over j once (n^2 + n
+        products).  Truncated operands lose one degree to the strip: all
+        is cut to min(cap(a) - 1, cap(b) - 1, entry cap).
         """
         kind = type(self.matrix[0][0])
         if type(a) is not kind or type(b) is not kind:
             raise TypeError(f"a {self._ring.name} pairing evaluates {kind.__name__} operands")
-        n, ring, cap = self.rank, self._ring, None
+        n, cap = self.rank, None
         if a.rank != n or b.rank != n:
             raise ValueError(f"a rank-{n} pairing evaluates rank-{n} operands")
         if self.cap is not None:
             cap = min(a.cap - 1, b.cap - 1, self.cap)
             if cap < 1:
                 raise ValueError("operand caps too small to evaluate a pairing")
-            # A derivative drops one degree, so the operands are cut one above.
-            a, b = a.truncate(cap + 1), b.truncate(cap + 1)
-        *lefts, left_den = _over_one_den(*(ring.left(a, i + 1) for i in range(n)))
+        left = self._left_half(a, cap)
+        return self._join(left, self._right_half(b, cap, rows=left[0]), cap)
+
+    def _left_half(self, a, cap):
+        """Half of ``evaluate`` at the value cap (None: exact): the d_i(a) as
+        ints over one denominator, a cut to cap + 1."""
+        a = a if cap is None else a.truncate(cap + 1)
+        *lefts, den = _over_one_den(*(self._ring.left(a, i + 1) for i in range(self.rank)))
+        return lefts, den
+
+    def _right_half(self, b, cap, rows=None):
+        """The other half: the inner sums over j for the i whose ``rows``
+        entry is true (default all), over one denominator."""
+        n, ring = self.rank, self._ring
+        b = b if cap is None else b.truncate(cap + 1)
         *rights, right_den = _over_one_den(*(ring.right(b, j + 1) for j in range(n)))
         entries, entry_den = self._int_entries(cap)
         live = [j for j in range(n) if rights[j]]
-        inners = [ring.product([(entries[i][j], rights[j]) for j in live], cap) if left else {}
-                  for i, left in enumerate(lefts)]
-        total = ring.product(zip(lefts, inners), cap)
-        return ring.raw(n, cap, total, left_den * right_den * entry_den)
+        inners = [ring.product([(entries[i][j], rights[j]) for j in live], cap)
+                  if rows is None or rows[i] else {} for i in range(n)]
+        return inners, right_den * entry_den
+
+    def _join(self, left, right, cap):
+        """rho(a, b) at cap from the left half of a and the right half of b."""
+        (lefts, left_den), (inners, right_den) = left, right
+        total = self._ring.product(zip(lefts, inners), cap)
+        return self._ring.raw(self.rank, cap, total, left_den * right_den)
 
     def t_pairing_value(self, a: GroupWord, b: GroupWord):
         """Value of the companion pairing that is a derivation in both

@@ -20,12 +20,12 @@ let zeros stand, and drop them once at the end with ``nonzero``.
 Every product that inserts one series into the frames of another runs
 through one int kernel, ``frame_kernel``, whose docstring states the room
 rule: ``sandwich`` (also the conjugation sum), ``contraction``,
-``derived_generator_values``, ``derived_twists._derive``
-(``apply_derivation`` and the steps of ``exp_derivation``), ``times`` (the
-right factor of ``*``) and the truncated ring product of
-``FoxPairing.evaluate``.  ``series_matrix_inverse`` (one denominator per
-degree) and ``symplectic_tensor.derivation_values`` keep their own int
-arithmetic.
+``derived_generator_values``, ``derived_twists._derive`` (the steps of
+``exp_derivation``) and ``_derivation_join`` (``apply_derivation`` and the
+section-9 joins), ``times`` (the right factor of ``*``) and the truncated
+ring product of ``FoxPairing.evaluate``.  ``series_matrix_inverse`` (one
+denominator per degree) and ``symplectic_tensor.derivation_values`` keep
+their own int arithmetic.
 
 The functional calculus of the completion is three routines:
 ``sum_powers`` (exp, log, s(omega), the map of ``exp_derivation``, and

@@ -14,11 +14,18 @@ import itertools
 import math
 from fractions import Fraction
 
-from .derived_twists import TwistAutomorphism, apply_derivation, derived_generator_values
+from .derived_twists import (
+    TwistAutomorphism,
+    _derivation_frames,
+    _derivation_join,
+    apply_derivation,
+    derived_generator_values,
+)
 from .errors import DomainError, SolverError
 from .group_algebra import GroupAlgebraElement
 from .series import (
     TruncatedSeries,
+    _over_one_den,
     _positive_int,
     accumulate,
     frame_kernel,
@@ -117,21 +124,32 @@ def contraction(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
         raise ValueError("rank mismatch")
     if u.constant_term() or v.constant_term():
         raise DomainError("contraction needs arguments without constant terms")
-    n = u.rank
+    return _contraction_table([u], [v], min(u.cap, v.cap))[0][0]
+
+
+def _contraction_table(us, vs, cap):
+    """contraction(u, v) for u in us (rows) and v in vs (columns) at a cap
+    no higher than theirs.  One job per first letter k of v: u's terms
+    without their last letter h, weighted by h . k, are built once per u,
+    around v's tails after k, built once per v."""
+    n = us[0].rank
     form = intersection_form(_genus_of_rank(n))
-    # One job per first letter k of v: the frames are u's terms without
-    # their last letter h, weighted by h . k, around v's tails after k.
-    frames = [{} for _ in range(n)]
-    for mu, cu in u.num.items():
-        row = form[mu[-1] - 1]
-        for k in range(n):
-            if row[k]:
-                accumulate(frames[k], [((mu[:-1], ()), cu * int(row[k]))])
-    fillings = [{} for _ in range(n)]
-    for mv, cv in v.num.items():
-        fillings[mv[0] - 1][mv[1:]] = cv
-    cap = min(u.cap, v.cap)
-    return TruncatedSeries._raw(n, cap, frame_kernel(zip(frames, fillings), cap), u.den * v.den)
+    fillings = []
+    for v in vs:
+        fillings.append([{} for _ in range(n)])
+        for mv, cv in v.num.items():
+            fillings[-1][mv[0] - 1][mv[1:]] = cv
+    rows = []
+    for u in us:
+        frames = [{} for _ in range(n)]
+        for mu, cu in u.num.items():
+            row = form[mu[-1] - 1]
+            for k in range(n):
+                if row[k]:
+                    accumulate(frames[k], [((mu[:-1], ()), cu * int(row[k]))])
+        rows.append([TruncatedSeries._raw(n, cap, frame_kernel(zip(frames, filling), cap),
+                                          u.den * v.den) for v, filling in zip(vs, fillings)])
+    return rows
 
 
 def derivation_values(u: TruncatedSeries, cap=None) -> list:
@@ -203,22 +221,17 @@ def tensorial_rho(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
 
 def _rho_table(us, vs, cap):
     """tensorial_rho(u, v) for u in us (rows) and v in vs (columns), all
-    of one rank, at a cap below theirs: the contraction runs at their cap
-    and is truncated, s(omega) and the product run at cap.
-
-    s(omega) is built once per call, and u - eps u, v - eps v and
-    (u - eps u) s(omega) once per input, so each pair costs one
-    contraction and one product.
+    of one rank, at a cap below theirs: one contraction table, with
+    s(omega) once per call and (u - eps u) s(omega) once per row.
     """
     # omega needs cap 3; below it s(omega) is its constant term.
     middle = s_of_omega(_genus_of_rank(us[0].rank), max(cap, 3)).truncate(cap)
-    v1s = [v - v.constant_term() for v in vs]
+    u1s, v1s = ([w - w.constant_term() for w in ws] for ws in (us, vs))
+    lows = [v1.truncate(cap) for v1 in v1s]
     rows = []
-    for u in us:
-        u1 = u - u.constant_term()
+    for u1, contractions in zip(u1s, _contraction_table(u1s, v1s, cap)):
         u1_middle = u1.truncate(cap) * middle
-        rows.append([contraction(u1, v1).truncate(cap) + u1_middle * v1.truncate(cap)
-                     for v1 in v1s])
+        rows.append([c + u1_middle * low for c, low in zip(contractions, lows)])
     return rows
 
 
@@ -359,44 +372,62 @@ def verify_section9(spec: SurfaceSpec, expansion: SymplecticExpansion, cap: int,
                     extra_words=None) -> dict:
     """Check both expansion diagrams at the given cap.
 
-    For u, v running over generator images and optional extra words,
-    compares theta(sigma(u, v)) with <theta u, theta v> and
-    theta(eta(u, v)) with the tensorial rho.  Each stage runs at the
-    least cap its compared coefficients need (degree rule in
-    ``fox_pairings``): u at cap + 2 gives derived generator values kept
-    at cap + 1.  Everything else takes u at cap + 1: theta u, the
-    tensor-side values, and v and theta v in both derivations, whose
-    values have constant terms, so each runs at cap + 1 and is truncated
-    to cap (before theta on the group side).  The Fox pairing of
-    operands at cap + 1 and the tensorial rho both land at cap.
+    For u, v running over generator images and optional extra words (a
+    list of GroupWord), compares theta(sigma(u, v)) with <theta u, theta v>
+    and theta(eta(u, v)) with the tensorial rho.  Each bilinear stage is a
+    half per input, built once, and a join per pair, run straight at cap:
+    by the room rule, a join at cap is the join at its halves' cap, cut
+    (degree rule in ``fox_pairings``).  Per input, u at cap + 2 gives the
+    derived generator values at cap + 1; u and theta u at cap + 1 give
+    their derivation frames, the values <theta u, X_k>, the Fox pairing
+    halves at cap and the contraction halves of ``_rho_table``.  Per pair,
+    the derivation joins (whose values have constant terms), the pairing
+    and rho joins and theta all run at cap.  A wrong argument is a
+    TypeError or ValueError naming it, raised before any work.
     """
+    if extra_words is not None and not isinstance(extra_words, (list, tuple)):
+        raise TypeError("extra_words must be a list, got %s" % type(extra_words).__name__)
+    words = list(extra_words or ())
+    for name, value, kind in [("spec", spec, SurfaceSpec),
+                              ("expansion", expansion, SymplecticExpansion)] + [
+                             ("extra_words[%d]" % j, w, GroupWord) for j, w in enumerate(words)]:
+        if not isinstance(value, kind):
+            raise TypeError("%s must be a %s, got %s"
+                            % (name, kind.__name__, type(value).__name__))
+    if not (_positive_int(cap) and cap >= 2):
+        raise ValueError("cap must be an int of at least 2, got %r" % (cap,))
     if expansion.genus != spec.genus:
-        raise ValueError("genus mismatch")
+        raise ValueError("expansion genus %d is not spec genus %d" % (expansion.genus, spec.genus))
     if expansion.cap < cap + 2:
         raise ValueError("expansion cap must be at least cap + 2")
-    pairing = surface_pairing(SurfaceSpec(spec.genus, cap))
     rank = spec.rank
+    for j, word in enumerate(words):
+        if word.rank != rank:
+            raise ValueError("extra_words[%d] has rank %d, not %d" % (j, word.rank, rank))
+    pairing = surface_pairing(SurfaceSpec(spec.genus, cap))
     inputs = [("x%d" % (i + 1), GroupWord.generator(rank, i + 1)) for i in range(rank)]
-    inputs += [("word%d" % (j + 1), word) for j, word in enumerate(extra_words or [])]
-    # Once per input: the embedding, theta u, the derived generator values
-    # sigma(u, 1 + X_j) and the tensor-side values <theta u, X_k>.  The
-    # tensorial rho of every pair comes from one table over the theta u.
-    embedded = []
+    inputs += [("word%d" % (j + 1), word) for j, word in enumerate(words)]
+    rows, columns = [], []
     for label, w in inputs:
         u = embed(GroupAlgebraElement.from_word(w), cap + 2)
-        values = [value.truncate(cap + 1) for value in derived_generator_values(pairing, u)]
+        values = _over_one_den(*derived_generator_values(pairing, u, cap + 1))
         u = u.truncate(cap + 1)
         theta_u = expansion.apply_hat(u)
-        embedded.append((label, u, theta_u, values, derivation_values(theta_u)))
-    thetas = [theta_u for _, _, theta_u, _, _ in embedded]
+        rows.append((label, theta_u, values, _over_one_den(*derivation_values(theta_u)),
+                     pairing._left_half(u, cap)))
+        columns.append((label, (_derivation_frames(u.num, rank, cap + 1), u.den),
+                        (_derivation_frames(theta_u.num, rank, cap + 1), theta_u.den),
+                        pairing._right_half(u, cap)))
+    thetas = [theta_u for _, theta_u, _, _, _ in rows]
+    theta = expansion.truncate(cap)  # theta-hat of the joins, its products at cap
     checks = []
-    for (label_u, u, _, values_u, tensor_values_u), rho_u in zip(
-            embedded, _rho_table(thetas, thetas, cap)):
-        for (label_v, v, theta_v, _, _), rho_uv in zip(embedded, rho_u):
-            left = expansion.apply_hat(apply_derivation(values_u, v).truncate(cap))
-            right = apply_derivation(tensor_values_u, theta_v).truncate(cap)
+    for (label_u, _, values_u, tensor_values_u, left_u), rho_u in zip(
+            rows, _rho_table(thetas, thetas, cap)):
+        for (label_v, frames_v, theta_frames_v, right_v), rho_uv in zip(columns, rho_u):
+            left = theta.apply(_derivation_join(values_u, frames_v, cap))
+            right = _derivation_join(tensor_values_u, theta_frames_v, cap)
             checks.append(_agree("derived-diagram-%s-%s" % (label_u, label_v), [(left, right)]))
-            left = expansion.apply_hat(pairing.evaluate(u, v))
+            left = theta.apply(pairing._join(left_u, right_v, cap))
             checks.append(_agree("pairing-diagram-%s-%s" % (label_u, label_v), [(left, rho_uv)]))
     return {
         "scenario": "symplectic-expansion",

@@ -421,49 +421,99 @@ def test_section9_diagrams_commute():
 
 def test_section9_solves_each_input_once(monkeypatch):
     # The symplectic suite checks 12 inputs (x1, x2 and ten words) in
-    # 144 pairs; each input's derived generator values and theta image
-    # are computed once.
-    from foxtwist import symplectic_tensor, verify
+    # 144 pairs.  Each input's halves are built once: its derived generator
+    # values, theta image, two sets of derivation frames (of u and theta u)
+    # and the left and right halves of the Fox pairing.  Each pair costs
+    # one join per stage, and theta runs on the joins through one copy of
+    # the expansion cut to the check's cap.
+    from foxtwist import derived_twists, symplectic_tensor, verify
+    from foxtwist.fox_pairings import FoxPairing
 
-    # verify_section9 builds s(omega) once, and each pair costs one
-    # contraction; the suite's two rho-boundary-unit calls add one each.
-    calls = {"values": 0, "hat": 0, "s": 0, "contraction": 0}
-    values, apply_hat = symplectic_tensor.derived_generator_values, SymplecticExpansion.apply_hat
-    s_of_omega_, contraction_ = symplectic_tensor.s_of_omega, symplectic_tensor.contraction
+    calls = dict.fromkeys(["values", "hat", "s", "frames", "derive", "left", "right",
+                           "pairing", "contraction", "theta", "truncate"], 0)
 
-    def counted_s(genus, cap):
-        calls["s"] += 1
-        return s_of_omega_(genus, cap)
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
 
-    def counted_contraction(u, v):
-        calls["contraction"] += 1
-        return contraction_(u, v)
-
-    def counted_values(pairing, u):
-        calls["values"] += 1
-        return values(pairing, u)
-
-    def counted_hat(self, series):
-        calls["hat"] += 1
-        return apply_hat(self, series)
-
-    monkeypatch.setattr(symplectic_tensor, "derived_generator_values", counted_values)
-    monkeypatch.setattr(SymplecticExpansion, "apply_hat", counted_hat)
-    monkeypatch.setattr(symplectic_tensor, "s_of_omega", counted_s)
-    monkeypatch.setattr(symplectic_tensor, "contraction", counted_contraction)
+    for module, attr, name in [
+            (symplectic_tensor, "derived_generator_values", "values"),
+            (symplectic_tensor, "s_of_omega", "s"),
+            (symplectic_tensor, "_derivation_frames", "frames"),
+            (symplectic_tensor, "_derivation_join", "derive"),
+            (symplectic_tensor, "frame_kernel", "contraction"),
+            (SymplecticExpansion, "apply_hat", "hat"),
+            (TwistAutomorphism, "apply", "theta"),
+            (TwistAutomorphism, "truncate", "truncate"),
+            (FoxPairing, "_left_half", "left"),
+            (FoxPairing, "_right_half", "right"),
+            (FoxPairing, "_join", "pairing")]:
+        monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
+    # No pair evaluates the pairing or applies a derivation afresh.
+    monkeypatch.setattr(FoxPairing, "evaluate", None)
+    monkeypatch.setattr(symplectic_tensor, "apply_derivation", None)
+    monkeypatch.setattr(derived_twists, "_derive", None)
     report = verify.symplectic_suite(3)
     assert verify.report_passed(report)
     assert calls["values"] == 12
+    assert calls["hat"] == 12
+    assert calls["frames"] == 2 * 12
+    assert calls["left"] == calls["right"] == 12
+    # s(omega) once for the table; the suite's two rho-boundary-unit
+    # calls add one each.  Its two rho-boundary-unit and two
+    # omega-contraction calls add one contraction join each.
     assert calls["s"] == 1 + 2
-    assert calls["contraction"] == 144 + 2
-    # one theta image per input, two per pair
-    assert calls["hat"] == 12 + 2 * 144
+    assert calls["contraction"] == 144 + 2 + 2
+    assert calls["pairing"] == 144
+    assert calls["derive"] == 2 * 144
+    assert calls["truncate"] == 1
+    assert calls["theta"] == 2 * 144
 
 
 def test_section9_requires_enough_expansion_cap():
     expansion = build_symplectic_expansion(1, 4)
     with pytest.raises(ValueError):
         verify_section9(SurfaceSpec(1, 3), expansion, 3)
+
+
+@pytest.mark.parametrize("kwargs,error,names", [
+    ({"extra_words": [(1, 2)]}, TypeError, "extra_words[0]"),
+    ({"extra_words": [GroupWord(2, (1,)), "a b"]}, TypeError, "extra_words[1]"),
+    ({"extra_words": "a b"}, TypeError, "extra_words"),
+    ({"extra_words": GroupWord(2, (1,))}, TypeError, "extra_words"),
+    ({"extra_words": [GroupWord(4, (1, 3))]}, ValueError, "extra_words[0]"),
+    ({"spec": (1, 3)}, TypeError, "spec"),
+    ({"cap": 1}, ValueError, "cap"),
+    ({"cap": "3"}, ValueError, "cap"),
+    ({"cap": True}, ValueError, "cap"),
+    ({"cap": 3.0}, ValueError, "cap"),
+])
+def test_section9_names_a_wrong_argument_before_any_work(monkeypatch, kwargs, error, names):
+    from foxtwist import symplectic_tensor
+
+    def no_work(*args, **kw):
+        raise AssertionError("work started before the arguments were checked")
+
+    expansion = build_symplectic_expansion(1, 5)
+    monkeypatch.setattr(symplectic_tensor, "surface_pairing", no_work)
+    monkeypatch.setattr(symplectic_tensor, "embed", no_work)
+    arguments = {"spec": SurfaceSpec(1, 3), "expansion": expansion, "cap": 3, **kwargs}
+    with pytest.raises(error) as caught:
+        verify_section9(arguments.pop("spec"), arguments.pop("expansion"),
+                        arguments.pop("cap"), **arguments)
+    assert str(caught.value).startswith(names)
+
+
+def test_section9_refuses_a_twist_as_the_expansion():
+    pairing = surface_pairing(SurfaceSpec(1, 5))
+    t = twist(pairing, 1, GroupWord(2, (1,)))
+    assert not isinstance(t, SymplecticExpansion)
+    with pytest.raises(TypeError, match="^expansion must be a SymplecticExpansion"):
+        verify_section9(SurfaceSpec(1, 3), t, 3)
+    with pytest.raises(ValueError, match="^expansion genus 1 is not spec genus 2"):
+        verify_section9(SurfaceSpec(2, 3), build_symplectic_expansion(1, 5), 3)
 
 
 def test_identity_and_linear_maps_are_plain_twist_automorphisms():
