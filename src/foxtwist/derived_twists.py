@@ -13,11 +13,11 @@ derived form has the closed form
 
     sigma(k log^2(a), b) = 2k * b * (log a)^rho(a, b),
 
-so the value on x_j costs one join of the pairing's halves for
-rho(alpha, x_j), the left half of iota(alpha) taken once, and one
-conjugation sum of log alpha.  Group-likeness is the whole hypothesis:
-iota(alpha) and iota(x_j) are group-like by construction, so ``twist``
-skips the check that the public ``sigma_log_squared`` makes.
+so the value on x_j costs one conjugation sum of log alpha and one join
+for rho(alpha, x_j): the left half of iota(alpha), built once, with column
+j of the entries, the right half of x_j.  Group-likeness is the whole
+hypothesis: iota(alpha) and iota(x_j) are group-like by construction, so
+``twist`` skips the check that the public ``sigma_log_squared`` makes.
 
 Caps follow the degree rule in ``fox_pairings``.  A twist from a pairing
 at cap P is built at P - 2 throughout, with rho(alpha, x_j) evaluated on
@@ -43,12 +43,10 @@ from .group_algebra import GroupAlgebraElement, _seam_product, conjugation_sum
 from .series import (
     TruncatedSeries,
     _over_one_den,
-    _positive_int,
     accumulate,
     as_fraction,
     binary_power,
     frame_kernel,
-    nonzero,
     power_sum,
     sum_powers,
 )
@@ -65,21 +63,19 @@ from .words import GroupWord
 
 
 def derived_form_exact(pairing: FoxPairing, a: GroupAlgebraElement,
-                       b: GroupAlgebraElement, left: bool = False) -> GroupAlgebraElement:
+                       b: GroupAlgebraElement) -> GroupAlgebraElement:
     """sigma(a, b) = b * a^rho(a,b), extended bilinearly over word pairs.
 
-    With left=True returns the companion form b^bar(rho(a,b)) * a, which
-    is the plain derived form of the transposed pairing at (b, a).  On ints,
-    the Fox derivatives of each word ma of a and the inner sums
-    sum_j rho(x_i, x_j) d^j(mb) of each word mb of b are formed once.
+    The companion form b^bar(rho(a,b)) * a is this form of the transposed
+    pairing at (b, a).  On ints, the Fox derivatives of each word ma of a
+    and the inner sums sum_j rho(x_i, x_j) d^j(mb) of each word mb of b
+    are formed once.
     """
     if pairing.cap is not None:
         raise ValueError("derived_form_exact needs an exact pairing")
     n = pairing.rank
     if a.rank != n or b.rank != n:
         raise ValueError(f"a rank-{n} pairing takes rank-{n} operands")
-    if left:
-        return derived_form_exact(pairing.transpose(), b, a)
     entry_den = pairing._int_entries(None)[1]
     # The Fox calculus of one word with coefficient 1 stays over denominator 1.
     word = lambda letters: GroupAlgebraElement._raw(n, {letters: 1})
@@ -91,27 +87,25 @@ def derived_form_exact(pairing: FoxPairing, a: GroupAlgebraElement,
     return GroupAlgebraElement._raw(n, total, a.den * b.den * entry_den)
 
 
-def derived_generator_values(pairing: FoxPairing, u: TruncatedSeries, cap=None) -> list:
-    """Values sigma(u, 1 + X_j) for j = 1..n at ``cap``, by default the
-    working cap min(u.cap, pairing.cap); below it, the values at that cut.
+def derived_generator_values(pairing: FoxPairing, u: TruncatedSeries) -> list:
+    """Values sigma(u, 1 + X_j) for j = 1..n at the cap where every degree
+    is exact, min(u.cap - 1, pairing.cap): a term of u of degree m reaches
+    degree m - 1, so u is cut to cap + 1.
 
     For group-like second argument b the composite collapses to
     b * sum over coproduct legs (u1, u2) of u1^rho(u2, b).  Legs are
     grouped by the trailing letter r of u2, which reduces the whole
     computation to n conjugation kernels G_r followed by one frame
-    product per value, all at ``cap``: a term of u of degree m reaches
-    degree m - 1, so u is cut to cap + 1.
+    product per value, all at that cap.
     """
     if pairing.cap is None:
         raise ValueError("derived_generator_values needs a truncated pairing")
     if u.rank != pairing.rank:
         raise ValueError("rank mismatch")
-    n = pairing.rank
-    full = min(u.cap, pairing.cap)
-    cap = full if cap is None else cap
-    if not (_positive_int(cap) and cap <= full):
-        raise ValueError("cap must be a positive int at most min(u.cap, pairing.cap)")
-    work = u.truncate(min(cap + 1, full))
+    if u.cap < 2:
+        raise ValueError("derived generator values need u at cap 2 or more")
+    n, cap = pairing.rank, min(u.cap - 1, pairing.cap)
+    work = u.truncate(cap + 1)
 
     # G_r = sum of u1 conjugated by the stripped leg stem = u2[:-1], over
     # legs ending in r.  Legs sharing (r, stem) share the frames of
@@ -169,24 +163,28 @@ def _derivation_join(values, frames, cap):
 def apply_derivation(values: list, series: TruncatedSeries) -> TruncatedSeries:
     """Extend generator values to a derivation and apply it.
 
-    values[i] is the image of X_{i+1}.  Result degrees are only complete
-    as far as the values are; with values of filtration degree >= 1 the
-    full cap is trustworthy.  The join of the values and the series'
-    frames; twists run on its kernel ``_derive`` (``exp_derivation``).
+    values[i] is the image of X_{i+1}.  A value's constant term sends a
+    series term of degree m to degree m - 1, so the result is at
+    min(series.cap - 1, values' caps), where every degree is exact: the
+    join of the values and the series' frames from one cap above (degree
+    rule in ``fox_pairings``).  Twists run on its kernel ``_derive``
+    (``exp_derivation``).
     """
     n = len(values)
     if series.rank != n:
         raise ValueError("rank mismatch")
-    cap = min(series.cap, min((v.cap for v in values), default=series.cap))
-    frames = _derivation_frames(series.num, n, cap), series.den
+    cap = min(series.cap - 1, *(v.cap for v in values))
+    if cap < 1:
+        raise ValueError("apply_derivation needs a series at cap 2 or more")
+    frames = _derivation_frames(series.num, n, cap + 1), series.den
     return _derivation_join(_over_one_den(*values), frames, cap)
 
 
 def derived_form_truncated(pairing: FoxPairing, u: TruncatedSeries,
                            v: TruncatedSeries) -> TruncatedSeries:
     """sigma(u, v) in the truncation, via generator values and the
-    Leibniz rule.  Inputs complete at cap W give a result complete at
-    W - 2."""
+    Leibniz rule, at min(u.cap - 1, pairing.cap, v.cap - 1), where every
+    degree is exact: inputs complete at cap W give a result at W - 1."""
     return apply_derivation(derived_generator_values(pairing, u), v)
 
 
@@ -299,14 +297,13 @@ class TwistAutomorphism:
             raise ValueError("rank mismatch")
         cap = min(series.cap, self.cap)
         monomials = [m for m in series.num if len(m) < cap]
-        images = [self._monomial_image(m) for m in monomials]
-        if cap < self.cap:
-            images = [image.truncate(cap) for image in images]
-        *nums, den = _over_one_den(*images)
+        *nums, den = _over_one_den(*(self._monomial_image(m) for m in monomials))
         out = {}
         for monomial, num in zip(monomials, nums):
             accumulate(out, num.items(), series.num[monomial])
-        return TruncatedSeries._raw(self.rank, cap, nonzero(out), den * series.den)
+        # Below self.cap, the terms at or over cap are dropped once, here.
+        return TruncatedSeries._raw(self.rank, cap, {m: c for m, c in out.items()
+                                                     if c and len(m) < cap}, den * series.den)
 
     def apply_word(self, word: GroupWord) -> TruncatedSeries:
         """Image of the embedded group word: the product, left to right, of
@@ -372,16 +369,14 @@ class TwistAutomorphism:
         return all(is_group_like(im) for im in self.images)
 
     def preserves_pairing(self, pairing: FoxPairing) -> bool:
-        """rho(T a, T b) = T rho(a, b) on generator pairs, one degree
-        below the working cap."""
+        """rho(T a, T b) = T rho(a, b) on generator pairs, one degree below
+        the working cap: the halves of each image once, a join per pair."""
         cap = min(self.cap, pairing.cap) - 1
-        for i in range(self.rank):
-            for j in range(self.rank):
-                lhs = pairing.evaluate(self.images[i], self.images[j]).truncate(cap)
-                rhs = self.apply(pairing.entry(i + 1, j + 1)).truncate(cap)
-                if lhs != rhs:
-                    return False
-        return True
+        lefts = [pairing._left_half(image, cap) for image in self.images]
+        rights = [pairing._right_half(image, cap) for image in self.images]
+        return all(pairing._join(left, right, cap)
+                   == self.apply(pairing.entry(i + 1, j + 1).truncate(cap))
+                   for i, left in enumerate(lefts) for j, right in enumerate(rights))
 
     def fixes(self, series: TruncatedSeries) -> bool:
         cap = min(self.cap, series.cap)
@@ -434,13 +429,14 @@ def twist(pairing: FoxPairing, k, alpha: GroupWord) -> TwistAutomorphism:
     n, cap = pairing.rank, pairing.cap - 2
     iota_alpha = embed(GroupAlgebraElement.from_word(alpha), cap + 1)
     log_alpha = iota_alpha.truncate(cap).log()
-    # rho(alpha, x_j) at cap: the left half of iota(alpha) once for all j.
+    # rho(alpha, x_j) at cap; d^j(x_j) = 1 is x_j's only right Fox derivative.
     left = pairing._left_half(iota_alpha, cap)
+    entries, entry_den = pairing._int_entries(cap)
     values = []
     for j in range(n):
-        x_j = 1 + TruncatedSeries.variable(n, cap + 1, j + 1)
-        rho = pairing._join(left, pairing._right_half(x_j, cap, rows=left[0]), cap)
-        values.append(_sigma_log_squared_closed_form(k, log_alpha, x_j.truncate(cap), rho))
+        rho = pairing._join(left, ([row[j] for row in entries], entry_den), cap)
+        x_j = 1 + TruncatedSeries.variable(n, cap, j + 1)
+        values.append(_sigma_log_squared_closed_form(k, log_alpha, x_j, rho))
     mapper = exp_derivation(values)
     return TwistAutomorphism(n, cap, [mapper(1 + TruncatedSeries.variable(n, cap, i + 1))
                                       for i in range(n)])

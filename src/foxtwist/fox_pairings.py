@@ -16,12 +16,14 @@ The degree rule, stated once for the package.  For entries at cap P:
 
 * evaluation loses one degree per operand: operands at caps A and B give
   a value at min(A - 1, B - 1, P);
-* derived forms and twists lose two: a derived form wanted at cap M takes
-  inputs at M + 2, and a twist is built at P - 2 (``derived_twists``);
+* derived forms lose one: sigma(u, v) sits at min(u.cap - 1, P, v.cap - 1),
+  its generator values at min(u.cap - 1, P); twists lose two: a twist is
+  built at P - 2 (``derived_twists``);
 * a contraction loses two, and a derivation whose values have constant
-  terms loses one; ``symplectic_tensor.verify_section9`` builds their
-  halves once per input at cap + 1 and runs each join at cap, which by
-  the room rule is the join at cap + 1, cut;
+  terms loses one, so it takes the series' frames from one cap above its
+  result; ``symplectic_tensor.verify_section9`` builds its halves once per
+  input at cap + 1 and runs each join at cap: by the room rule, the join
+  at cap + 1, cut;
 * nabla <-> pairing loses two: a nabla at cap N gives a pairing at N - 2,
   and a nabla from a pairing at P keeps only its degrees below P - 2;
 * a pairing file's ``degree_cap`` is P - 2, the degree its twists reach
@@ -197,8 +199,7 @@ class FoxPairing:
             cap = min(a.cap - 1, b.cap - 1, self.cap)
             if cap < 1:
                 raise ValueError("operand caps too small to evaluate a pairing")
-        left = self._left_half(a, cap)
-        return self._join(left, self._right_half(b, cap, rows=left[0]), cap)
+        return self._join(self._left_half(a, cap), self._right_half(b, cap), cap)
 
     def _left_half(self, a, cap):
         """Half of ``evaluate`` at the value cap (None: exact): the d_i(a) as
@@ -207,16 +208,15 @@ class FoxPairing:
         *lefts, den = _over_one_den(*(self._ring.left(a, i + 1) for i in range(self.rank)))
         return lefts, den
 
-    def _right_half(self, b, cap, rows=None):
-        """The other half: the inner sums over j for the i whose ``rows``
-        entry is true (default all), over one denominator."""
+    def _right_half(self, b, cap):
+        """The other half: the inner sums over j for every i, over one
+        denominator, b cut to cap + 1."""
         n, ring = self.rank, self._ring
         b = b if cap is None else b.truncate(cap + 1)
         *rights, right_den = _over_one_den(*(ring.right(b, j + 1) for j in range(n)))
         entries, entry_den = self._int_entries(cap)
         live = [j for j in range(n) if rights[j]]
-        inners = [ring.product([(entries[i][j], rights[j]) for j in live], cap)
-                  if rows is None or rows[i] else {} for i in range(n)]
+        inners = [ring.product([(entries[i][j], rights[j]) for j in live], cap) for i in range(n)]
         return inners, right_den * entry_den
 
     def _join(self, left, right, cap):

@@ -18,7 +18,6 @@ from .derived_twists import (
     TwistAutomorphism,
     _derivation_frames,
     _derivation_join,
-    apply_derivation,
     derived_generator_values,
 )
 from .errors import DomainError, SolverError
@@ -191,18 +190,19 @@ def derivation_pairing(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSerie
 
     with N the cyclicization.  For m = 1 the form is skew, so this is the
     derivation sending a basis letter k to the scalar h . k.  Degree-0
-    left arguments act as zero.  So <u, -> is ``apply_derivation`` with
-    the values ``derivation_values(u)``.
+    left arguments act as zero.  So <u, -> is the derivation with the
+    values ``derivation_values(u)``.
 
     Cap rule: the result has cap = min(u.cap, v.cap) and holds every
     product of a stored term of u with a stored term of v whose degree
-    lands below it.  Degree-1 terms of u give constants, so the derivation
-    loses a degree: it runs at min(v.cap, cap + 1), truncated to cap.
+    lands below it: degree-1 terms of u give constants, so it joins the
+    values at cap with v's frames from cap + 1 (``fox_pairings``).
     """
     if u.rank != v.rank:
         raise ValueError("rank mismatch")
     cap = min(u.cap, v.cap)
-    return apply_derivation(derivation_values(u, min(v.cap, cap + 1)), v).truncate(cap)
+    frames = _derivation_frames(v.num, v.rank, cap + 1), v.den
+    return _derivation_join(_over_one_den(*derivation_values(u, cap)), frames, cap)
 
 
 def s_of_omega(genus: int, cap: int) -> TruncatedSeries:
@@ -292,12 +292,18 @@ def _bracket_with(letter, bracket):
     return nonzero(accumulate(out, ((m + (letter,), -c) for m, c in bracket.items())))
 
 
+def _right_nested(word, memo):
+    """The int terms of the right-nested bracket r(word), memoised in memo:
+    r(h) = h and r(h w) = [h, r(w)]."""
+    if word not in memo:
+        rest = word[1:]
+        memo[word] = _bracket_with(word[0], _right_nested(rest, memo)) if rest else {word: 1}
+    return memo[word]
+
+
 def lie_bracket_of_word(rank, cap, letters) -> TruncatedSeries:
     """Right-nested commutator [h_1, [h_2, [..., h_d]...]] of basis letters."""
-    bracket = {(letters[-1],): 1}
-    for letter in reversed(letters[:-1]):
-        bracket = _bracket_with(letter, bracket)
-    return TruncatedSeries(rank, cap, bracket)
+    return TruncatedSeries(rank, cap, _right_nested(tuple(letters), {}))
 
 
 def build_symplectic_expansion(genus: int, cap: int) -> SymplecticExpansion:
@@ -333,12 +339,7 @@ def build_symplectic_expansion(genus: int, cap: int) -> SymplecticExpansion:
     boundary = SurfaceSpec(genus, cap).boundary_word()
     target = omega(genus, cap)
     exponents = [TruncatedSeries.variable(rank, cap, i + 1) for i in range(rank)]
-    right_nested = {(i,): {(i,): 1} for i in range(1, rank + 1)}  # word -> its int bracket
-
-    def bracket_of(word):
-        if word not in right_nested:
-            right_nested[word] = _bracket_with(word[0], bracket_of(word[1:]))
-        return right_nested[word]
+    right_nested = {}  # word -> its int bracket, for this build
 
     def defect_below(top):
         theta = SymplecticExpansion.from_exponents(genus, top,
@@ -359,7 +360,7 @@ def build_symplectic_expansion(genus: int, cap: int) -> SymplecticExpansion:
             # An odd letter is a_i, corrected through b_i (0-based slot m[0]);
             # an even one is b_i, corrected through a_i (slot m[0] - 2).
             slot, sign = (m[0], -1) if m[0] % 2 else (m[0] - 2, 1)
-            accumulate(corrections[slot], bracket_of(m[1:]).items(), sign * c)
+            accumulate(corrections[slot], _right_nested(m[1:], right_nested).items(), sign * c)
         for slot, terms in enumerate(corrections):
             exponents[slot] += TruncatedSeries._raw(rank, cap, nonzero(terms), part.den * degree)
         theta, defect = defect_below(min(degree + 2, cap))
@@ -410,7 +411,7 @@ def verify_section9(spec: SurfaceSpec, expansion: SymplecticExpansion, cap: int,
     rows, columns = [], []
     for label, w in inputs:
         u = embed(GroupAlgebraElement.from_word(w), cap + 2)
-        values = _over_one_den(*derived_generator_values(pairing, u, cap + 1))
+        values = _over_one_den(*derived_generator_values(pairing, u))
         u = u.truncate(cap + 1)
         theta_u = expansion.apply_hat(u)
         rows.append((label, theta_u, values, _over_one_den(*derivation_values(theta_u)),

@@ -96,19 +96,6 @@ def test_pairing_halves_join_to_evaluate_on_truncated_pairings(caps):
             assert got.cap == cap
 
 
-def test_right_half_forms_only_the_rows_asked_for():
-    rng = random.Random(3103)
-    pairing = surface_pairing(SurfaceSpec(2, 4))
-    a = TruncatedSeries.variable(4, 6, 3) + TruncatedSeries(4, 6, {(3, 1): 2})
-    b = embed(random_element(rng, 4), 6)
-    left = pairing._left_half(a, 5)
-    some, _ = pairing._right_half(b, 5, rows=left[0])
-    every, _ = pairing._right_half(b, 5)
-    assert [bool(inner) for inner in some] == [bool(d) and bool(inner)
-                                             for d, inner in zip(left[0], every)]
-    assert pairing._join(left, (some, 1), 5) == pairing._join(left, (every, 1), 5)
-
-
 # -- contraction and the tensorial rho --------------------------------------------
 
 
@@ -154,14 +141,15 @@ def test_derivation_frames_joined_at_the_kept_cap_are_the_truncated_derivation(g
     inputs = [embed(random_element(rng, rank), cap + 1) for _ in range(3)]
     inputs.append(TruncatedSeries.one(rank, cap + 1))
     thetas = [expansion.apply_hat(u) for u in inputs]
-    value_sets = [derived_generator_values(pairing, embed(random_element(rng, rank), cap + 2),
-                                           cap + 1) for _ in range(2)]
+    value_sets = [derived_generator_values(pairing, embed(random_element(rng, rank), cap + 2))
+                  for _ in range(2)]
     value_sets += [derivation_values(theta) for theta in thetas[:2]]
     for values in value_sets:
         for v in inputs + thetas:
             frames = _derivation_frames(v.num, rank, v.cap), v.den
             got = _derivation_join(_over_one_den(*values), frames, cap)
-            assert got == apply_derivation(values, v).truncate(cap)
+            assert got == _derivation_join(_over_one_den(*values), frames, cap + 1).truncate(cap)
+            assert got == apply_derivation(values, v)
 
 
 # -- derived generator values -----------------------------------------------------------
@@ -169,24 +157,19 @@ def test_derivation_frames_joined_at_the_kept_cap_are_the_truncated_derivation(g
 
 @pytest.mark.parametrize("genus", [1, 2, 3])
 def test_derived_generator_values_at_a_cap_are_the_full_values_cut(genus):
+    # The values sit at min(u.cap - 1, pairing.cap); cutting u to cap + 1,
+    # or the pairing to cap, gives the full values cut to cap.
     rng = random.Random(3500 + genus)
     rank = 2 * genus
     pairing = surface_pairing(SurfaceSpec(genus, 5))  # entries at cap 7
     words = [GroupWord(rank, tuple(rng.choice([i for i in range(-rank, rank + 1) if i])
                                    for _ in range(rng.randint(1, 3)))) for _ in range(2)]
-    for u_cap in (6, 7, 8):
+    for u_cap in (6, 7, 8, 9):
         for word in words:
             u = embed(GroupAlgebraElement.from_word(word), u_cap)
             full = derived_generator_values(pairing, u)
-            assert derived_generator_values(pairing, u, min(u_cap, 7)) == full
-            for cap in range(2, min(u_cap, 7)):
-                assert derived_generator_values(pairing, u, cap) == [
-                    value.truncate(cap) for value in full]
-
-
-def test_derived_generator_values_refuse_a_cap_above_the_working_cap():
-    pairing = surface_pairing(SurfaceSpec(1, 3))
-    u = embed(GroupAlgebraElement.from_word(GroupWord(2, (1, 2))), 5)
-    for cap in (6, 0, -1, True, 2.0, "3"):
-        with pytest.raises(ValueError):
-            derived_generator_values(pairing, u, cap)
+            assert {value.cap for value in full} == {min(u_cap - 1, 7)}
+            for cap in range(2, min(u_cap - 1, 7)):
+                cut = [value.truncate(cap) for value in full]
+                assert derived_generator_values(pairing, u.truncate(cap + 1)) == cut
+                assert derived_generator_values(pairing.truncate(cap), u) == cut

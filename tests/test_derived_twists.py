@@ -79,13 +79,14 @@ def test_derived_form_is_a_derivation_in_the_second_slot():
 
 
 def test_left_form_matches_conjugation_formula():
-    # sigma'(a, b) = b^{bar rho(a, b)} a on group words
+    # sigma'(a, b) = b^{bar rho(a, b)} a on group words: the derived form
+    # of the transposed pairing at (b, a).
     rng = random.Random(82)
     for _ in range(12):
         eta = random_exact_pairing(rng)
         a, b = random_word(rng), random_word(rng)
         ea, eb = GroupAlgebraElement.from_word(a), GroupAlgebraElement.from_word(b)
-        got = derived_form_exact(eta, ea, eb, left=True)
+        got = derived_form_exact(eta.transpose(), eb, ea)
         want = conjugation_sum(eb, eta.evaluate(ea, eb).bar()) * ea
         assert got == want
 
@@ -123,6 +124,7 @@ def test_generator_values_feed_the_leibniz_extension():
 
 
 def test_apply_derivation_is_a_leibniz_rule():
+    # Series one cap above the values: the derivation is exact at the values' cap.
     rng = random.Random(86)
     cap = 5
     values = [
@@ -130,10 +132,12 @@ def test_apply_derivation_is_a_leibniz_rule():
         TruncatedSeries(2, cap, {(2, 1): -1}),
     ]
     for _ in range(10):
-        u = embed(random_element(rng), cap)
-        v = embed(random_element(rng), cap)
+        u = embed(random_element(rng), cap + 1)
+        v = embed(random_element(rng), cap + 1)
         got = apply_derivation(values, u * v)
-        want = apply_derivation(values, u) * v + u * apply_derivation(values, v)
+        want = (apply_derivation(values, u) * v.truncate(cap)
+                + u.truncate(cap) * apply_derivation(values, v))
+        assert got.cap == cap
         assert got == want
 
 
@@ -306,9 +310,10 @@ def test_twist_needs_enough_cap():
 
 def twist_by_composite(pairing, k, alpha):
     """The general route twist() replaced: the coproduct composite on
-    k log^2 alpha, exp at the pairing cap, then the cut to cap - 2."""
+    k log^2 alpha (embedded at cap + 1, so its values sit at the pairing's
+    cap), exp at the pairing cap, then the cut to cap - 2."""
     n, cap = pairing.rank, pairing.cap
-    log_alpha = embed(GroupAlgebraElement.from_word(alpha), cap).log()
+    log_alpha = embed(GroupAlgebraElement.from_word(alpha), cap + 1).log()
     values = derived_generator_values(pairing, (log_alpha * log_alpha).scale(k))
     mapper = exp_derivation(values)
     images = [mapper(1 + TruncatedSeries.variable(n, cap, i + 1)) for i in range(n)]

@@ -32,6 +32,13 @@ from test_group_algebra_kernel import (
 )
 
 
+def companion_form(pairing, a, b, left):
+    """derived_form_exact, or with left the companion form b^bar(rho(a,b)) a:
+    the derived form of the transposed pairing at (b, a)."""
+    return derived_form_exact(pairing.transpose(), b, a) if left else derived_form_exact(
+        pairing, a, b)
+
+
 def derived_form_per_pair(pairing, a, b, left=False):
     """The former derived form: two one-word elements and one evaluate
     per word pair, summed in Fractions."""
@@ -75,7 +82,7 @@ def test_derived_form_matches_the_per_pair_route(rank, left):
         pairing = random_exact_pairing(rng, rank)
         a = random_element(rng, rank, 3)
         b = seam_partner(rng, a) if rng.random() < 0.5 else random_element(rng, rank, 3)
-        assert_exact(derived_form_exact(pairing, a, b, left=left),
+        assert_exact(companion_form(pairing, a, b, left),
                      derived_form_per_pair(pairing, a, b, left=left))
 
 
@@ -90,7 +97,7 @@ def test_derived_form_on_zero_and_constants(rank):
         for x, y in ((a, zero), (zero, a), (zero, zero), (a, constant), (constant, a),
                      (constant, constant)):
             for left in (False, True):
-                got = derived_form_exact(pairing, x, y, left=left)
+                got = companion_form(pairing, x, y, left)
                 assert_exact(got, derived_form_per_pair(pairing, x, y, left=left))
         # A constant derives to zero in the first slot: rho(1, -) = 0.
         assert derived_form_exact(pairing, constant, a).is_zero()
@@ -167,7 +174,7 @@ def test_exact_pairing_refuses_operands_of_another_rank():
             pairing.evaluate(a, b)
         for left in (False, True):
             with pytest.raises(ValueError):
-                derived_form_exact(pairing, a, b, left=left)
+                companion_form(pairing, a, b, left)
 
 
 def test_truncated_pairing_refuses_operands_of_another_rank():

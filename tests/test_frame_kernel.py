@@ -82,11 +82,12 @@ def sandwich_by_fractions(tensor, filling):
 def derived_generator_values_by_legs(pairing, u):
     """Oracle: each G_r kernel leg by leg, each coproduct leg (m1, m2)
     conjugating m1 by the stripped leg m2[:-1], then one sandwich per
-    matrix entry."""
+    matrix entry, at min(u.cap - 1, pairing.cap) from the terms of u of
+    degree at most that cap."""
     n = pairing.rank
-    cap = min(u.cap, pairing.cap)
+    cap = min(u.cap - 1, pairing.cap)
     g_terms = [{} for _ in range(n)]
-    for monomial, coeff in u.truncate(cap).terms.items():
+    for monomial, coeff in u.truncate(cap + 1).terms.items():
         for (m1, m2), mult in coproduct_monomial_by_letters(cap + 1, monomial, GROUP_SHARES).items():
             if not m2 or len(m1) + len(m2) - 1 >= cap:
                 continue

@@ -21,7 +21,6 @@ from foxtwist import series
 from foxtwist.derived_twists import (
     TwistAutomorphism,
     _sigma_log_squared_closed_form,
-    apply_derivation,
     exp_derivation,
     twist,
 )
@@ -44,7 +43,7 @@ from foxtwist.truncated_completion import (
 )
 from foxtwist.verify import _random_element, _random_word
 from foxtwist.words import GroupWord
-from test_derivation_kernel import random_series
+from test_derivation_kernel import apply_derivation_by_fractions, random_series
 
 CONSTANTS = (Fraction(1), Fraction(3), Fraction(-2, 5))
 RANKS_AND_CAPS = [(rank, cap) for rank in (1, 2, 3, 4) for cap in range(1, 7)]
@@ -105,7 +104,9 @@ def s_of_omega_by_loop(genus, cap):
 
 
 def exp_derivation_by_loop(values):
-    """Oracle: term_j = d(term_{j-1}) / j, added to a copied total."""
+    """Oracle: term_j = d(term_{j-1}) / j, added to a copied total; each
+    d is the Fraction kernel at the series' cap (the values have no
+    constant terms), which refuses a series above the values' cap."""
     bound = (max((v.cap for v in values), default=2) + 1) ** 2
 
     def apply(s):
@@ -115,7 +116,7 @@ def exp_derivation_by_loop(values):
             j += 1
             if j > bound:
                 raise NilpotencyCapExceeded("exp did not stabilize within %d iterations" % bound)
-            term = apply_derivation(values, term).scale(Fraction(1, j))
+            term = apply_derivation_by_fractions(values, term, term.cap).scale(Fraction(1, j))
             total = total + term
         return total
 

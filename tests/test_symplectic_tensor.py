@@ -453,7 +453,7 @@ def test_section9_solves_each_input_once(monkeypatch):
         monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
     # No pair evaluates the pairing or applies a derivation afresh.
     monkeypatch.setattr(FoxPairing, "evaluate", None)
-    monkeypatch.setattr(symplectic_tensor, "apply_derivation", None)
+    monkeypatch.setattr(derived_twists, "apply_derivation", None)
     monkeypatch.setattr(derived_twists, "_derive", None)
     report = verify.symplectic_suite(3)
     assert verify.report_passed(report)
