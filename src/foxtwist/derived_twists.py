@@ -39,14 +39,16 @@ from fractions import Fraction
 from . import linalg
 from .errors import DomainError, IsotropyError, NilpotencyCapExceeded
 from .fox_pairings import FoxPairing
-from .group_algebra import GroupAlgebraElement, _seam_product, conjugation_sum
+from .group_algebra import GroupAlgebraElement, _seam, _seam_product
 from .series import (
     TruncatedSeries,
+    _check_operand,
     _over_one_den,
     accumulate,
     as_fraction,
     binary_power,
     frame_kernel,
+    nonzero,
     power_sum,
     sum_powers,
 )
@@ -67,24 +69,30 @@ def derived_form_exact(pairing: FoxPairing, a: GroupAlgebraElement,
     """sigma(a, b) = b * a^rho(a,b), extended bilinearly over word pairs.
 
     The companion form b^bar(rho(a,b)) * a is this form of the transposed
-    pairing at (b, a).  On ints, the Fox derivatives of each word ma of a
-    and the inner sums sum_j rho(x_i, x_j) d^j(mb) of each word mb of b
-    are formed once.
+    pairing at (b, a).  On ints, each word's pairing half is built once;
+    rho(ma, mb) is one ``_seam_product`` of two halves, and each of its
+    terms k x adds ca cb k at the reduced word mb x^-1 ma x, with no
+    element made per pair.
     """
     if pairing.cap is not None:
         raise ValueError("derived_form_exact needs an exact pairing")
+    _check_operand(a, GroupAlgebraElement, "a", "derived_form_exact")
+    _check_operand(b, GroupAlgebraElement, "b", "derived_form_exact")
     n = pairing.rank
     if a.rank != n or b.rank != n:
         raise ValueError(f"a rank-{n} pairing takes rank-{n} operands")
     entry_den = pairing._int_entries(None)[1]
     # The Fox calculus of one word with coefficient 1 stays over denominator 1.
     word = lambda letters: GroupAlgebraElement._raw(n, {letters: 1})
-    lefts = {ma: pairing._left_half(word(ma), None)[0] for ma in a.num}
     inners = {mb: pairing._right_half(word(mb), None)[0] for mb in b.num}
-    rho = lambda ma, mb: GroupAlgebraElement._raw(n, _seam_product(zip(lefts[ma], inners[mb])))
-    total = _seam_product(({mb: ca * cb}, conjugation_sum(word(ma), rho(ma, mb)).num)
-                          for ma, ca in a.num.items() for mb, cb in b.num.items())
-    return GroupAlgebraElement._raw(n, total, a.den * b.den * entry_den)
+    total = {}
+    for ma, ca in a.num.items():
+        left = pairing._left_half(word(ma), None)[0]
+        for mb, cb in b.num.items():
+            for x, k in _seam_product(zip(left, inners[mb])).items():
+                key = _seam(mb, _seam(_seam(tuple(-y for y in reversed(x)), ma), x))
+                total[key] = total.get(key, 0) + ca * cb * k
+    return GroupAlgebraElement._raw(n, nonzero(total), a.den * b.den * entry_den)
 
 
 def derived_generator_values(pairing: FoxPairing, u: TruncatedSeries) -> list:

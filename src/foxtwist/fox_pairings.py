@@ -38,39 +38,33 @@ from collections import namedtuple
 
 from . import linalg
 from .errors import NotInvertible, NotNondegenerate
-from .group_algebra import (
-    GroupAlgebraElement,
-    _seam_product,
-    fox_derivative_left,
-    fox_derivative_right,
+from .group_algebra import GroupAlgebraElement, _fox_derivatives, _seam_product
+from .series import (
+    TruncatedSeries,
+    _check_operand,
+    _over_one_den,
+    frame_kernel,
+    series_matrix_inverse,
 )
-from .series import TruncatedSeries, _over_one_den, frame_kernel, series_matrix_inverse
-from .truncated_completion import (
-    _strip_first,
-    _strip_last,
-    antipode,
-    counit,
-    embed,
-    fox_left_series,
-    fox_right_series,
-)
+from .truncated_completion import _fox_series_derivatives, antipode, counit, embed
 from .words import GroupWord
 
 
-# Fox derivatives left(a, i) and right(a, i), the involution, the
-# augmentation, image(e, like): a group-algebra element e in the ring (and
-# at the cap) of like, product(pairs, cap): the sum of left * right over
-# pairs of int term dicts, and raw(rank, cap, num, den): a clean element.
-_Ring = namedtuple("_Ring", "name left right involution augmentation image product raw")
+# fox(a, right): all n left (right: right) Fox derivatives of a in one
+# pass, as int term dicts over a.den; the involution, the augmentation,
+# image(e, like): a group-algebra element e in the ring (and at the cap)
+# of like, product(pairs, cap): the sum of left * right over pairs of int
+# term dicts, and raw(rank, cap, num, den): a clean element.
+_Ring = namedtuple("_Ring", "name fox involution augmentation image product raw")
 
 
 _RINGS = {
-    GroupAlgebraElement: _Ring("exact", fox_derivative_left, fox_derivative_right,
-                               GroupAlgebraElement.bar, GroupAlgebraElement.augmentation,
+    GroupAlgebraElement: _Ring("exact", _fox_derivatives, GroupAlgebraElement.bar,
+                               GroupAlgebraElement.augmentation,
                                lambda element, like: element,
                                lambda pairs, cap: _seam_product(pairs),
                                lambda rank, _, num, den: GroupAlgebraElement._raw(rank, num, den)),
-    TruncatedSeries: _Ring("truncated", fox_left_series, fox_right_series, antipode, counit,
+    TruncatedSeries: _Ring("truncated", _fox_series_derivatives, antipode, counit,
                            lambda element, like: embed(element, like.cap),
                            lambda pairs, cap: frame_kernel(
                                (({(m, ()): c for m, c in left.items()}, right)
@@ -189,9 +183,9 @@ class FoxPairing:
         products).  Truncated operands lose one degree to the strip: all
         is cut to min(cap(a) - 1, cap(b) - 1, entry cap).
         """
-        kind = type(self.matrix[0][0])
-        if type(a) is not kind or type(b) is not kind:
-            raise TypeError(f"a {self._ring.name} pairing evaluates {kind.__name__} operands")
+        kind, what = type(self.matrix[0][0]), f"{self._ring.name} pairing"
+        _check_operand(a, kind, "a", what)
+        _check_operand(b, kind, "b", what)
         n, cap = self.rank, None
         if a.rank != n or b.rank != n:
             raise ValueError(f"a rank-{n} pairing evaluates rank-{n} operands")
@@ -205,19 +199,18 @@ class FoxPairing:
         """Half of ``evaluate`` at the value cap (None: exact): the d_i(a) as
         ints over one denominator, a cut to cap + 1."""
         a = a if cap is None else a.truncate(cap + 1)
-        *lefts, den = _over_one_den(*(self._ring.left(a, i + 1) for i in range(self.rank)))
-        return lefts, den
+        return self._ring.fox(a, False), a.den
 
     def _right_half(self, b, cap):
         """The other half: the inner sums over j for every i, over one
         denominator, b cut to cap + 1."""
         n, ring = self.rank, self._ring
         b = b if cap is None else b.truncate(cap + 1)
-        *rights, right_den = _over_one_den(*(ring.right(b, j + 1) for j in range(n)))
+        rights = ring.fox(b, True)
         entries, entry_den = self._int_entries(cap)
         live = [j for j in range(n) if rights[j]]
         inners = [ring.product([(entries[i][j], rights[j]) for j in live], cap) for i in range(n)]
-        return inners, right_den * entry_den
+        return inners, b.den * entry_den
 
     def _join(self, left, right, cap):
         """rho(a, b) at cap from the left half of a and the right half of b."""
@@ -268,7 +261,9 @@ class FoxPairing:
         """
         if self.cap is None:
             raise ValueError("inner-witness extraction works on truncated pairings")
-        candidate = _strip_last(_strip_first(self.matrix[0][0], 1), 1)
+        e = self.matrix[0][0]
+        candidate = TruncatedSeries._raw(self.rank, self.cap, {
+            m[1:-1]: c for m, c in e.num.items() if len(m) > 1 and m[0] == m[-1] == 1}, e.den)
         if FoxPairing.inner(candidate) != self:
             return False, None
         return True, candidate

@@ -24,7 +24,9 @@ product of two reduced words can cancel only at the junction, so
 ``_seam`` reduces a + b by stripping the letters that meet there and
 never rescans either word.  Prefixes,
 suffixes and inverses of reduced words are reduced as they stand.
-``*``, ``FoxPairing.evaluate`` and ``derived_form_exact`` run on one int
+``fox_derivative_left``/``right`` and the halves of ``FoxPairing`` (in
+``evaluate`` and ``derived_form_exact``) take all n Fox derivatives in one
+int pass, ``_fox_derivatives``; those two and ``*`` multiply on one int
 kernel, ``_seam_product``, the seam-rule analogue of ``series.frame_kernel``.
 """
 
@@ -35,6 +37,7 @@ from fractions import Fraction
 from .series import (
     _IntTerms,
     _check_index,
+    _check_operand,
     _positive_int,
     accumulate,
     as_fraction,
@@ -46,11 +49,12 @@ from .words import GroupWord, _checked_word
 
 def _seam(a: tuple, b: tuple) -> tuple:
     """The reduced word of a + b, for reduced words a and b."""
-    k = 0
-    limit = min(len(a), len(b))
+    if not (a and b and a[-1] == -b[0]):
+        return a + b
+    k, limit = 1, min(len(a), len(b))
     while k < limit and a[-1 - k] == -b[k]:
         k += 1
-    return a[:len(a) - k] + b[k:] if k else a + b
+    return a[:len(a) - k] + b[k:]
 
 
 def _seam_product(pairs):
@@ -149,36 +153,43 @@ class GroupAlgebraElement(_IntTerms):
         return "<" + " + ".join(parts) + ">"
 
 
+def _fox_derivatives(a: GroupAlgebraElement, right: bool = False) -> list:
+    """All n left (right: right) Fox derivatives of a, in one pass, as
+    {word: int} dicts over a.den: a letter x_i gives d_i the word's prefix
+    before it (suffix after it), x_i^-1 minus the prefix through it
+    (suffix from it)."""
+    out = [{} for _ in range(a.rank)]
+    for mono, coeff in a.num.items():
+        for p, x in enumerate(mono):
+            key = mono[p + (x > 0):] if right else mono[:p + (x < 0)]
+            terms = out[abs(x) - 1]
+            terms[key] = terms.get(key, 0) + (coeff if x > 0 else -coeff)
+    return [nonzero(terms) for terms in out]
+
+
 def fox_derivative_left(a: GroupAlgebraElement, i: int) -> GroupAlgebraElement:
     """Left Fox derivative: d(ab) = d(a) aug(b) + a d(b), d_i(x_j) = delta_ij."""
-    _check_index(i, a.rank, "Fox derivative")
-    out = {}
-    for mono, coeff in a.num.items():
-        accumulate(out, ((mono[:p], coeff) if x == i else (mono[:p + 1], -coeff)
-                         for p, x in enumerate(mono) if abs(x) == i))
-    return GroupAlgebraElement._raw(a.rank, nonzero(out), a.den)
+    return fox_derivative("left", i, a)
 
 
 def fox_derivative_right(a: GroupAlgebraElement, i: int) -> GroupAlgebraElement:
     """Right Fox derivative: d(ab) = d(a) b + aug(a) d(b)."""
-    _check_index(i, a.rank, "Fox derivative")
-    out = {}
-    for mono, coeff in a.num.items():
-        accumulate(out, ((mono[p + 1:], coeff) if x == i else (mono[p:], -coeff)
-                         for p, x in enumerate(mono) if abs(x) == i))
-    return GroupAlgebraElement._raw(a.rank, nonzero(out), a.den)
+    return fox_derivative("right", i, a)
 
 
 def fox_derivative(side: str, i: int, a: GroupAlgebraElement) -> GroupAlgebraElement:
-    if side == "left":
-        return fox_derivative_left(a, i)
-    if side == "right":
-        return fox_derivative_right(a, i)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    """The left or right Fox derivative d_i(a): one of ``_fox_derivatives``."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    _check_operand(a, GroupAlgebraElement, "a", "Fox derivative")
+    _check_index(i, a.rank, "Fox derivative")
+    return GroupAlgebraElement._raw(a.rank, _fox_derivatives(a, side == "right")[i - 1], a.den)
 
 
 def conjugation_sum(v: GroupAlgebraElement, u: GroupAlgebraElement) -> GroupAlgebraElement:
     """v^u = sum_x k_x x^-1 v x, where u = sum_x k_x x.  Linear in both."""
+    _check_operand(v, GroupAlgebraElement, "v", "conjugation_sum")
+    _check_operand(u, GroupAlgebraElement, "u", "conjugation_sum")
     v._check_compatible(u)
     out = {}
     for mono, coeff in u.num.items():
@@ -190,6 +201,7 @@ def conjugation_sum(v: GroupAlgebraElement, u: GroupAlgebraElement) -> GroupAlge
 
 def cyclic_projection(a: GroupAlgebraElement) -> GroupAlgebraElement:
     """Replace every word by the canonical representative of its conjugacy class."""
+    _check_operand(a, GroupAlgebraElement, "a", "cyclic_projection")
     return GroupAlgebraElement._raw(a.rank, nonzero(accumulate({}, (
         (GroupWord(a.rank, mono).cyclic_normal_form().letters, coeff)
         for mono, coeff in a.num.items()))), a.den)

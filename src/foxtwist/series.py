@@ -168,6 +168,12 @@ def _check_index(index, rank, what):
         raise ValueError(f"{what} index {index} outside 1..{rank}")
 
 
+def _check_operand(value, kind, name, what):
+    """The ring rule: an operand is exactly of its ring's type."""
+    if type(value) is not kind:
+        raise TypeError(f"{what}: {name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def _checked_items(rank, cap, terms):
     """The terms below the cap as (tuple, Fraction) pairs; ValueError on a
     letter that is not an int in 1..rank."""

@@ -244,33 +244,32 @@ def is_primitive(series: TruncatedSeries, delta=None) -> bool:
     return (delta or coproduct)(series) == tensor_outer(series, one) + tensor_outer(one, series)
 
 
-def _strip_last(series: TruncatedSeries, index: int) -> TruncatedSeries:
-    """The monomials ending with X_index, with that letter removed, at the
-    same cap; only callers that know the stripped degrees are complete
-    may keep that cap."""
-    kept = {m[:-1]: c for m, c in series.num.items() if m and m[-1] == index}
-    return TruncatedSeries._raw(series.rank, series.cap, kept, series.den)
+def _fox_series_derivatives(series: TruncatedSeries, right: bool = False) -> list:
+    """All n left (right: right) Fox derivatives in the completion as
+    {monomial: int} dicts over series.den: the monomials bucketed by their
+    last (first) letter, that letter removed.  The result is only
+    trustworthy one degree lower, so it is read at cap - 1."""
+    if series.cap < 2:
+        raise ValueError("a Fox derivative needs a degree cap of at least 2")
+    out = [{} for _ in range(series.rank)]
+    for m, c in series.num.items():
+        if m:
+            out[(m[0] if right else m[-1]) - 1][m[1:] if right else m[:-1]] = c
+    return out
 
 
-def _strip_first(series: TruncatedSeries, index: int) -> TruncatedSeries:
-    """The monomials starting with X_index, with that letter removed."""
-    kept = {m[1:]: c for m, c in series.num.items() if m and m[0] == index}
-    return TruncatedSeries._raw(series.rank, series.cap, kept, series.den)
+def _fox_series_view(series, index, right):
+    _check_index(index, series.rank, "Fox derivative")
+    return TruncatedSeries._raw(series.rank, series.cap - 1,
+                                _fox_series_derivatives(series, right)[index - 1], series.den)
 
 
 def fox_left_series(series: TruncatedSeries, index: int) -> TruncatedSeries:
     """Left Fox derivative in the completion: the part of the series whose
-    monomials end with X_index, with that last letter removed.  The result
-    is only trustworthy one degree lower, so the cap drops by one."""
-    if series.cap < 2:
-        raise ValueError("a Fox derivative needs a degree cap of at least 2")
-    _check_index(index, series.rank, "Fox derivative")
-    return _strip_last(series, index).truncate(series.cap - 1)
+    monomials end with X_index, with that last letter removed, at cap - 1."""
+    return _fox_series_view(series, index, False)
 
 
 def fox_right_series(series: TruncatedSeries, index: int) -> TruncatedSeries:
     """Right Fox derivative in the completion: strip a leading X_index."""
-    if series.cap < 2:
-        raise ValueError("a Fox derivative needs a degree cap of at least 2")
-    _check_index(index, series.rank, "Fox derivative")
-    return _strip_first(series, index).truncate(series.cap - 1)
+    return _fox_series_view(series, index, True)

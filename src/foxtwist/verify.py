@@ -4,7 +4,9 @@ Each suite returns {"suite": name, "checks": [{"name", "pass", ...}]}
 with a "witness" entry on failing checks when a first differing
 coefficient is available; ``run_suite`` adds the "degree" it ran at.
 Randomized inputs always draw from fixed seeds, so reports are
-deterministic and byte-stable.
+deterministic and byte-stable.  Random words are reduced as they are drawn
+and random elements hold ints over 6, with the same draws as a Fraction
+route, so every law runs on the same inputs.
 
 Every check is written one way, by the helpers in ``surfaces``.  Each
 entry is built by ``_check``.  A check over many trials collapses them
@@ -39,7 +41,7 @@ from .group_algebra import (
     fox_derivative_left,
     fox_derivative_right,
 )
-from .series import TruncatedSeries, accumulate, commutator, power_sum
+from .series import TruncatedSeries, commutator, nonzero, power_sum
 from .surfaces import (
     CurveSpec,
     SurfaceSpec,
@@ -75,21 +77,29 @@ from .truncated_completion import (
 )
 from .words import GroupWord
 
-def _random_word(rng, rank, max_len, min_len=0) -> GroupWord:
-    length = rng.randint(min_len, max_len)
+def _random_letters(rng, rank, max_len, min_len=0) -> tuple:
+    """The letters of a random word, each reduced against the last as drawn."""
     letters = []
-    for _ in range(length):
-        i = rng.randint(1, rank)
-        letters.append(i if rng.random() < 0.5 else -i)
-    return GroupWord(rank, tuple(letters))
+    for _ in range(rng.randint(min_len, max_len)):
+        x = rng.randint(1, rank) * (1 if rng.random() < 0.5 else -1)
+        if letters and letters[-1] == -x:
+            letters.pop()
+        else:
+            letters.append(x)
+    return tuple(letters)
+
+
+def _random_word(rng, rank, max_len, min_len=0) -> GroupWord:
+    return GroupWord(rank, _random_letters(rng, rank, max_len, min_len))
 
 
 def _random_element(rng, rank, terms=3, max_len=3) -> GroupAlgebraElement:
-    draws = []
+    num = {}
     for _ in range(terms):
-        coeff = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2, 3]))
-        draws.append((_random_word(rng, rank, max_len).letters, coeff))
-    return GroupAlgebraElement(rank, accumulate({}, draws))
+        coeff = rng.choice([-2, -1, 1, 2]) * (6 // rng.choice([1, 2, 3]))
+        letters = _random_letters(rng, rank, max_len)
+        num[letters] = num.get(letters, 0) + coeff
+    return GroupAlgebraElement._raw(rank, nonzero(num), 6)
 
 
 def _random_exact_pairing(rng, rank) -> FoxPairing:
