@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 1 when a verification or domain-level check
 fails (degenerate nabla, non-isotropic curve, failing suite), 2 on
 malformed input.  All numbers print as exact fractions and identical
-invocations produce byte-identical output.
+invocations produce byte-identical output.  A twist solves its pairing
+only to the twist's cap, and one parser, built by the first ``main()``
+call, serves every call in the process.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import formats
-from .derived_twists import twist
+from .derived_twists import _twist
 from .errors import FoxTwistError
 from .fox_pairings import NablaElement, pairing_of_nabla
 from .formats import FormatError
@@ -70,22 +72,28 @@ def _parse_k(text: str) -> Fraction:
         raise InputError(f"--k expects an exact fraction p or p/q, got {text!r}") from None
 
 
-def _load_pairing_source(args):
-    """Resolve --surface/--pairing/--nabla into (pairing, curve-parser)."""
+def _load_pairing_source(args, drop=0):
+    """Resolve --surface/--pairing/--nabla into (pairing, curve-parser), the
+    pairing cut by drop degrees: a nabla file, checked in full, is solved cut."""
     sources = [name for name in ("surface", "pairing", "nabla")
                if getattr(args, name, None)]
     if len(sources) != 1:
         raise InputError("exactly one of --surface, --pairing, --nabla is required")
     if args.surface:
         spec = SurfaceSpec(_parse_surface(args.surface, args.degree), args.degree)
-        return surface_pairing(spec), spec.parse_curve
+        return _cut(surface_pairing(spec), drop), spec.parse_curve
     if getattr(args, "pairing", None):
-        pairing = formats.pairing_from_dict(_read(args.pairing, 0))
-        return pairing, lambda text: parse_word(text, pairing.rank)
-    series = formats.series_from_dict(_read(args.nabla, 4))
-    _check_budget(series.rank, series.cap - 4, args.nabla)
-    pairing = pairing_of_nabla(NablaElement(series))
+        pairing = _cut(formats.pairing_from_dict(_read(args.pairing, 0)), drop)
+    else:
+        series = formats.series_from_dict(_read(args.nabla, 4))
+        _check_budget(series.rank, series.cap - 4, args.nabla)
+        pairing = pairing_of_nabla(NablaElement(_cut(series, drop)))
     return pairing, lambda text: parse_word(text, pairing.rank)
+
+
+def _cut(value, drop):
+    """A pairing or series cut by drop degrees; itself when drop is 0."""
+    return value.truncate(value.cap - drop) if drop else value
 
 
 def _read(path, offset):
@@ -167,15 +175,16 @@ def cmd_pairing(args) -> int:
 
 
 def cmd_twist(args) -> int:
-    pairing, parse_curve = _load_pairing_source(args)
     if not args.curve:
         raise InputError("--curve is required")
+    k = _parse_k(args.k)
+    # The twist reads only the entries below its cap (``fox_pairings``).
+    pairing, parse_curve = _load_pairing_source(args, 2)
     try:
         word = parse_curve(args.curve)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    k = _parse_k(args.k)
-    automorphism = twist(pairing, k, word)
+    automorphism = _twist(pairing, k, word, pairing.cap)
     if args.apply is not None:
         try:
             target = parse_curve(args.apply)
@@ -245,8 +254,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The argparse tree, built by the first main() call and kept for the process.
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _PARSER
+    parser = _PARSER = _PARSER or _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads a separate negative fraction such as -3/4 as an option.
     for i in range(len(argv) - 1, 0, -1):

@@ -23,7 +23,8 @@ Caps follow the degree rule in ``fox_pairings``.  A twist from a pairing
 at cap P is built at P - 2 throughout, with rho(alpha, x_j) evaluated on
 operands at P - 1.  The values have no constant term, so the derivation
 never lowers degree: exp runs at P - 2 as well, and nothing is truncated
-at the end.
+at the end.  Its body, ``_twist``, runs at any cap T <= P and reads only
+the entries below T: a twist never reads degrees P - 2 and P - 1.
 
 Every step of a twist stays on int numerators (the storage rule of
 ``series._IntTerms``): log(alpha), each value (x_j and 2k multiply its
@@ -430,11 +431,17 @@ def twist(pairing: FoxPairing, k, alpha: GroupWord) -> TwistAutomorphism:
         raise ValueError("rank mismatch")
     if pairing.cap < 3:
         raise ValueError("twists need a pairing cap of at least 3")
+    return _twist(pairing, k, alpha, pairing.cap - 2)
+
+
+def _twist(pairing: FoxPairing, k, alpha: GroupWord, cap: int) -> TwistAutomorphism:
+    """The body of ``twist`` at cap <= pairing.cap.  It reads only the
+    entries below cap, so the pairing cut to cap gives the same twist."""
     self_pairing = homological_self_pairing(pairing, alpha)
     if self_pairing != 0:
         raise IsotropyError("curve pairs with itself to %s, not 0" % self_pairing)
     k = as_fraction(k)
-    n, cap = pairing.rank, pairing.cap - 2
+    n = pairing.rank
     iota_alpha = embed(GroupAlgebraElement.from_word(alpha), cap + 1)
     log_alpha = iota_alpha.truncate(cap).log()
     # rho(alpha, x_j) at cap; d^j(x_j) = 1 is x_j's only right Fox derivative.

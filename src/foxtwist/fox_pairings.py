@@ -19,6 +19,9 @@ The degree rule, stated once for the package.  For entries at cap P:
 * derived forms lose one: sigma(u, v) sits at min(u.cap - 1, P, v.cap - 1),
   its generator values at min(u.cap - 1, P); twists lose two: a twist is
   built at P - 2 (``derived_twists``);
+* a twist at cap T reads only the entries' degrees below T, so the CLI's
+  twist from a nabla at N solves the nabla cut to N - 2, a pairing at
+  N - 4, and its twist from a pairing or surface cuts the entries to T;
 * a contraction loses two, and a derivation whose values have constant
   terms loses one, so it takes the series' frames from one cap above its
   result; ``symplectic_tensor.verify_section9`` builds its halves once per

@@ -203,6 +203,52 @@ def test_exit_2_on_bad_inputs(capsys):
         assert "error:" in err
 
 
+def test_twist_checks_curve_and_k_before_reading_the_source(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the source was read before --curve and --k were checked")
+
+    monkeypatch.setattr(formats, "read_json", refuse)
+    monkeypatch.setattr(cli, "pairing_of_nabla", refuse)
+    path = str(tmp_path / "nabla.json")
+    for extra, message in (((), "--curve is required"),
+                           (("--curve", ""), "--curve is required"),
+                           (("--curve", "x1", "--k", "one"), "--k expects an exact fraction"),
+                           (("--curve", "x1", "--k", "1/0"), "--k expects an exact fraction")):
+        code, out, err = run(capsys, "twist", "--nabla", path, *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
+
+def test_each_command_solves_a_nabla_file_to_the_cap_it_reads(tmp_path, capsys, monkeypatch):
+    from foxtwist.surfaces import boundary_nabla
+    path = tmp_path / "nabla.json"
+    formats.write_json(path, formats.series_to_dict(boundary_nabla(SurfaceSpec(1, 5), 9).series))
+    caps = []
+    real = cli.pairing_of_nabla
+    monkeypatch.setattr(cli, "pairing_of_nabla", lambda nabla: caps.append(nabla.cap) or real(nabla))
+    for command, want in ((("pairing",), 9), (("twist", "--curve", "x1"), 7),
+                          (("twist", "--curve", "x1", "--apply", "x2"), 7)):
+        caps.clear()
+        assert run(capsys, *command, "--nabla", str(path))[0] == 0
+        assert caps == [want]
+
+
+def test_one_parser_serves_every_call_and_keeps_no_options(tmp_path, capsys, monkeypatch):
+    builds = []
+    real = cli._build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or real())
+    plain = ("twist", "--surface", "genus:1", "--curve", "a b", "--degree", "4")
+    first = run(capsys, *plain)
+    path = tmp_path / "image.json"
+    code, out, _ = run(capsys, *plain, "--apply", "b", "--format", "json", "--out", str(path))
+    assert code == 0 and json.loads(out)["word"] == [2] and path.exists()
+    assert run(capsys, *plain) == first
+    assert first[0] == 0 and "wrote:" not in first[1] and "x2 ->" in first[1]
+    assert run(capsys, "pairing", "--surface", "genus:1", "--degree", "4")[1].startswith("rank: 2")
+    assert builds == [1]
+
+
 def test_exit_2_when_the_surface_exceeds_the_term_budget(capsys, monkeypatch):
     def refuse(spec):
         raise AssertionError("surface_pairing ran for an over-budget surface")
@@ -231,7 +277,7 @@ def refuse_work(monkeypatch):
         raise AssertionError("an over-budget input reached the computation")
 
     monkeypatch.setattr(cli, "pairing_of_nabla", refuse)
-    monkeypatch.setattr(cli, "twist", refuse)
+    monkeypatch.setattr(cli, "_twist", refuse)
 
 
 def assert_over_budget(capsys, *source):

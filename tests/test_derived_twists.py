@@ -7,6 +7,7 @@ import pytest
 
 from foxtwist.derived_twists import (
     TwistAutomorphism,
+    _twist,
     apply_derivation,
     derived_form_exact,
     derived_form_truncated,
@@ -357,3 +358,54 @@ def test_twist_matches_the_composite_route_on_a_nabla_pairing():
     for letters in ((1, 2, -1), (1, 1, 2, -1, -2), (2,)):
         alpha = GroupWord(2, letters)
         assert twist(pairing, k, alpha) == twist_by_composite(pairing, k, alpha)
+
+
+# -- a twist reads only the entries below its cap ----------------------------------
+
+
+TWIST_CAP_CELLS = [
+    (1, 5, ("a b a b^-1", "b")),
+    (1, 7, ("a b a b^-1", "a^2 b")),
+    (2, 4, ("a1 b2 a2^-1 b1", "b2")),
+    (3, 3, ("a1 b2 a3 b1^-1", "a2 b3")),
+]
+
+
+def perturbed_above(pairing, low, rng):
+    """The pairing with seeded Fraction terms added to every entry at the
+    degrees from low up to its cap."""
+    n, cap = pairing.rank, pairing.cap
+    rows = []
+    for row in pairing.matrix:
+        out = []
+        for entry in row:
+            noise = {tuple(rng.randint(1, n) for _ in range(degree)):
+                     Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
+                     for degree in range(low, cap) for _ in range(2)}
+            out.append(entry + TruncatedSeries(n, cap, noise))
+        rows.append(out)
+    return FoxPairing(rows)
+
+
+@pytest.mark.parametrize("genus, cap, curves", TWIST_CAP_CELLS)
+def test_a_twist_ignores_the_top_two_degrees_of_its_pairing(genus, cap, curves):
+    spec = SurfaceSpec(genus, cap)
+    pairing = surface_pairing(spec)
+    rng = random.Random(7000 + 10 * genus + cap)
+    noisy = perturbed_above(pairing, pairing.cap - 2, rng)
+    assert noisy != pairing
+    for text in curves:
+        alpha = spec.parse_curve(text)
+        for k in (Fraction(1, 3), Fraction(-2, 5)):
+            assert twist(noisy, k, alpha) == twist(pairing, k, alpha)
+
+
+@pytest.mark.parametrize("genus, cap, curves", TWIST_CAP_CELLS)
+def test_twist_is_the_body_on_the_pairing_cut_to_its_cap(genus, cap, curves):
+    pairing = surface_pairing(SurfaceSpec(genus, cap))
+    cut = pairing.truncate(pairing.cap - 2)
+    for text in curves:
+        alpha = SurfaceSpec(genus, cap).parse_curve(text)
+        want = twist(pairing, Fraction(1, 3), alpha)
+        assert want.cap == cap
+        assert _twist(cut, Fraction(1, 3), alpha, cut.cap) == want
